@@ -28,7 +28,6 @@ from .controls import (
 )
 from .dynamics import (
     AeroForces,
-    VehicleState,
     angle_of_attack,
     rhs,
     rk4_step,

@@ -134,10 +134,6 @@ class SimplifiedAero:
         return F, dF_dv, dF_dth
 
 
-def simplified_forces(state, model: SimplifiedAero, scn) -> AeroForces:
-    return model.forces(state, scn)
-
-
 # ---------------------------------------------------------------------------
 # Stand-in coefficient model and training dataset
 # ---------------------------------------------------------------------------
@@ -335,10 +331,6 @@ class MlpSurrogate:
 
 def mlp_forward(model: MlpSurrogate, alpha: float) -> np.ndarray:
     return model.coeffs(alpha)
-
-
-def surrogate_forces(state, model: MlpSurrogate, scn) -> AeroForces:
-    return model.forces(state, scn)
 
 
 # ---------------------------------------------------------------------------

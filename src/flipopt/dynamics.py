@@ -32,7 +32,6 @@ gradient oracle relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 import numpy as np
@@ -75,28 +74,6 @@ class AeroModel(Protocol):
         """Return (F, dF_dv, dF_dtheta) with F = (F_Ax, F_Ay, M_A),
         dF_dv of shape (3, 2) and dF_dtheta of shape (3,)."""
         ...
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    """Named view of one state vector, for construction and reporting."""
-
-    x: float
-    y: float
-    u: float
-    v: float
-    theta: float
-    omega: float
-    m: float
-    delta_d: float
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "VehicleState":
-        return cls(*(float(a) for a in arr))
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.u, self.v,
-                         self.theta, self.omega, self.m, self.delta_d])
 
 
 def thrust_force_and_moment(T, delta_d, theta, scn) -> tuple[tuple, float]:
@@ -142,22 +119,29 @@ def wind_axes(state: np.ndarray):
     return sin_a, cos_a, speed
 
 
+def _derivative(s, F, T, delta, mdot, cos, sin, scn) -> tuple:
+    """State derivative on scalars: ``s`` is the state, ``F`` the aero
+    forces and ``mdot`` the mass rate -T / c_ex."""
+    m = s[IX_M]
+    dd = s[IX_DD]
+    psi = s[IX_TH] + dd
+    return (
+        s[IX_U],
+        s[IX_V],
+        (T * cos(psi) + scn.eps_corr * F[0]) / m,
+        (T * sin(psi) + scn.eps_corr * F[1]) / m - scn.g,
+        s[IX_OM],
+        (-T * sin(dd) * scn.l_arm + scn.eta_corr * F[2]) / scn.J_z,
+        mdot,
+        (delta - dd) / scn.T_d,
+    )
+
+
 def rhs(state: np.ndarray, ctrl: tuple, aero: AeroForces, scn) -> np.ndarray:
     """State derivative given control (T, delta) and aero forces."""
     T, delta = ctrl
-    m = state[IX_M]
-    psi = state[IX_TH] + state[IX_DD]
-    out = np.empty(STATE_DIM, dtype=state.dtype)
-    out[IX_X] = state[IX_U]
-    out[IX_Y] = state[IX_V]
-    out[IX_U] = (T * np.cos(psi) + scn.eps_corr * aero[0]) / m
-    out[IX_V] = (T * np.sin(psi) + scn.eps_corr * aero[1]) / m - scn.g
-    out[IX_TH] = state[IX_OM]
-    out[IX_OM] = (-T * np.sin(state[IX_DD]) * scn.l_arm
-                  + scn.eta_corr * aero[2]) / scn.J_z
-    out[IX_M] = -T / scn.c_ex
-    out[IX_DD] = (delta - state[IX_DD]) / scn.T_d
-    return out
+    return np.array(_derivative(state, aero, T, delta, -T / scn.c_ex,
+                                np.cos, np.sin, scn), dtype=state.dtype)
 
 
 def eval_rhs(state: np.ndarray, T, delta, scn, aero_model: AeroModel) -> np.ndarray:
@@ -166,67 +150,74 @@ def eval_rhs(state: np.ndarray, T, delta, scn, aero_model: AeroModel) -> np.ndar
 
 
 def rhs_and_jacobians(state: np.ndarray, T, delta, scn, aero_model: AeroModel):
-    """Derivative plus exact Jacobians d f/d state (8x8) and d f/d ctrl (8x2).
+    """Derivative plus the nonzero partials of d f/d state and d f/d ctrl.
 
-    The aero model contributes the partials of (F_Ax, F_Ay, M_A) with
-    respect to (u, v, theta); everything else is closed form.  Gradient
-    engines call this in the double-precision hot loop, so the scalar
-    work runs on plain Python floats.
+    Returns ``(f, p)``: ``f`` holds the 8 derivative components and ``p``
+    the 20 entries of J = d f/d state and B = d f/d (T, delta) that are not
+    structurally zero or one, in this order:
+
+        J[u, (u, v, theta, m, delta_d)], J[v, (u, v, theta, m, delta_d)],
+        J[omega, (u, v, theta, delta_d)], J[delta_d, delta_d],
+        B[(u, v, omega, m), T], B[delta_d, delta]
+
+    The structural ones are J[x, u], J[y, v] and J[theta, omega].
+    :func:`rhs_pullback` applies J^T and B^T.  The aero model contributes
+    the partials of (F_Ax, F_Ay, M_A) with respect to (u, v, theta);
+    everything else is closed form.  Gradient engines call this in the
+    double-precision hot loop, so it runs on plain Python floats.
     """
+    _, _, u, v, th, om, m, dd = state.tolist()
     T = float(T)
-    m = float(state[IX_M])
-    dd = float(state[IX_DD])
-    psi = float(state[IX_TH]) + dd
+    psi = th + dd
     cpsi = math.cos(psi)
     spsi = math.sin(psi)
     sdd = math.sin(dd)
     cdd = math.cos(dd)
 
     F, dF_dv, dF_dth = aero_model.forces_jac(state, scn)
-    eps, eta = scn.eps_corr, scn.eta_corr
+    Fx, Fy, M = F.tolist()
+    (Fx_u, Fx_v), (Fy_u, Fy_v), (M_u, M_v) = dF_dv.tolist()
+    Fx_th, Fy_th, M_th = dF_dth.tolist()
+    eps, eta, l_arm, J_z = scn.eps_corr, scn.eta_corr, scn.l_arm, scn.J_z
 
-    f_u = (T * cpsi + eps * float(F[0])) / m
-    f_v = (T * spsi + eps * float(F[1])) / m - scn.g
-    f = np.array([
-        float(state[IX_U]), float(state[IX_V]), f_u, f_v,
-        float(state[IX_OM]),
-        (-T * sdd * scn.l_arm + eta * float(F[2])) / scn.J_z,
-        -T / scn.c_ex,
-        (float(delta) - dd) / scn.T_d,
-    ])
+    f_u = (T * cpsi + eps * Fx) / m
+    f_v = (T * spsi + eps * Fy) / m - scn.g
+    f = (u, v, f_u, f_v, om, (-T * sdd * l_arm + eta * M) / J_z,
+         -T / scn.c_ex, (float(delta) - dd) / scn.T_d)
+    p = (
+        eps * Fx_u / m, eps * Fx_v / m, (-T * spsi + eps * Fx_th) / m,
+        -f_u / m, -T * spsi / m,
+        eps * Fy_u / m, eps * Fy_v / m, (T * cpsi + eps * Fy_th) / m,
+        -(f_v + scn.g) / m, T * cpsi / m,
+        eta * M_u / J_z, eta * M_v / J_z, eta * M_th / J_z,
+        -T * cdd * l_arm / J_z,
+        -1.0 / scn.T_d,
+        cpsi / m, spsi / m, -sdd * l_arm / J_z, -1.0 / scn.c_ex,
+        1.0 / scn.T_d,
+    )
+    return f, p
 
-    J = np.zeros((STATE_DIM, STATE_DIM))
-    J[IX_X, IX_U] = 1.0
-    J[IX_Y, IX_V] = 1.0
-    J[IX_TH, IX_OM] = 1.0
 
-    J[IX_U, IX_U] = eps * float(dF_dv[0, 0]) / m
-    J[IX_U, IX_V] = eps * float(dF_dv[0, 1]) / m
-    J[IX_U, IX_TH] = (-T * spsi + eps * float(dF_dth[0])) / m
-    J[IX_U, IX_M] = -f_u / m
-    J[IX_U, IX_DD] = -T * spsi / m
-
-    J[IX_V, IX_U] = eps * float(dF_dv[1, 0]) / m
-    J[IX_V, IX_V] = eps * float(dF_dv[1, 1]) / m
-    J[IX_V, IX_TH] = (T * cpsi + eps * float(dF_dth[1])) / m
-    J[IX_V, IX_M] = -(f_v + scn.g) / m
-    J[IX_V, IX_DD] = T * cpsi / m
-
-    J[IX_OM, IX_U] = eta * float(dF_dv[2, 0]) / scn.J_z
-    J[IX_OM, IX_V] = eta * float(dF_dv[2, 1]) / scn.J_z
-    J[IX_OM, IX_TH] = eta * float(dF_dth[2]) / scn.J_z
-    J[IX_OM, IX_DD] = -T * cdd * scn.l_arm / scn.J_z
-
-    J[IX_DD, IX_DD] = -1.0 / scn.T_d
-
-    B = np.zeros((STATE_DIM, 2))
-    B[IX_U, 0] = cpsi / m
-    B[IX_V, 0] = spsi / m
-    B[IX_OM, 0] = -sdd * scn.l_arm / scn.J_z
-    B[IX_M, 0] = -1.0 / scn.c_ex
-    B[IX_DD, 1] = 1.0 / scn.T_d
-
-    return f, J, B
+def rhs_pullback(p: tuple, g) -> tuple[list, float, float]:
+    """(J^T g, (B^T g)_T, (B^T g)_delta) from the partials ``p`` of
+    :func:`rhs_and_jacobians`, for a cotangent ``g`` of the derivative."""
+    (u_u, u_v, u_th, u_m, u_dd, v_u, v_v, v_th, v_m, v_dd,
+     om_u, om_v, om_th, om_dd, dd_dd, T_u, T_v, T_om, T_m, dl_dd) = p
+    gu = g[IX_U]
+    gv = g[IX_V]
+    gom = g[IX_OM]
+    gdd = g[IX_DD]
+    g_state = [
+        0.0,
+        0.0,
+        g[IX_X] + u_u * gu + v_u * gv + om_u * gom,
+        g[IX_Y] + u_v * gu + v_v * gv + om_v * gom,
+        u_th * gu + v_th * gv + om_th * gom,
+        g[IX_TH],
+        u_m * gu + v_m * gv,
+        u_dd * gu + v_dd * gv + om_dd * gom + dd_dd * gdd,
+    ]
+    return g_state, T_u * gu + T_v * gv + T_om * gom + T_m * g[IX_M], dl_dd * gdd
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +239,54 @@ def rk4_advance(state: np.ndarray, T, delta, dt, scn, aero_model: AeroModel):
 
     Control is held constant over the step (zero-order hold); the aero
     model is re-evaluated at each stage state.  Returns
-    (next_state, (a2, a3, a4)) where a2..a4 are the interior stage states
-    (the first stage state is ``state`` itself).  Bit-identical across
-    repeated calls with the same inputs.
+    (next_state, (a2, a3, a4), F1) where a2..a4 are the interior stage
+    states (the first stage state is ``state`` itself) and F1 is the aero
+    force at ``state``.  Bit-identical across repeated calls with the same
+    inputs.
+
+    The stage arithmetic runs on scalars of the state's precision: Python
+    floats with ``math`` trigonometry for float64, numpy scalars for
+    extended precision.  Python floats raise where numpy returns inf or
+    nan (the cosine of an infinite angle, a zero mass); such a step is
+    taken again on numpy scalars, so a diverging state still yields the
+    non-finite result that the callers detect.
     """
-    k1 = eval_rhs(state, T, delta, scn, aero_model)
-    a2 = state + (0.5 * dt) * k1
-    k2 = eval_rhs(a2, T, delta, scn, aero_model)
-    a3 = state + (0.5 * dt) * k2
-    k3 = eval_rhs(a3, T, delta, scn, aero_model)
-    a4 = state + dt * k3
-    k4 = eval_rhs(a4, T, delta, scn, aero_model)
-    nxt = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return nxt, (a2, a3, a4)
+    if state.dtype == np.float64:
+        try:
+            return _rk4_kernel(state, state.tolist(), float, math, T, delta,
+                               dt, scn, aero_model)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return _rk4_kernel(state, list(state), state.dtype.type, np, T, delta,
+                       dt, scn, aero_model)
+
+
+def _rk4_kernel(state, x, num, ops, T, delta, dt, scn, aero_model):
+    """RK4 on the scalars ``x`` of ``state``, of type ``num``, with the
+    trigonometry of module ``ops``.  The operation order is the vector
+    form's, k1 + 2 k2 + 2 k3 + k4, so every result is bit-identical to it.
+    Stage arrays are built only for the aero model."""
+    dtype = state.dtype
+    cos, sin = ops.cos, ops.sin
+    mdot = num(-T / scn.c_ex)
+    T = num(T)
+    delta = num(delta)
+    h2 = 0.5 * dt
+
+    F1 = aero_model.forces(state, scn)
+    k = _derivative(x, F1, T, delta, mdot, cos, sin, scn)
+    ks = [k]
+    stages = []
+    for h in (h2, h2, dt):
+        a = [xi + h * ki for xi, ki in zip(x, k)]
+        A = np.array(a, dtype)
+        k = _derivative(a, aero_model.forces(A, scn), T, delta, mdot, cos, sin, scn)
+        ks.append(k)
+        stages.append(A)
+    h6 = dt / 6.0
+    nxt = [xi + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+           for xi, k1, k2, k3, k4 in zip(x, *ks)]
+    return np.array(nxt, dtype), tuple(stages), F1
 
 
 def rk4_step(state: np.ndarray, ctrl: tuple, aero_model: AeroModel, dt,
@@ -269,7 +295,7 @@ def rk4_step(state: np.ndarray, ctrl: tuple, aero_model: AeroModel, dt,
     if dt <= 0:
         raise ValueError("dt must be positive")
     T, delta = ctrl
-    nxt, stages = rk4_advance(state, T, delta, dt, scn, aero_model)
+    nxt, stages, _ = rk4_advance(state, T, delta, dt, scn, aero_model)
     if not np.isfinite(nxt).all():
         for i, a in enumerate(stages):
             if not np.isfinite(a).all():

@@ -26,7 +26,7 @@ report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,6 +52,7 @@ from .dynamics import (
     AeroModel,
     angle_of_attack,
     rhs_and_jacobians,
+    rhs_pullback,
     rk4_advance,
 )
 
@@ -148,7 +149,7 @@ class GradientReport:
     wall_time_s: float
     peak_aux_floats: int = 0  # peak auxiliary state storage, in float slots
     n_rollouts: int = 0       # forward rollouts consumed (finite differences)
-    loss: LossBreakdown | None = None
+    loss: LossBreakdown | None = None  # None from the finite-difference oracle
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.grad_u_T, self.grad_u_delta])
@@ -181,20 +182,26 @@ def _check_finite(x: np.ndarray, k: int) -> None:
             f"non-finite state at step {k}: field(s) {bad}", step=k, fields=bad)
 
 
-def _simulate(thrust, delta, scn, aero: AeroModel, dtype=None) -> np.ndarray:
-    """All K+1 states of the rollout (dtype-generic)."""
-    dtype = dtype or np.float64
+def _simulate(thrust, delta, scn, aero: AeroModel,
+              aero_log: np.ndarray | None = None) -> np.ndarray:
+    """All K+1 states of the rollout.
+
+    If ``aero_log`` is given, row k receives the aero force at state k,
+    taken from the first RK4 stage of step k.
+    """
     K = scn.K
-    states = np.empty((K + 1, STATE_DIM), dtype=dtype)
-    states[0] = scn.x0.astype(dtype)
+    states = np.empty((K + 1, STATE_DIM))
+    states[0] = scn.x0
     x = states[0]
     # divergence is detected explicitly per step; intermediate overflow is
     # expected on the way to the RolloutError
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            x, _ = rk4_advance(x, thrust[k], delta[k], scn.dt, scn, aero)
+            x, _, F = rk4_advance(x, thrust[k], delta[k], scn.dt, scn, aero)
             _check_finite(x, k + 1)
             states[k + 1] = x
+            if aero_log is not None:
+                aero_log[k] = F
     return states
 
 
@@ -288,14 +295,13 @@ def rollout_controls(seq: ControlSequence, scn, aero: AeroModel) -> Trajectory:
     """Roll out an explicit control sequence (used by forward-only replay)."""
     if seq.K != scn.K:
         raise ValueError(f"control sequence length {seq.K} != scenario K {scn.K}")
-    states = _simulate(seq.thrust, seq.delta, scn, aero)
     K = scn.K
     aero_log = np.empty((K, 3))
+    states = _simulate(seq.thrust, seq.delta, scn, aero, aero_log)
     alpha = np.empty(K)
     defined = np.empty(K, dtype=bool)
     for k in range(K):
         x = states[k]
-        aero_log[k] = aero.forces(x, scn)
         speed = np.hypot(x[IX_U], x[IX_V])
         defined[k] = bool(speed >= 1e-12)
         alpha[k] = angle_of_attack(x)
@@ -321,66 +327,62 @@ def loss(traj: Trajectory, w: LossWeights, scn) -> LossBreakdown:
 # Reverse sweep building blocks
 # ---------------------------------------------------------------------------
 
-def _terminal_cotangent(x_final: np.ndarray, scn, w: LossWeights) -> np.ndarray:
-    lam = np.zeros(STATE_DIM)
-    lam[IX_X] = 2.0 * w.w_r * (x_final[IX_X] - scn.r_f[0])
-    lam[IX_Y] = 2.0 * w.w_r * (x_final[IX_Y] - scn.r_f[1])
-    lam[IX_U] = 2.0 * w.w_v * (x_final[IX_U] - scn.v_f[0])
-    lam[IX_V] = 2.0 * w.w_v * (x_final[IX_V] - scn.v_f[1])
-    lam[IX_TH] = 2.0 * w.w_theta * (x_final[IX_TH] - scn.theta_f)
-    lam[IX_OM] = 2.0 * w.w_omega * (x_final[IX_OM] - scn.omega_f)
-    return lam
+def _terminal_cotangent(x_final: np.ndarray, scn, w: LossWeights) -> list:
+    x, y, u, v, th, om, _, _ = x_final.tolist()
+    return [
+        2.0 * w.w_r * (x - scn.r_f[0]),
+        2.0 * w.w_r * (y - scn.r_f[1]),
+        2.0 * w.w_v * (u - scn.v_f[0]),
+        2.0 * w.w_v * (v - scn.v_f[1]),
+        2.0 * w.w_theta * (th - scn.theta_f),
+        2.0 * w.w_omega * (om - scn.omega_f),
+        0.0,
+        0.0,
+    ]
 
 
-def _add_path_cotangent(lam: np.ndarray, x: np.ndarray, k: int, k_flip: int,
+def _add_path_cotangent(lam: list, x: np.ndarray, k: int, k_flip: int,
                         scn, w: LossWeights) -> None:
-    m = x[IX_M]
+    m = float(x[IX_M])
     if m < scn.m_dry:
         lam[IX_M] += -2.0 * w.w_mass * (scn.m_dry - m)
     if k >= k_flip:
-        lam[IX_TH] += 2.0 * w.w_flip * (x[IX_TH] - scn.theta_f)
+        lam[IX_TH] += 2.0 * w.w_flip * (float(x[IX_TH]) - scn.theta_f)
 
 
-def _step_vjp(x: np.ndarray, T, delta, scn, aero: AeroModel, lam: np.ndarray):
+def _step_vjp(x: np.ndarray, T, delta, scn, aero: AeroModel, lam: list):
     """Pull the cotangent of the step result back through one RK4 step.
 
     Reconstructs the stage states from the step-start state (the stage
     derivatives fall out of the Jacobian evaluations for free), then runs
-    the transposed stage recursion.  Returns (cotangent w.r.t. the step
-    start state, cotangent w.r.t. (T, delta)).
+    the transposed stage recursion on floats, applying each stage's
+    Jacobians through :func:`rhs_pullback`.  Returns (cotangent w.r.t. the
+    step start state, cotangent w.r.t. (T, delta)).
     """
     dt = scn.dt
-    f1, J1, B1 = rhs_and_jacobians(x, T, delta, scn, aero)
-    a2 = x + (0.5 * dt) * f1
-    f2, J2, B2 = rhs_and_jacobians(a2, T, delta, scn, aero)
-    a3 = x + (0.5 * dt) * f2
-    f3, J3, B3 = rhs_and_jacobians(a3, T, delta, scn, aero)
-    a4 = x + dt * f3
-    _, J4, B4 = rhs_and_jacobians(a4, T, delta, scn, aero)
+    h2 = 0.5 * dt
+    xs = x.tolist()
+    f, p = rhs_and_jacobians(x, T, delta, scn, aero)
+    partials = [p]
+    for h in (h2, h2, dt):
+        a = np.array([xi + h * fi for xi, fi in zip(xs, f)])
+        f, p = rhs_and_jacobians(a, T, delta, scn, aero)
+        partials.append(p)
 
-    g_k1 = (dt / 6.0) * lam
-    g_k2 = (dt / 3.0) * lam
-    g_k3 = (dt / 3.0) * lam
-    g_k4 = (dt / 6.0) * lam
-
-    g_a4 = J4.T @ g_k4
-    g_c = B4.T @ g_k4
-    g_x = lam + g_a4
-    g_k3 += dt * g_a4
-
-    g_a3 = J3.T @ g_k3
-    g_c += B3.T @ g_k3
-    g_x += g_a3
-    g_k2 += (0.5 * dt) * g_a3
-
-    g_a2 = J2.T @ g_k2
-    g_c += B2.T @ g_k2
-    g_x += g_a2
-    g_k1 += (0.5 * dt) * g_a2
-
-    g_x += J1.T @ g_k1
-    g_c += B1.T @ g_k1
-    return g_x, g_c
+    # stage i's derivative cotangent is w_i lam plus h_i times the pullback
+    # of stage i + 1, with RK4 weights w = dt (1/6, 1/3, 1/3, 1/6)
+    c6 = dt / 6.0
+    c3 = dt / 3.0
+    g_a = [0.0] * STATE_DIM
+    g_T = g_d = 0.0
+    pulled = []
+    for p, c, h in zip(reversed(partials), (c6, c3, c3, c6), (0.0, dt, h2, h2)):
+        g_a, gT, gd = rhs_pullback(p, [c * g + h * a for g, a in zip(lam, g_a)])
+        pulled.append(g_a)
+        g_T += gT
+        g_d += gd
+    g_x = [g + a4 + a3 + a2 + a1 for g, a4, a3, a2, a1 in zip(lam, *pulled)]
+    return g_x, (g_T, g_d)
 
 
 def _controls_to_raw_grad(raw: RawControlParams, seq: ControlSequence,
@@ -430,7 +432,7 @@ def grad_bptt(raw: RawControlParams, scn, aero: AeroModel,
     total, terms = acc.finish(states[K], seq)
 
     lam = _terminal_cotangent(states[K], scn, w)
-    meter.alloc(lam.size)
+    meter.alloc(STATE_DIM)
     _add_path_cotangent(lam, states[K], K, acc.k_flip, scn, w)
 
     gT = np.zeros(K)
@@ -441,7 +443,7 @@ def grad_bptt(raw: RawControlParams, scn, aero: AeroModel,
         gT[k], gd[k] = g_c
         _add_path_cotangent(lam, states[k], k, acc.k_flip, scn, w)
 
-    meter.free(lam.size)
+    meter.free(STATE_DIM)
     meter.free(states.size)
     return _finalize_report(raw, seq, gT, gd, scn, w, "bptt", t0, meter,
                             total, terms)
@@ -480,14 +482,14 @@ def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
             if k % seg_len == 0:
                 checkpoints[k // seg_len] = x
             acc.add(x, k)
-            x, _ = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt, scn,
-                               aero)
+            x = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt, scn,
+                            aero)[0]
             _check_finite(x, k + 1)
     acc.add(x, K)
     total, terms = acc.finish(x, seq)
 
     lam = _terminal_cotangent(x, scn, w)
-    meter.alloc(lam.size)
+    meter.alloc(STATE_DIM)
     _add_path_cotangent(lam, x, K, acc.k_flip, scn, w)
     meter.free(x.size)
 
@@ -502,8 +504,8 @@ def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
         for k in range(s, e):
             buf[k - s] = xs
             if k < e - 1:
-                xs, _ = rk4_advance(xs, seq.thrust[k], seq.delta[k],
-                                    scn.dt, scn, aero)
+                xs = rk4_advance(xs, seq.thrust[k], seq.delta[k],
+                                 scn.dt, scn, aero)[0]
         for k in range(e - 1, s - 1, -1):
             lam, g_c = _step_vjp(buf[k - s], seq.thrust[k], seq.delta[k],
                                  scn, aero, lam)
@@ -511,7 +513,7 @@ def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
             _add_path_cotangent(lam, buf[k - s], k, acc.k_flip, scn, w)
         meter.free(buf.size)
 
-    meter.free(lam.size)
+    meter.free(STATE_DIM)
     meter.free(checkpoints.size)
     return _finalize_report(raw, seq, gT, gd, scn, w, "adjoint", t0, meter,
                             total, terms)
@@ -529,7 +531,7 @@ def _loss_scalar(u_T, u_delta, scn, aero: AeroModel, w: LossWeights, dtype):
     x = scn.x0.astype(dtype)
     for k in range(scn.K):
         acc.add(x, k)
-        x, _ = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt, scn, aero)
+        x = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt, scn, aero)[0]
     acc.add(x, scn.K)
     total, _ = acc.finish(x, seq)
     return total
@@ -540,6 +542,8 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
                      dtype=None) -> GradientReport:
     """Central differences on every raw parameter (2 rollouts per entry).
 
+    Makes exactly ``n_rollouts`` = 4K rollouts and evaluates no
+    unperturbed loss, so the report's ``loss`` is None.
     ``dtype=np.longdouble`` runs the perturbed rollouts in extended
     precision, which drops the cancellation floor of the difference
     quotient by ~5 orders of magnitude on x86; the analytic engines stay
@@ -573,9 +577,7 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     for i in range(K):
         gd[i] = probe(u_d, i)
 
-    total = _loss_scalar(u_T, u_d, scn, aero, w, dtype)
     return GradientReport(
         grad_u_T=gT, grad_u_delta=gd, engine="finite_diff",
         wall_time_s=time.perf_counter() - t0,
-        peak_aux_floats=2 * STATE_DIM, n_rollouts=n_rollouts,
-        loss=LossBreakdown(total=float(total), terms={}))
+        peak_aux_floats=2 * STATE_DIM, n_rollouts=n_rollouts)

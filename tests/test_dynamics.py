@@ -140,6 +140,17 @@ def _numeric_jacobians(s, T, delta, scn, model, h=1e-7):
     return J, B
 
 
+def _dense_jacobians(p):
+    """J and B rebuilt row by row by pulling back the unit cotangents."""
+    J = np.zeros((8, 8))
+    B = np.zeros((8, 2))
+    for i in range(8):
+        e = [0.0] * 8
+        e[i] = 1.0
+        J[i], B[i, 0], B[i, 1] = dyn.rhs_pullback(p, e)
+    return J, B
+
+
 @pytest.mark.parametrize("model_name", ["none", "simplified", "surrogate"])
 def test_rhs_jacobians_match_finite_differences(model_name, case1_scn,
                                                 surrogate):
@@ -152,9 +163,10 @@ def test_rhs_jacobians_match_finite_differences(model_name, case1_scn,
                   m=rng.uniform(5.0, 5.6), delta_d=rng.uniform(-0.17, 0.17))
         T = rng.uniform(0.01, 0.04)
         delta = rng.uniform(-0.17, 0.17)
-        f, J, B = dyn.rhs_and_jacobians(s, T, delta, case1_scn, model)
+        f, p = dyn.rhs_and_jacobians(s, T, delta, case1_scn, model)
         np.testing.assert_allclose(f, dyn.eval_rhs(s, T, delta, case1_scn, model),
                                    rtol=1e-14)
+        J, B = _dense_jacobians(p)
         Jn, Bn = _numeric_jacobians(s, T, delta, case1_scn, model)
         np.testing.assert_allclose(J, Jn, rtol=2e-6, atol=2e-7)
         np.testing.assert_allclose(B, Bn, rtol=2e-6, atol=2e-7)
@@ -228,6 +240,67 @@ def test_mass_monotone_under_thrust(case1_scn, simplified):
     assert (d < 0.0).all()
 
 
+def _vector_rk4(s, T, delta, dt, scn, model):
+    """Reference RK4 in vector form: the kernel's formula on whole arrays."""
+    def f(a):
+        F = model.forces(a, scn)
+        psi = a[dyn.IX_TH] + a[dyn.IX_DD]
+        out = np.empty(8, dtype=a.dtype)
+        out[0] = a[dyn.IX_U]
+        out[1] = a[dyn.IX_V]
+        out[2] = (T * np.cos(psi) + scn.eps_corr * F[0]) / a[dyn.IX_M]
+        out[3] = (T * np.sin(psi) + scn.eps_corr * F[1]) / a[dyn.IX_M] - scn.g
+        out[4] = a[dyn.IX_OM]
+        out[5] = (-T * np.sin(a[dyn.IX_DD]) * scn.l_arm
+                  + scn.eta_corr * F[2]) / scn.J_z
+        out[6] = -T / scn.c_ex
+        out[7] = (delta - a[dyn.IX_DD]) / scn.T_d
+        return out
+
+    k1 = f(s)
+    a2 = s + (0.5 * dt) * k1
+    k2 = f(a2)
+    a3 = s + (0.5 * dt) * k2
+    k3 = f(a3)
+    a4 = s + dt * k3
+    k4 = f(a4)
+    return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (a2, a3, a4)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("model_name", ["none", "simplified", "surrogate"])
+def test_rk4_advance_matches_vector_form_bit_for_bit(model_name, dtype,
+                                                     case1_scn, surrogate):
+    scn = case1_scn
+    model = {"none": am.NoAero(), "simplified": am.SimplifiedAero(C_D=1.0),
+             "surrogate": surrogate}[model_name]
+    rng = np.random.default_rng(7)
+    x = scn.x0.astype(dtype)
+    for _ in range(6):
+        T = dtype(rng.uniform(scn.T_min, scn.T_max))
+        delta = dtype(rng.uniform(-scn.delta_max, scn.delta_max))
+        nxt, stages, F1 = dyn.rk4_advance(x, T, delta, scn.dt, scn, model)
+        ref, ref_stages = _vector_rk4(x, T, delta, scn.dt, scn, model)
+        assert nxt.dtype == dtype
+        assert np.array_equal(nxt, ref)
+        for a, b in zip(stages, ref_stages):
+            assert a.dtype == dtype and np.array_equal(a, b)
+        assert tuple(F1) == tuple(model.forces(x, scn))
+        x = nxt
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                    reason="long double is double on this platform")
+def test_rk4_advance_keeps_extended_precision(case1_scn, simplified):
+    scn = case1_scn
+    T, delta = scn.T_min, 0.05
+    x64 = dyn.rk4_advance(scn.x0, T, delta, scn.dt, scn, simplified)[0]
+    xld = dyn.rk4_advance(scn.x0.astype(np.longdouble), T, delta, scn.dt, scn,
+                          simplified)[0]
+    assert xld.dtype == np.longdouble
+    assert np.any(xld != x64.astype(np.longdouble))
+
+
 def test_non_finite_stage_raises():
     class ExplodingAero:
         def forces(self, s, scn):
@@ -241,6 +314,17 @@ def test_non_finite_stage_raises():
     with pytest.raises(dyn.IntegrationError):
         fo.rk4_step(state(u=0.1, m=5.0), (0.01, 0.0), ExplodingAero(),
                     scn.dt, scn)
+
+
+@pytest.mark.parametrize("field, value", [(dyn.IX_M, 0.0), (dyn.IX_TH, np.inf)])
+def test_degenerate_state_raises_integration_error(field, value, case1_scn):
+    # Python-float arithmetic raises on a zero mass or an infinite angle;
+    # the step must still end in the stage-indexed IntegrationError
+    x = case1_scn.x0.copy()
+    x[field] = value
+    with np.errstate(all="ignore"), pytest.raises(dyn.IntegrationError) as err:
+        fo.rk4_step(x, (0.02, 0.0), am.NoAero(), case1_scn.dt, case1_scn)
+    assert err.value.stage == 2
 
 
 def test_rk4_rejects_nonpositive_dt(case1_scn):

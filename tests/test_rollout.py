@@ -200,6 +200,51 @@ def test_bptt_matches_finite_differences(model_name, case1_cfg, surrogate):
     np.testing.assert_allclose(g[~big], r[~big], atol=1e-8)
 
 
+def _dense_step_vjp(x, T, delta, scn, model, lam):
+    """Reference step VJP: the transposed RK4 recursion on dense J and B."""
+    def jac(a):
+        _, p = dyn.rhs_and_jacobians(a, T, delta, scn, model)
+        J = np.zeros((8, 8))
+        B = np.zeros((8, 2))
+        for i in range(8):
+            e = np.zeros(8)
+            e[i] = 1.0
+            J[i], B[i, 0], B[i, 1] = dyn.rhs_pullback(p, e)
+        return J, B
+
+    dt = scn.dt
+    _, stages, _ = dyn.rk4_advance(x, T, delta, dt, scn, model)
+    (J1, B1), (J2, B2), (J3, B3), (J4, B4) = map(jac, (x, *stages))
+    g_k1, g_k2, g_k3, g_k4 = (dt / 6.0) * lam, (dt / 3.0) * lam, \
+        (dt / 3.0) * lam, (dt / 6.0) * lam
+    g_a4 = J4.T @ g_k4
+    g_k3 = g_k3 + dt * g_a4
+    g_a3 = J3.T @ g_k3
+    g_k2 = g_k2 + 0.5 * dt * g_a3
+    g_a2 = J2.T @ g_k2
+    g_k1 = g_k1 + 0.5 * dt * g_a2
+    g_x = lam + g_a4 + g_a3 + g_a2 + J1.T @ g_k1
+    g_c = B4.T @ g_k4 + B3.T @ g_k3 + B2.T @ g_k2 + B1.T @ g_k1
+    return g_x, g_c
+
+
+@pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
+def test_step_vjp_matches_dense_recursion(model_name, case1_scn, simplified,
+                                          surrogate):
+    scn = case1_scn
+    model = {"simplified": simplified, "surrogate": surrogate}[model_name]
+    rng = np.random.default_rng(3)
+    seq = fo.reparameterize(random_raw(scn, 4), scn)
+    states = ro.rollout_controls(seq, scn, model).states
+    for k in (0, 30, 60, 89):
+        lam = rng.normal(size=8)
+        T, delta = seq.thrust[k], seq.delta[k]
+        g_x, g_c = ro._step_vjp(states[k], T, delta, scn, model, list(lam))
+        ref_x, ref_c = _dense_step_vjp(states[k], T, delta, scn, model, lam)
+        np.testing.assert_allclose(g_x, ref_x, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(g_c, ref_c, rtol=1e-12, atol=0)
+
+
 def test_adjoint_equals_bptt_exactly(case2_cfg, surrogate):
     scn = fo.nondimensionalize(truncate(case2_cfg, 30))
     raw = random_raw(scn, 13)
