@@ -11,6 +11,11 @@ moment about the cg from the vehicle state:
 The surrogate is trained against an analytic flat-plate style coefficient
 model (:func:`standin_coeffs`), sampled on a uniform angle-of-attack grid.
 Both models expose exact state Jacobians for the gradient engines.
+
+``forces`` takes one state of shape (8,) or a batch of lanes (..., 8).  A
+float64 state runs on Python floats; extended precision and batches take
+one vector form, which gives exactly zero force in every lane whose speed
+is below ``SPEED_FLOOR``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,13 @@ from .dynamics import (
 )
 
 _ZERO_JAC = (np.zeros(3), np.zeros((3, 2)), np.zeros(3))
+
+
+def _floored(speed, F) -> AeroForces:
+    """The vector form's forces ``F``, exactly zero in every lane whose speed
+    is below SPEED_FLOOR (a NaN speed keeps its NaN forces)."""
+    still = speed < SPEED_FLOOR
+    return AeroForces(*(np.where(still, 0.0, f) for f in F))
 
 
 class TrainingError(RuntimeError):
@@ -83,7 +95,7 @@ class SimplifiedAero:
             raise ValueError("l_cp_frac must be in (0, 1)")
 
     def forces(self, state, scn) -> AeroForces:
-        if state.dtype == np.float64:
+        if state.dtype == np.float64 and state.ndim == 1:
             u = float(state[IX_U])
             v = float(state[IX_V])
             speed = math.hypot(u, v)
@@ -97,19 +109,16 @@ class SimplifiedAero:
                 -c * speed * v,
                 lever * c * speed * (v * math.cos(th) - u * math.sin(th)),
             )
-        # extended-precision path (finite-difference oracle)
-        u, v = state[IX_U], state[IX_V]
+        # vector form: extended precision and batches of lanes
+        u, v, th = state[..., IX_U], state[..., IX_V], state[..., IX_TH]
         speed = np.hypot(u, v)
-        if speed < SPEED_FLOOR:
-            return AeroForces(0.0, 0.0, 0.0)
         c = scn.q_coef * self.C_D
-        th = state[IX_TH]
         lever = self.l_cp_frac - scn.l_cg_frac
-        return AeroForces(
+        return _floored(speed, (
             -c * speed * u,
             -c * speed * v,
             lever * c * speed * (v * np.cos(th) - u * np.sin(th)),
-        )
+        ))
 
     def forces_jac(self, state, scn):
         u = float(state[IX_U])
@@ -254,7 +263,7 @@ class MlpSurrogate:
     # -- force assembly -------------------------------------------------------
 
     def forces(self, state, scn) -> AeroForces:
-        if state.dtype == np.float64:
+        if state.dtype == np.float64 and state.ndim == 1:
             u = float(state[IX_U])
             v = float(state[IX_V])
             speed = math.hypot(u, v)
@@ -273,19 +282,23 @@ class MlpSurrogate:
                 s * speed * (-C_D * v + C_L * u),
                 s * speed * speed * C_M,
             )
-        # extended-precision path (finite-difference oracle)
-        u, v = state[IX_U], state[IX_V]
-        speed = np.hypot(u, v)
-        if speed < SPEED_FLOOR:
-            return AeroForces(0.0, 0.0, 0.0)
-        sin_a, cos_a, _ = wind_axes(state)
-        C_L, C_D, C_M = self.coeffs_from_encoding(np.array([sin_a, cos_a]))
+        # vector form: extended precision and batches of lanes; a lane at
+        # rest divides by zero here and is zeroed by the speed floor
+        u, v = state[..., IX_U], state[..., IX_V]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sin_a, cos_a, speed = wind_axes(state)
+        h = np.stack((sin_a, cos_a), axis=-1)
+        for W, b in self.layers[:-1]:
+            h = np.tanh(h @ W.T + b)
+        W, b = self.layers[-1]
+        C = h @ W.T + b
+        C_L, C_D, C_M = C[..., 0], C[..., 1], C[..., 2]
         s = scn.q_coef
-        return AeroForces(
+        return _floored(speed, (
             s * speed * (-C_D * u - C_L * v),
             s * speed * (-C_D * v + C_L * u),
             s * speed * speed * C_M,
-        )
+        ))
 
     def forces_jac(self, state, scn):
         u = float(state[IX_U])

@@ -110,7 +110,7 @@ def wind_axes(state: np.ndarray):
     speed, which is what the surrogate consumes; they are smooth in the
     state wherever speed > 0.
     """
-    u, v, th = state[IX_U], state[IX_V], state[IX_TH]
+    u, v, th = state[..., IX_U], state[..., IX_V], state[..., IX_TH]
     speed = np.hypot(u, v)
     cth = np.cos(th)
     sth = np.sin(th)
@@ -237,6 +237,8 @@ def rk4_generic(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
 def rk4_advance(state: np.ndarray, T, delta, dt, scn, aero_model: AeroModel):
     """One RK4 step of the vehicle dynamics, returning the stage states.
 
+    ``state`` is one state of shape (8,) or a batch of B lanes of shape
+    (B, 8), with ``T`` and ``delta`` scalars or one value per lane.
     Control is held constant over the step (zero-order hold); the aero
     model is re-evaluated at each stage state.  Returns
     (next_state, (a2, a3, a4), F1) where a2..a4 are the interior stage
@@ -244,29 +246,40 @@ def rk4_advance(state: np.ndarray, T, delta, dt, scn, aero_model: AeroModel):
     force at ``state``.  Bit-identical across repeated calls with the same
     inputs.
 
-    The stage arithmetic runs on scalars of the state's precision: Python
-    floats with ``math`` trigonometry for float64, numpy scalars for
-    extended precision.  Python floats raise where numpy returns inf or
-    nan (the cosine of an infinite angle, a zero mass); such a step is
-    taken again on numpy scalars, so a diverging state still yields the
-    non-finite result that the callers detect.
+    A float64 state runs on Python floats with ``math`` trigonometry.
+    Extended precision and batches run on numpy, one array per state
+    field; lanes never mix, and in extended precision each lane is
+    bit-identical to a single-state call on it.  Python floats raise where
+    numpy returns inf or nan (the cosine of an infinite angle, a zero
+    mass); such a step is taken again as a one-lane batch, so a diverging
+    state still yields the non-finite result that the callers detect.
     """
-    if state.dtype == np.float64:
+    if state.dtype == np.float64 and state.ndim == 1:
         try:
-            return _rk4_kernel(state, state.tolist(), float, math, T, delta,
-                               dt, scn, aero_model)
+            return _rk4_kernel(state, state.tolist(), float, math, np.array, T,
+                               delta, dt, scn, aero_model)
         except (ValueError, ZeroDivisionError):
-            pass
-    return _rk4_kernel(state, list(state), state.dtype.type, np, T, delta,
-                       dt, scn, aero_model)
+            nxt, stages, F1 = rk4_advance(state[None], T, delta, dt, scn,
+                                          aero_model)
+            # F1 holds one-lane vectors, or scalars from an aero-free model
+            return (nxt[0], tuple(a[0] for a in stages),
+                    AeroForces(*(np.ravel(f)[0] for f in F1)))
+    return _rk4_kernel(state, list(state.T), state.dtype.type, np, _lanes, T,
+                       delta, dt, scn, aero_model)
 
 
-def _rk4_kernel(state, x, num, ops, T, delta, dt, scn, aero_model):
-    """RK4 on the scalars ``x`` of ``state``, of type ``num``, with the
-    trigonometry of module ``ops``.  The operation order is the vector
-    form's, k1 + 2 k2 + 2 k3 + k4, so every result is bit-identical to it.
-    Stage arrays are built only for the aero model."""
-    dtype = state.dtype
+def _lanes(fields: list) -> np.ndarray:
+    """A state or batch from its fields' values, stored field-major so that
+    each field's lane vector is contiguous."""
+    return np.array(fields).T
+
+
+def _rk4_kernel(state, x, num, ops, pack, T, delta, dt, scn, aero_model):
+    """RK4 on the fields ``x`` of ``state`` (scalars of type ``num``, or
+    one lane vector per field), with the trigonometry of module ``ops``;
+    ``pack`` builds an array from field values.  The operation order is
+    the vector form's, k1 + 2 k2 + 2 k3 + k4, so every result is
+    bit-identical to it.  Stage arrays are built only for the aero model."""
     cos, sin = ops.cos, ops.sin
     mdot = num(-T / scn.c_ex)
     T = num(T)
@@ -279,14 +292,14 @@ def _rk4_kernel(state, x, num, ops, T, delta, dt, scn, aero_model):
     stages = []
     for h in (h2, h2, dt):
         a = [xi + h * ki for xi, ki in zip(x, k)]
-        A = np.array(a, dtype)
+        A = pack(a)
         k = _derivative(a, aero_model.forces(A, scn), T, delta, mdot, cos, sin, scn)
         ks.append(k)
         stages.append(A)
     h6 = dt / 6.0
     nxt = [xi + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
            for xi, k1, k2, k3, k4 in zip(x, *ks)]
-    return np.array(nxt, dtype), tuple(stages), F1
+    return pack(nxt), tuple(stages), F1
 
 
 def rk4_step(state: np.ndarray, ctrl: tuple, aero_model: AeroModel, dt,

@@ -13,7 +13,8 @@ the flip deadline).  Three gradient routes are provided:
   number of checkpoints, so peak auxiliary memory is essentially flat in
   K (at the price of one extra forward recompute).
 * :func:`finite_diff_grad` - central differences on the raw parameters,
-  the independent validation oracle.  It can evaluate the rollout in
+  the independent validation oracle.  Its 4K perturbed rollouts advance
+  together as the lanes of one state batch, and it can evaluate them in
   extended precision to push the difference roundoff floor far below the
   gradient-check tolerances.
 
@@ -232,7 +233,8 @@ class _PathAccumulator:
 
     Both gradient engines and the finite-difference oracle feed states
     through this accumulator, so every route sums the loss terms in an
-    identical floating-point order.
+    identical floating-point order.  A state may be a batch of lanes
+    (B, 8); the accumulated terms are then one value per lane.
     """
 
     def __init__(self, scn, w: LossWeights, dtype=None):
@@ -245,26 +247,32 @@ class _PathAccumulator:
         self.terminal = None
 
     def add(self, x: np.ndarray, k: int) -> None:
+        x = x.T
         m = x[IX_M]
-        if m < self.scn.m_dry:
-            d = self.scn.m_dry - m
+        m_dry = self.scn.m_dry
+        if m.ndim or m < m_dry:
+            # a lane above the floor adds an exact zero
+            d = np.where(m < m_dry, m_dry - m, 0.0)
             self.mass_acc = self.mass_acc + d * d
         if k >= self.k_flip:
             e = x[IX_TH] - self.scn.theta_f
             self.flip_acc = self.flip_acc + e * e
 
-    def finish(self, x_final: np.ndarray, seq: ControlSequence):
+    def finish(self, x_final: np.ndarray, smoothness):
+        """Total and terms, given the smoothness penalty of the controls
+        (one value per lane for a batch)."""
         scn, w = self.scn, self.w
-        dr = (x_final[IX_X] - scn.r_f[0], x_final[IX_Y] - scn.r_f[1])
-        dv = (x_final[IX_U] - scn.v_f[0], x_final[IX_V] - scn.v_f[1])
-        dth = x_final[IX_TH] - scn.theta_f
-        dom = x_final[IX_OM] - scn.omega_f
+        x = x_final.T
+        dr = (x[IX_X] - scn.r_f[0], x[IX_Y] - scn.r_f[1])
+        dv = (x[IX_U] - scn.v_f[0], x[IX_V] - scn.v_f[1])
+        dth = x[IX_TH] - scn.theta_f
+        dom = x[IX_OM] - scn.omega_f
         terms = (
             w.w_r * (dr[0] * dr[0] + dr[1] * dr[1]),
             w.w_v * (dv[0] * dv[0] + dv[1] * dv[1]),
             w.w_theta * dth * dth,
             w.w_omega * dom * dom,
-            w.w_smooth * smoothness_penalty(seq, scn),
+            w.w_smooth * smoothness,
             w.w_mass * self.mass_acc,
             w.w_flip * self.flip_acc,
         )
@@ -319,7 +327,8 @@ def loss(traj: Trajectory, w: LossWeights, scn) -> LossBreakdown:
     acc = _PathAccumulator(scn, w)
     for k in range(traj.states.shape[0]):
         acc.add(traj.states[k], k)
-    total, terms = acc.finish(traj.states[-1], traj.controls())
+    total, terms = acc.finish(traj.states[-1],
+                              smoothness_penalty(traj.controls(), scn))
     return _breakdown(total, terms)
 
 
@@ -429,7 +438,7 @@ def grad_bptt(raw: RawControlParams, scn, aero: AeroModel,
     acc = _PathAccumulator(scn, w)
     for k in range(K + 1):
         acc.add(states[k], k)
-    total, terms = acc.finish(states[K], seq)
+    total, terms = acc.finish(states[K], smoothness_penalty(seq, scn))
 
     lam = _terminal_cotangent(states[K], scn, w)
     meter.alloc(STATE_DIM)
@@ -486,7 +495,7 @@ def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
                             aero)[0]
             _check_finite(x, k + 1)
     acc.add(x, K)
-    total, terms = acc.finish(x, seq)
+    total, terms = acc.finish(x, smoothness_penalty(seq, scn))
 
     lam = _terminal_cotangent(x, scn, w)
     meter.alloc(STATE_DIM)
@@ -523,27 +532,22 @@ def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _loss_scalar(u_T, u_delta, scn, aero: AeroModel, w: LossWeights, dtype):
-    """Streaming loss evaluation in the requested dtype, O(1) state memory."""
-    raw = RawControlParams(u_T, u_delta)
-    seq = reparameterize(raw, scn)
-    acc = _PathAccumulator(scn, w, dtype=dtype)
-    x = scn.x0.astype(dtype)
-    for k in range(scn.K):
-        acc.add(x, k)
-        x = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt, scn, aero)[0]
-    acc.add(x, scn.K)
-    total, _ = acc.finish(x, seq)
-    return total
-
-
 def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
                      w: LossWeights | None = None, h: float = 1e-6,
                      dtype=None) -> GradientReport:
     """Central differences on every raw parameter (2 rollouts per entry).
 
-    Makes exactly ``n_rollouts`` = 4K rollouts and evaluates no
-    unperturbed loss, so the report's ``loss`` is None.
+    The ``n_rollouts`` = 4K perturbed rollouts advance together as the
+    lanes of one (4K, 8) state array, one :func:`rk4_advance` call per
+    step.  The lanes come in blocks of K: u_T + h, u_T - h, u_delta + h,
+    u_delta - h, where lane i of a block moves entry i.  Lanes never mix,
+    and in extended precision each lane's loss is bit-identical to a
+    rollout of its perturbed controls on its own.  No unperturbed loss is
+    evaluated, so the report's ``loss`` is None.  ``peak_aux_floats``
+    counts the lane states, the RK4 step's stage states, stage derivatives
+    and result, the lane controls and loss accumulators, and the control
+    sequences; the aero model's temporaries are not counted.
+
     ``dtype=np.longdouble`` runs the perturbed rollouts in extended
     precision, which drops the cancellation floor of the difference
     quotient by ~5 orders of magnitude on x86; the analytic engines stay
@@ -555,29 +559,41 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     dtype = dtype or np.float64
     t0 = time.perf_counter()
     K = scn.K
+    n = 4 * K
     u_T = raw.u_T.astype(dtype)
     u_d = raw.u_delta.astype(dtype)
-    gT = np.empty(K)
-    gd = np.empty(K)
-    n_rollouts = 0
+    base = reparameterize(RawControlParams(u_T, u_d), scn)
+    plus = reparameterize(RawControlParams(u_T + h, u_d + h), scn)
+    minus = reparameterize(RawControlParams(u_T - h, u_d - h), scn)
+    moved = (plus.thrust, minus.thrust, plus.delta, minus.delta)  # per block
+    smoothness = np.empty(n)
+    for j in range(n):
+        block, i = divmod(j, K)
+        lane = [base.thrust.copy(), base.delta.copy()]
+        lane[block // 2][i] = moved[block][i]
+        smoothness[j] = smoothness_penalty(ControlSequence(*lane), scn)
 
-    def probe(base, i):
-        nonlocal n_rollouts
-        orig = base[i]
-        base[i] = orig + h
-        lp = _loss_scalar(u_T, u_d, scn, aero, w, dtype)
-        base[i] = orig - h
-        lm = _loss_scalar(u_T, u_d, scn, aero, w, dtype)
-        base[i] = orig
-        n_rollouts += 2
-        return float((lp - lm) / (2.0 * dtype(h)))
+    acc = _PathAccumulator(scn, w, dtype=dtype)
+    x = np.tile(scn.x0.astype(dtype), (n, 1))
+    for k in range(K):
+        acc.add(x, k)
+        T = np.full(n, base.thrust[k])
+        T[k] = plus.thrust[k]
+        T[K + k] = minus.thrust[k]
+        delta = np.full(n, base.delta[k])
+        delta[2 * K + k] = plus.delta[k]
+        delta[3 * K + k] = minus.delta[k]
+        x = rk4_advance(x, T, delta, scn.dt, scn, aero)[0]
+    acc.add(x, K)
+    total, _ = acc.finish(x, smoothness)
+    lp_lm = total.reshape(4, K)
+    g = ((lp_lm[0::2] - lp_lm[1::2]) / (2.0 * dtype(h))).astype(np.float64)
 
-    for i in range(K):
-        gT[i] = probe(u_T, i)
-    for i in range(K):
-        gd[i] = probe(u_d, i)
-
+    # the three control sequences, and per lane the state, the RK4 step's
+    # three stage states, four stage derivatives and result, the lane's
+    # thrust, gimbal and mass rate, and its three loss accumulators
+    peak_aux = 6 * K + n * (9 * STATE_DIM + 6)
     return GradientReport(
-        grad_u_T=gT, grad_u_delta=gd, engine="finite_diff",
+        grad_u_T=g[0], grad_u_delta=g[1], engine="finite_diff",
         wall_time_s=time.perf_counter() - t0,
-        peak_aux_floats=2 * STATE_DIM, n_rollouts=n_rollouts)
+        peak_aux_floats=peak_aux, n_rollouts=n)

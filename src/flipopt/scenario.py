@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -180,13 +181,42 @@ class NondimScenario:
 # Validation
 # ---------------------------------------------------------------------------
 
+def _field_names(kind: type) -> tuple[str, ...]:
+    """Dotted names of the config fields whose default is a ``kind``."""
+    sections = (("refs", ReferenceQuantities), ("vehicle", VehicleParams),
+                ("bc", BoundaryConditions), ("aero", AeroConfig),
+                ("loss_weights", LossWeights), ("opt", OptimizerConfig))
+    return tuple(f"{section}.{name}" for section, cls in sections
+                 for name, value in vars(cls()).items() if isinstance(value, kind))
+
+
+# float and 2-vector fields, read in one call each by the finiteness check
+_SCALAR_FIELDS = _field_names(float)
+_VECTOR_FIELDS = _field_names(tuple)
+_get_scalars = attrgetter(*_SCALAR_FIELDS)
+_get_vectors = attrgetter(*_VECTOR_FIELDS)
+
+
 def _require(cond: bool, name: str, msg: str) -> None:
     if not cond:
         raise ScenarioError(f"invalid scenario field '{name}': {msg}")
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    """Check every invariant, naming the offending field on failure."""
+    """Check every invariant, naming the offending field on failure.
+
+    Every float field must be finite; the other checks follow."""
+    scalars = _get_scalars(cfg)
+    vectors = _get_vectors(cfg)
+    # one sum is non-finite if any entry is (or if large entries overflow)
+    if not math.isfinite(sum(scalars) + sum(map(sum, vectors))):
+        for name, value in zip(_SCALAR_FIELDS, scalars):
+            _require(math.isfinite(value), name, "must be finite")
+        for name, value in zip(_VECTOR_FIELDS, vectors):
+            _require(all(map(math.isfinite, value)), name, "must be finite")
+    clip = cfg.opt.grad_clip
+    _require(clip is None or math.isfinite(clip), "opt.grad_clip", "must be finite")
+    _require(math.isfinite(cfg.t_f), "t_f_s", "must be finite")
     r = cfg.refs
     for name in ("L_ref", "v_ref", "m_ref", "rho", "g0"):
         _require(getattr(r, name) > 0.0, f"refs.{name}", "must be strictly positive")
@@ -239,7 +269,7 @@ def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
             aero=aero, loss_weights=weights, opt=opt,
             seed=int(data.get("seed", ScenarioConfig.seed)),
         )
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario data: {exc}") from exc
     validate_config(cfg)
     return cfg

@@ -62,6 +62,21 @@ def test_unknown_scenario_exits_2():
     assert "case1" in proc.stderr and "case2" in proc.stderr
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"K": "abc"}, "invalid literal"),
+    ({"t_f_s": math.inf}, "t_f_s"),
+    ({"bc": {"theta_f_deg": math.nan}}, "bc.theta_f"),
+], ids=["K-abc", "t_f_s-inf", "theta_f-nan"])
+def test_malformed_scenario_value_exits_2(tmp_path, data, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))   # writes Infinity and NaN literals
+    proc = run_cli("optimize", "--scenario", str(bad), "--out",
+                   str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_numerical_abort_exits_3_and_persists(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"K": 2, "t_f_s": 1e6,

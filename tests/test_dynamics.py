@@ -301,6 +301,20 @@ def test_rk4_advance_keeps_extended_precision(case1_scn, simplified):
     assert np.any(xld != x64.astype(np.longdouble))
 
 
+@pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
+def test_infinite_pitch_raises_integration_error_with_aero(model_name,
+                                                           case1_scn, surrogate):
+    # math.cos(inf) raises ValueError; the one-lane retry runs numpy's
+    # vector form, so the step ends in the stage-indexed IntegrationError
+    model = {"simplified": am.SimplifiedAero(C_D=1.0),
+             "surrogate": surrogate}[model_name]
+    x = case1_scn.x0.copy()
+    x[dyn.IX_TH] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(dyn.IntegrationError) as err:
+        fo.rk4_step(x, (0.02, 0.0), model, case1_scn.dt, case1_scn)
+    assert err.value.stage == 2
+
+
 def test_non_finite_stage_raises():
     class ExplodingAero:
         def forces(self, s, scn):
@@ -325,6 +339,47 @@ def test_degenerate_state_raises_integration_error(field, value, case1_scn):
     with np.errstate(all="ignore"), pytest.raises(dyn.IntegrationError) as err:
         fo.rk4_step(x, (0.02, 0.0), am.NoAero(), case1_scn.dt, case1_scn)
     assert err.value.stage == 2
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("model_name", ["none", "simplified", "surrogate"])
+def test_rk4_advance_batch_matches_single_states(model_name, dtype, case1_scn,
+                                                 surrogate):
+    scn = case1_scn
+    model = {"none": am.NoAero(), "simplified": am.SimplifiedAero(C_D=1.0),
+             "surrogate": surrogate}[model_name]
+    rng = np.random.default_rng(5)
+    B = 6
+    X = (scn.x0 + rng.normal(0.0, 0.05, (B, 8))).astype(dtype)
+    X[2, dyn.IX_U] = X[2, dyn.IX_V] = 0.0      # a lane at rest
+    T = rng.uniform(scn.T_min, scn.T_max, B).astype(dtype)
+    delta = rng.uniform(-scn.delta_max, scn.delta_max, B).astype(dtype)
+    nxt, stages, F1 = dyn.rk4_advance(X, T, delta, scn.dt, scn, model)
+    F1 = np.broadcast_to(np.array(F1).T, (B, 3))
+    assert nxt.shape == (B, 8) and nxt.dtype == dtype
+    assert all(a.shape == (B, 8) and a.dtype == dtype for a in stages)
+    assert np.all(F1[2] == 0.0)
+
+    # A float64 single state runs on Python floats: math.hypot rounds
+    # differently from np.hypot, and the surrogate's BLAS matrix-vector
+    # product sums in another order than the batch's matrix product.  In
+    # long double, and in float64 without aero (whose cos and sin the
+    # vector-form test above also holds bit-equal), each lane is exact.
+    exact = dtype == np.longdouble or model_name == "none"
+
+    def same(a, b):
+        if exact:
+            assert np.array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+    for j in range(B):
+        ref, ref_stages, ref_F1 = dyn.rk4_advance(X[j], T[j], delta[j], scn.dt,
+                                                  scn, model)
+        same(nxt[j], ref)
+        for a, b in zip(stages, ref_stages):
+            same(a[j], b)
+        same(F1[j], np.array(ref_F1, dtype=dtype))
 
 
 def test_rk4_rejects_nonpositive_dt(case1_scn):

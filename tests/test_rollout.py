@@ -105,6 +105,18 @@ def test_nonfinite_state_reports_step(short_scn):
     assert err.value.fields
 
 
+@pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
+def test_infinite_pitch_raises_rollout_error(model_name, short_scn, simplified,
+                                             surrogate):
+    model = {"simplified": simplified, "surrogate": surrogate}[model_name]
+    x0 = short_scn.x0.copy()
+    x0[dyn.IX_TH] = np.inf
+    scn = replace(short_scn, x0=x0)
+    with pytest.raises(ro.RolloutError) as err:
+        ro.rollout(fo.init_raw_params(scn), scn, model)
+    assert err.value.step == 1
+
+
 def test_alpha_log_and_flags(short_scn, simplified):
     traj = ro.rollout(fo.init_raw_params(short_scn), short_scn, simplified)
     assert traj.alpha.shape == (short_scn.K,)
@@ -198,6 +210,65 @@ def test_bptt_matches_finite_differences(model_name, case1_cfg, surrogate):
     big = np.abs(r) > 1e-8
     np.testing.assert_allclose(g[big], r[big], rtol=1e-5)
     np.testing.assert_allclose(g[~big], r[~big], atol=1e-8)
+
+
+def _fd_reference(raw, scn, model, h):
+    """Central differences from one long-double rollout per perturbed entry,
+    each streamed through rk4_advance and the loss accumulator on its own."""
+    def lane_loss(u_T, u_d):
+        seq = fo.reparameterize(fo.RawControlParams(u_T, u_d), scn)
+        acc = ro._PathAccumulator(scn, scn.weights, dtype=np.longdouble)
+        x = scn.x0.astype(np.longdouble)
+        for k in range(scn.K):
+            acc.add(x, k)
+            x = dyn.rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt, scn,
+                                model)[0]
+        acc.add(x, scn.K)
+        return acc.finish(x, fo.smoothness_penalty(seq, scn))[0]
+
+    u_T = raw.u_T.astype(np.longdouble)
+    u_d = raw.u_delta.astype(np.longdouble)
+    grads = []
+    for base in (u_T, u_d):
+        for i in range(scn.K):
+            orig = base[i]
+            base[i] = orig + h
+            lp = lane_loss(u_T, u_d)
+            base[i] = orig - h
+            lm = lane_loss(u_T, u_d)
+            base[i] = orig
+            grads.append(float((lp - lm) / (2.0 * np.longdouble(h))))
+    return np.array(grads)
+
+
+@pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
+def test_finite_diff_lanes_match_single_rollouts(model_name, case1_cfg,
+                                                 simplified, surrogate):
+    scn = fo.nondimensionalize(truncate(case1_cfg, 6))
+    model = {"simplified": simplified, "surrogate": surrogate}[model_name]
+    raw = random_raw(scn, 19)
+    fd = ro.finite_diff_grad(raw, scn, model, scn.weights, h=1e-6,
+                             dtype=np.longdouble)
+    assert fd.n_rollouts == 4 * scn.K
+    assert np.array_equal(fd.stacked(), _fd_reference(raw, scn, model, 1e-6))
+
+
+@pytest.mark.parametrize("preset", ["case1", "case2"])
+def test_engines_match_finite_differences_at_full_horizon(preset, case1_scn,
+                                                          case2_scn, simplified,
+                                                          surrogate):
+    # criterion 1's tolerances at the presets' own K = 90
+    scn, model = {"case1": (case1_scn, simplified),
+                  "case2": (case2_scn, surrogate)}[preset]
+    assert scn.K == 90
+    raw = random_raw(scn, 0)
+    r = ro.finite_diff_grad(raw, scn, model, scn.weights, h=1e-6,
+                            dtype=np.longdouble).stacked()
+    big = np.abs(r) > 1e-8
+    for engine in (ro.grad_bptt, ro.grad_adjoint):
+        g = engine(raw, scn, model, scn.weights).stacked()
+        np.testing.assert_allclose(g[big], r[big], rtol=1e-5, atol=0)
+        np.testing.assert_allclose(g[~big], r[~big], rtol=0, atol=1e-8)
 
 
 def _dense_step_vjp(x, T, delta, scn, model, lam):
