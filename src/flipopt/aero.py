@@ -35,6 +35,7 @@ from .dynamics import (
     AeroForces,
     wind_axes,
 )
+from .optimizer import AdamState, adam_step
 
 _ZERO_JAC = (np.zeros(3), np.zeros((3, 2)), np.zeros(3))
 
@@ -47,7 +48,7 @@ def _floored(speed, F) -> AeroForces:
 
 
 class TrainingError(RuntimeError):
-    """Raised when surrogate training produces a non-finite loss."""
+    """Raised when surrogate training produces a non-finite loss or update."""
 
     def __init__(self, msg: str, iteration: int):
         super().__init__(msg)
@@ -383,14 +384,18 @@ def train_surrogate(dataset: Sequence[CoeffSample],
     Yn = (Y - mu) / sig
 
     sizes = (2, *hyper.hidden, 3)
-    params: list[np.ndarray] = []
+    init: list[np.ndarray] = []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
         limit = math.sqrt(6.0 / (n_in + n_out))
-        params.append(rng.uniform(-limit, limit, size=(n_out, n_in)))
-        params.append(np.zeros(n_out))
-
-    m_mom = [np.zeros_like(p) for p in params]
-    v_mom = [np.zeros_like(p) for p in params]
+        init.append(rng.uniform(-limit, limit, size=(n_out, n_in)))
+        init.append(np.zeros(n_out))
+    # the weight and bias arrays are views of one parameter vector, so one
+    # Adam step updates them all
+    flat = np.concatenate([p.ravel() for p in init])
+    ends = np.cumsum([p.size for p in init])
+    params = [v.reshape(p.shape)
+              for v, p in zip(np.split(flat, ends[:-1]), init)]
+    state = AdamState.zeros_like(flat)
     n = X.shape[0]
     final_mse = math.inf
 
@@ -421,14 +426,16 @@ def train_surrogate(dataset: Sequence[CoeffSample],
             grads[i + 1] = g.sum(axis=0)
             g = g @ params[i]
 
-        # Adam update
-        b1t = 1.0 - hyper.beta1 ** epoch
-        b2t = 1.0 - hyper.beta2 ** epoch
-        for i, grad in enumerate(grads):
-            m_mom[i] = hyper.beta1 * m_mom[i] + (1.0 - hyper.beta1) * grad
-            v_mom[i] = hyper.beta2 * v_mom[i] + (1.0 - hyper.beta2) * grad * grad
-            params[i] = params[i] - hyper.lr * (m_mom[i] / b1t) / (
-                np.sqrt(v_mom[i] / b2t) + hyper.eps)
+        # adam_step reads beta1, beta2 and eps, which the trainer's
+        # hyperparameters share with the optimizer's
+        try:
+            new_flat, state = adam_step(
+                flat, np.concatenate([g.ravel() for g in grads]), state,
+                hyper.lr, hyper)
+        except FloatingPointError as exc:
+            raise TrainingError(f"{exc} at epoch {epoch}",
+                                iteration=epoch) from exc
+        flat[:] = new_flat
 
     # fold the target standardization into the output layer
     params[-2] = sig[:, None] * params[-2]

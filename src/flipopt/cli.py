@@ -1,5 +1,4 @@
-"""Command-line surface: optimize, simulate, train-aero, check-grad,
-compare-engines, plot.
+"""Command-line surface: optimize, simulate, train-aero, check-grad, plot.
 
 Every run writes a manifest.json capturing the fully resolved scenario,
 seed, arguments, input hashes and output list; replaying a manifest
@@ -49,7 +48,6 @@ LOSS_HISTORY_HEADER = ("step,lr,total,terminal_position,terminal_velocity,"
 GRAD_REL_TOL = 1e-5
 GRAD_ABS_TOL = 1e-8
 GRAD_FD_FLOOR = 1e-8
-ENGINE_MAE_TOL = 5e-3  # 0.5 percent
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +141,12 @@ def replay_manifest(manifest_path, out_dir) -> int:
     """Re-run a recorded command from its manifest into a new directory."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    commands = {"optimize": cmd_optimize, "simulate": cmd_simulate,
+                "train-aero": cmd_train_aero, "check-grad": cmd_check_grad}
+    if doc["subcommand"] not in commands:
+        log.error("cannot replay a %r manifest: this version has no such "
+                  "subcommand", doc["subcommand"])
+        return 2
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ns_args = dict(doc["resolved_args"])
@@ -161,10 +165,7 @@ def replay_manifest(manifest_path, out_dir) -> int:
             ns_args["out"] = str(out_dir / Path(ns_args["out"]).name)
         else:
             ns_args["out"] = str(out_dir)
-        cmd = {"optimize": cmd_optimize, "simulate": cmd_simulate,
-               "train-aero": cmd_train_aero, "check-grad": cmd_check_grad,
-               "compare-engines": cmd_compare_engines}[doc["subcommand"]]
-        return cmd(argparse.Namespace(**ns_args))
+        return commands[doc["subcommand"]](argparse.Namespace(**ns_args))
     raise ValueError("manifest does not describe a replayable command")
 
 
@@ -435,53 +436,6 @@ def cmd_check_grad(args) -> int:
     return 1
 
 
-def _mae_rel(a: np.ndarray, b: np.ndarray) -> float:
-    denom = float(np.mean(np.abs(b)))
-    if denom == 0.0:
-        return 0.0 if np.array_equal(a, b) else math.inf
-    return float(np.mean(np.abs(a - b))) / denom
-
-
-def cmd_compare_engines(args) -> int:
-    cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    scn = sc.nondimensionalize(cfg)
-    aero = build_aero_model(cfg)
-
-    raw0 = init_raw_params(scn)
-    rb = ro.grad_bptt(raw0, scn, aero, scn.weights)
-    ra = ro.grad_adjoint(raw0, scn, aero, scn.weights)
-    grad_mae = _mae_rel(ra.stacked(), rb.stacked())
-
-    res_b = opt_mod.optimize(replace(scn, opt=replace(scn.opt, grad_engine="bptt")), aero)
-    res_a = opt_mod.optimize(replace(scn, opt=replace(scn.opt, grad_engine="adjoint")), aero)
-    ctrl_b = np.concatenate([res_b.trajectory.thrust, res_b.trajectory.delta_cmd])
-    ctrl_a = np.concatenate([res_a.trajectory.thrust, res_a.trajectory.delta_cmd])
-    controls_mae = _mae_rel(ctrl_a, ctrl_b)
-    traj_mae = _mae_rel(res_a.trajectory.states.ravel(),
-                        res_b.trajectory.states.ravel())
-
-    doc = {
-        "K": cfg.K, "n_steps": cfg.opt.n_steps,
-        "grad_mae_rel": grad_mae,
-        "controls_mae_rel": controls_mae,
-        "trajectory_mae_rel": traj_mae,
-        "bptt_peak_aux_floats": rb.peak_aux_floats,
-        "adjoint_peak_aux_floats": ra.peak_aux_floats,
-        "tolerance": ENGINE_MAE_TOL,
-        "pass": max(grad_mae, controls_mae, traj_mae) < ENGINE_MAE_TOL,
-    }
-    _write_json(out / "compare_engines.json", doc)
-    resolved = {"scenario": args.scenario, "out": str(out), "seed": cfg.seed,
-                "steps": cfg.opt.n_steps, "engine": None, "k": cfg.K}
-    _write_manifest(out, "compare-engines", resolved, cfg, cfg.seed, [],
-                    ["compare_engines.json", "manifest.json"])
-    print(f"gradient MAE {grad_mae:.3e}, controls MAE {controls_mae:.3e}, "
-          f"trajectory MAE {traj_mae:.3e} (tolerance {ENGINE_MAE_TOL})")
-    return 0 if doc["pass"] else 1
-
-
 def _read_table(path) -> dict[str, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -607,14 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check_grad)
-
-    p = sub.add_parser("compare-engines",
-                       help="BPTT vs adjoint gradients and optimized runs")
-    _add_scenario_args(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--engine", default=None, help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_compare_engines)
 
     p = sub.add_parser("plot", help="emit SVG plots from a run directory")
     p.add_argument("run_dir", help="directory containing trajectory.csv")

@@ -3,25 +3,24 @@
 The rollout advances the coupled dynamics + aero system over K RK4 steps
 from the scenario's initial state.  The loss combines terminal residuals
 with path penalties (control smoothness, dry-mass floor, pitch error after
-the flip deadline).  Three gradient routes are provided:
+the flip deadline).  Gradients come from one engine and one oracle:
 
-* :func:`grad_bptt` - reverse accumulation through every RK4 step using
-  the exact transposed stage recursion; it stores the K+1 step states,
-  so auxiliary memory grows linearly with the horizon.
-* :func:`grad_adjoint` - the same adjoint recursion integrated backward,
-  but forward states are re-materialized segment by segment from a fixed
-  number of checkpoints, so peak auxiliary memory is essentially flat in
-  K (at the price of one extra forward recompute).
+* :func:`_grad` - reverse accumulation through every RK4 step with the
+  exact transposed stage recursion.  The forward pass keeps every
+  ``seg_len``-th state as a checkpoint, and the reverse sweep rebuilds
+  each segment's states from its checkpoint before pulling the cotangent
+  through it: the storage/recompute trade-off of checkpointed reverse
+  mode.  Two storage policies are exposed under the engine names of the
+  config and the CLI.  :func:`grad_bptt` keeps every state (memory
+  linear in K, nothing recomputed); :func:`grad_adjoint` keeps a fixed
+  budget of checkpoints (memory essentially flat in K, at the price of
+  one extra forward recompute).  Both run the same code, so their
+  gradients agree to the last bit; only the memory counters differ.
 * :func:`finite_diff_grad` - central differences on the raw parameters,
   the independent validation oracle.  Its 4K perturbed rollouts advance
   together as the lanes of one state batch, and it can evaluate them in
   extended precision to push the difference roundoff floor far below the
   gradient-check tolerances.
-
-Both engines call the identical single-step reverse routine in the same
-order, so their results agree to the last bit; what differs is how the
-forward states are kept alive, which is exactly what the memory counters
-report.
 """
 
 from __future__ import annotations
@@ -157,7 +156,17 @@ class GradientReport:
 
 
 class MemoryMeter:
-    """Counts live auxiliary floats; engines report the peak."""
+    """Counts live auxiliary floats; engines report the peak.
+
+    The engine counts its state-sized storage: the array that holds the
+    checkpoints and the segment being swept, the current forward state and
+    the cotangent.
+    The O(K) arrays of control size (the control gradients and the squash
+    and smoothness gradients) are not counted, so the adjoint's measured
+    allocation still grows with K: its ``tracemalloc`` peak on case2 is
+    about 26 KB at K = 180 and 45 KB at K = 360, while the difference
+    between the two policies' peaks matches 8 bytes per counted float.
+    """
 
     def __init__(self) -> None:
         self.current = 0
@@ -181,29 +190,6 @@ def _check_finite(x: np.ndarray, k: int) -> None:
         bad = [STATE_FIELDS[i] for i in np.flatnonzero(~np.isfinite(x))]
         raise RolloutError(
             f"non-finite state at step {k}: field(s) {bad}", step=k, fields=bad)
-
-
-def _simulate(thrust, delta, scn, aero: AeroModel,
-              aero_log: np.ndarray | None = None) -> np.ndarray:
-    """All K+1 states of the rollout.
-
-    If ``aero_log`` is given, row k receives the aero force at state k,
-    taken from the first RK4 stage of step k.
-    """
-    K = scn.K
-    states = np.empty((K + 1, STATE_DIM))
-    states[0] = scn.x0
-    x = states[0]
-    # divergence is detected explicitly per step; intermediate overflow is
-    # expected on the way to the RolloutError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            x, _, F = rk4_advance(x, thrust[k], delta[k], scn.dt, scn, aero)
-            _check_finite(x, k + 1)
-            states[k + 1] = x
-            if aero_log is not None:
-                aero_log[k] = F
-    return states
 
 
 def first_flip_index(scn) -> int:
@@ -231,7 +217,7 @@ def first_flip_index(scn) -> int:
 class _PathAccumulator:
     """Streams the per-state loss contributions in ascending step order.
 
-    Both gradient engines and the finite-difference oracle feed states
+    The gradient engine and the finite-difference oracle feed states
     through this accumulator, so every route sums the loss terms in an
     identical floating-point order.  A state may be a batch of lanes
     (B, 8); the accumulated terms are then one value per lane.
@@ -304,8 +290,17 @@ def rollout_controls(seq: ControlSequence, scn, aero: AeroModel) -> Trajectory:
     if seq.K != scn.K:
         raise ValueError(f"control sequence length {seq.K} != scenario K {scn.K}")
     K = scn.K
-    aero_log = np.empty((K, 3))
-    states = _simulate(seq.thrust, seq.delta, scn, aero, aero_log)
+    states = np.empty((K + 1, STATE_DIM))
+    aero_log = np.empty((K, 3))  # row k: the first RK4 stage's aero force
+    states[0] = x = scn.x0
+    # divergence is detected explicitly per step; intermediate overflow is
+    # expected on the way to the RolloutError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            x, _, aero_log[k] = rk4_advance(x, seq.thrust[k], seq.delta[k],
+                                            scn.dt, scn, aero)
+            _check_finite(x, k + 1)
+            states[k + 1] = x
     alpha = np.empty(K)
     defined = np.empty(K, dtype=bool)
     for k in range(K):
@@ -404,92 +399,39 @@ def _controls_to_raw_grad(raw: RawControlParams, seq: ControlSequence,
     return gT * dT_du, gd * dd_du
 
 
-def _finalize_report(raw, seq, gT, gd, scn, w, engine, t0, meter, total, terms,
-                     n_rollouts=0) -> GradientReport:
-    gu_T, gu_d = _controls_to_raw_grad(raw, seq, gT, gd, scn, w)
-    for name, g in (("u_T", gu_T), ("u_delta", gu_d)):
-        bad = np.flatnonzero(~np.isfinite(g))
-        if bad.size:
-            raise FloatingPointError(
-                f"non-finite gradient component {name}[{bad[0]}]")
-    return GradientReport(
-        grad_u_T=gu_T, grad_u_delta=gu_d, engine=engine,
-        wall_time_s=time.perf_counter() - t0,
-        peak_aux_floats=meter.peak, n_rollouts=n_rollouts,
-        loss=_breakdown(total, terms))
-
-
 # ---------------------------------------------------------------------------
-# Engine 1: backpropagation through time (linear-memory tape of states)
+# Gradient engine: one checkpointed reverse sweep, two storage policies
 # ---------------------------------------------------------------------------
 
-def grad_bptt(raw: RawControlParams, scn, aero: AeroModel,
-              w: LossWeights | None = None) -> GradientReport:
-    """Exact gradient by reverse accumulation over all stored step states."""
-    w = w or scn.weights
-    t0 = time.perf_counter()
-    seq = reparameterize(raw, scn)
-    K = scn.K
-    meter = MemoryMeter()
+def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
+          seg_len: int, engine: str) -> GradientReport:
+    """Exact gradient by one reverse sweep over checkpoint segments.
 
-    states = _simulate(seq.thrust, seq.delta, scn, aero)
-    meter.alloc(states.size)
-
-    acc = _PathAccumulator(scn, w)
-    for k in range(K + 1):
-        acc.add(states[k], k)
-    total, terms = acc.finish(states[K], smoothness_penalty(seq, scn))
-
-    lam = _terminal_cotangent(states[K], scn, w)
-    meter.alloc(STATE_DIM)
-    _add_path_cotangent(lam, states[K], K, acc.k_flip, scn, w)
-
-    gT = np.zeros(K)
-    gd = np.zeros(K)
-    for k in range(K - 1, -1, -1):
-        lam, g_c = _step_vjp(states[k], seq.thrust[k], seq.delta[k],
-                             scn, aero, lam)
-        gT[k], gd[k] = g_c
-        _add_path_cotangent(lam, states[k], k, acc.k_flip, scn, w)
-
-    meter.free(STATE_DIM)
-    meter.free(states.size)
-    return _finalize_report(raw, seq, gT, gd, scn, w, "bptt", t0, meter,
-                            total, terms)
-
-
-# ---------------------------------------------------------------------------
-# Engine 2: adjoint sweep with checkpointed forward recomputation
-# ---------------------------------------------------------------------------
-
-def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
-                 w: LossWeights | None = None) -> GradientReport:
-    """Same adjoint recursion, bounded memory via checkpoint segments.
-
-    The forward pass keeps only a fixed budget of segment-start states;
-    the backward sweep re-materializes each segment's step states from
-    its checkpoint before pulling the adjoint state through it.  Peak
-    auxiliary memory is therefore governed by the checkpoint budget, not
-    by K, while the gradient is identical to the linear-memory engine.
+    The forward pass keeps every ``seg_len``-th state as a checkpoint.  The
+    reverse sweep takes the segments newest first, rebuilds each one's step
+    states from its checkpoint, and pulls the cotangent back through them.
+    A segment is rebuilt in place, over the rows of the checkpoints already
+    swept, so the peak auxiliary memory is n_seg + seg_len + 1 states: the
+    states array, the cotangent, and during the forward pass the current
+    state.  The recompute costs up to one extra forward pass; with
+    ``seg_len = 1`` every state is a checkpoint and nothing is recomputed.
     """
     w = w or scn.weights
     t0 = time.perf_counter()
     seq = reparameterize(raw, scn)
     K = scn.K
-    seg_len = max(1, -(-K // ADJOINT_TARGET_SEGMENTS))
     n_seg = -(-K // seg_len)
     meter = MemoryMeter()
 
-    checkpoints = np.empty((n_seg, STATE_DIM))
-    meter.alloc(checkpoints.size)
+    states = np.empty((n_seg + seg_len - 1, STATE_DIM))
+    meter.alloc(states.size)
     acc = _PathAccumulator(scn, w)
-
-    x = scn.x0.copy()
-    meter.alloc(x.size)
+    x = scn.x0
+    meter.alloc(STATE_DIM)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             if k % seg_len == 0:
-                checkpoints[k // seg_len] = x
+                states[k // seg_len] = x
             acc.add(x, k)
             x = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt, scn,
                             aero)[0]
@@ -500,32 +442,51 @@ def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
     lam = _terminal_cotangent(x, scn, w)
     meter.alloc(STATE_DIM)
     _add_path_cotangent(lam, x, K, acc.k_flip, scn, w)
-    meter.free(x.size)
+    meter.free(STATE_DIM)
 
     gT = np.zeros(K)
     gd = np.zeros(K)
-    for seg in range(n_seg - 1, -1, -1):
-        s = seg * seg_len
+    for j in range(n_seg - 1, -1, -1):
+        s = j * seg_len
         e = min(s + seg_len, K)
-        buf = np.empty((e - s, STATE_DIM))
-        meter.alloc(buf.size)
-        xs = checkpoints[seg]
-        for k in range(s, e):
-            buf[k - s] = xs
-            if k < e - 1:
-                xs = rk4_advance(xs, seq.thrust[k], seq.delta[k],
-                                 scn.dt, scn, aero)[0]
+        o = j - s  # segment j's step k state lives in row k + o
+        for k in range(s, e - 1):
+            states[k + o + 1] = rk4_advance(states[k + o], seq.thrust[k],
+                                            seq.delta[k], scn.dt, scn, aero)[0]
         for k in range(e - 1, s - 1, -1):
-            lam, g_c = _step_vjp(buf[k - s], seq.thrust[k], seq.delta[k],
-                                 scn, aero, lam)
+            x = states[k + o]
+            lam, g_c = _step_vjp(x, seq.thrust[k], seq.delta[k], scn, aero,
+                                 lam)
             gT[k], gd[k] = g_c
-            _add_path_cotangent(lam, buf[k - s], k, acc.k_flip, scn, w)
-        meter.free(buf.size)
+            _add_path_cotangent(lam, x, k, acc.k_flip, scn, w)
 
     meter.free(STATE_DIM)
-    meter.free(checkpoints.size)
-    return _finalize_report(raw, seq, gT, gd, scn, w, "adjoint", t0, meter,
-                            total, terms)
+    meter.free(states.size)
+
+    gu_T, gu_d = _controls_to_raw_grad(raw, seq, gT, gd, scn, w)
+    for name, g in (("u_T", gu_T), ("u_delta", gu_d)):
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            raise FloatingPointError(
+                f"non-finite gradient component {name}[{bad[0]}]")
+    return GradientReport(
+        grad_u_T=gu_T, grad_u_delta=gu_d, engine=engine,
+        wall_time_s=time.perf_counter() - t0, peak_aux_floats=meter.peak,
+        loss=_breakdown(total, terms))
+
+
+def grad_bptt(raw: RawControlParams, scn, aero: AeroModel,
+              w: LossWeights | None = None) -> GradientReport:
+    """Exact gradient keeping every step state (memory linear in K)."""
+    return _grad(raw, scn, aero, w, 1, "bptt")
+
+
+def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
+                 w: LossWeights | None = None) -> GradientReport:
+    """Exact gradient from at most ADJOINT_TARGET_SEGMENTS checkpoints
+    (memory essentially flat in K); the same bits as :func:`grad_bptt`."""
+    return _grad(raw, scn, aero, w, -(-scn.K // ADJOINT_TARGET_SEGMENTS),
+                 "adjoint")
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +511,7 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
 
     ``dtype=np.longdouble`` runs the perturbed rollouts in extended
     precision, which drops the cancellation floor of the difference
-    quotient by ~5 orders of magnitude on x86; the analytic engines stay
+    quotient by ~5 orders of magnitude on x86; the analytic engine stays
     untouched, so the oracle remains an independent route to the value.
     """
     w = w or scn.weights

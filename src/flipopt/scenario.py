@@ -254,7 +254,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
-    """Build a validated config from the documented JSON schema."""
+    """Build a validated config from the documented JSON schema.
+
+    A key the schema does not know is an error at every level, so a
+    misspelt key cannot silently leave its field at the default."""
+    _reject_unknown_keys(data)
     try:
         refs = _refs_from(data.get("refs", {}))
         vehicle = _vehicle_from(data.get("vehicle", {}))
@@ -391,6 +395,24 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
                 "log_every": cfg.opt.log_every, "grad_clip": cfg.opt.grad_clip},
         "seed": cfg.seed,
     }
+
+
+# every key of the schema, nested as in the JSON; a nested object is a section
+_SCHEMA = scenario_to_dict(ScenarioConfig())
+_SECTIONS = tuple(key for key, value in _SCHEMA.items() if isinstance(value, dict))
+
+
+def _reject_unknown_keys(data: dict[str, Any]) -> None:
+    levels = [("", data, _SCHEMA)]
+    for section in _SECTIONS:
+        value = data.get(section, {})
+        if not isinstance(value, dict):
+            raise ScenarioError(f"scenario key '{section}' must be an object")
+        levels.append((section + ".", value, _SCHEMA[section]))
+    for prefix, d, schema in levels:
+        if not d.keys() <= schema.keys():
+            raise ScenarioError("unknown scenario key "
+                                f"'{prefix}{min(d.keys() - schema.keys())}'")
 
 
 def load_scenario(path_or_name: str) -> ScenarioConfig:

@@ -200,6 +200,13 @@ def test_training_rejects_empty():
         am.train_surrogate([])
 
 
+def test_nonfinite_adam_update_raises_training_error():
+    with pytest.raises(am.TrainingError) as exc:
+        am.train_surrogate(am.generate_dataset(12),
+                           am.TrainerConfig(lr=math.inf, epochs=3))
+    assert exc.value.iteration == 1
+
+
 def test_weights_file_round_trip(surrogate, tmp_path):
     path = tmp_path / "weights.json"
     am.save_weights(surrogate, path)

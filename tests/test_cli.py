@@ -66,7 +66,11 @@ def test_unknown_scenario_exits_2():
     ({"K": "abc"}, "invalid literal"),
     ({"t_f_s": math.inf}, "t_f_s"),
     ({"bc": {"theta_f_deg": math.nan}}, "bc.theta_f"),
-], ids=["K-abc", "t_f_s-inf", "theta_f-nan"])
+    ({"loss_weights": {"w_smoth": 1.0}}, "loss_weights.w_smoth"),
+    ({"vehicel": {"J_z_kgm2": 2e7}}, "vehicel"),
+    ({"refs": 5}, "refs"),
+], ids=["K-abc", "t_f_s-inf", "theta_f-nan", "w_smoth-unknown",
+        "vehicel-unknown", "refs-not-object"])
 def test_malformed_scenario_value_exits_2(tmp_path, data, field):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))   # writes Infinity and NaN literals
@@ -159,6 +163,16 @@ def test_train_aero_deterministic_and_reported(tmp_path):
     assert max(report["max_abs_err"].values()) < 0.01
 
 
+def test_train_aero_divergence_exits_3(tmp_path, monkeypatch):
+    """A non-finite Adam update surfaces as a training error, not a crash."""
+    trainer = cli.aero_mod.TrainerConfig
+    monkeypatch.setattr(cli.aero_mod, "TrainerConfig",
+                        lambda: trainer(lr=math.inf, epochs=3))
+    rc = cli.main(["train-aero", "--samples", "12",
+                   "--out", str(tmp_path / "w.json")])
+    assert rc == 3
+
+
 def test_train_aero_rejects_tiny_dataset(tmp_path):
     rc = cli.main(["train-aero", "--samples", "3",
                    "--out", str(tmp_path / "w.json")])
@@ -186,17 +200,6 @@ def test_check_grad_passes_and_detects_corruption(tmp_path):
     assert rc == 1
 
 
-def test_compare_engines_small(tmp_path):
-    out = tmp_path / "cmp"
-    rc = cli.main(["compare-engines", "--scenario", "case1", "--k", "10",
-                   "--steps", "8", "--out", str(out)])
-    assert rc == 0
-    doc = json.loads((out / "compare_engines.json").read_text())
-    assert doc["grad_mae_rel"] == 0.0
-    assert doc["controls_mae_rel"] == 0.0
-    assert doc["trajectory_mae_rel"] == 0.0
-
-
 def test_plot_emits_svgs(opt_run):
     rc = cli.main(["plot", str(opt_run)])
     assert rc == 0
@@ -222,6 +225,15 @@ def test_manifest_replay_reproduces_outputs(opt_run, tmp_path):
     assert rc == 0
     for name in ("trajectory.csv", "controls.csv", "loss_history.csv"):
         assert (replay_dir / name).read_bytes() == (opt_run / name).read_bytes()
+
+
+def test_replay_of_removed_subcommand_exits_2(tmp_path, caplog):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "subcommand": "compare-engines", "scenario_snapshot": None,
+        "resolved_args": {"scenario": "case1", "out": str(tmp_path)}}))
+    assert cli.replay_manifest(manifest, tmp_path / "replay") == 2
+    assert "compare-engines" in caplog.text
 
 
 def test_controls_csv_round_trip_exact(opt_run, case1_cfg):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -316,15 +317,23 @@ def test_step_vjp_matches_dense_recursion(model_name, case1_scn, simplified,
         np.testing.assert_allclose(g_c, ref_c, rtol=1e-12, atol=0)
 
 
-def test_adjoint_equals_bptt_exactly(case2_cfg, surrogate):
-    scn = fo.nondimensionalize(truncate(case2_cfg, 30))
+@pytest.mark.parametrize("K", [1, 7, 30, 97])
+def test_adjoint_equals_bptt_exactly(K, case2_cfg, surrogate):
+    """Both storage policies give the same bits, below the checkpoint
+    budget and when K is not a multiple of the segment length."""
+    scn = fo.nondimensionalize(truncate(case2_cfg, K))
     raw = random_raw(scn, 13)
     gb = ro.grad_bptt(raw, scn, surrogate, scn.weights)
     ga = ro.grad_adjoint(raw, scn, surrogate, scn.weights)
     assert np.array_equal(gb.grad_u_T, ga.grad_u_T)
     assert np.array_equal(gb.grad_u_delta, ga.grad_u_delta)
-    assert gb.loss.total == ga.loss.total
+    assert gb.loss == ga.loss
     assert gb.engine == "bptt" and ga.engine == "adjoint"
+    runs = [fo.optimize(replace(scn, opt=replace(scn.opt, grad_engine=e)),
+                        surrogate, raw0=raw, n_steps=5)
+            for e in ("bptt", "adjoint")]
+    assert [r.engine for r in runs] == ["bptt", "adjoint"]
+    assert np.array_equal(runs[0].trajectory.states, runs[1].trajectory.states)
 
 
 def test_gradient_zero_at_exact_optimum(case1_cfg, simplified):
@@ -388,6 +397,25 @@ def test_memory_meter_contract(case2_cfg, surrogate):
     assert peaks[("bptt", 180)] / peaks[("bptt", 90)] > 1.8
     assert peaks[("adjoint", 180)] / peaks[("adjoint", 90)] <= 1.25
     assert peaks[("adjoint", 90)] < peaks[("bptt", 90)]
+
+
+@pytest.mark.parametrize("K", [180, 360])
+def test_memory_meter_matches_traced_allocation(K, case2_cfg, surrogate):
+    """The two policies' traced peaks differ by 8 bytes per metered float."""
+    scn = fo.nondimensionalize(truncate(case2_cfg, K))
+    raw = fo.init_raw_params(scn)
+    traced, metered = [], []
+    for engine in (ro.grad_bptt, ro.grad_adjoint):
+        engine(raw, scn, surrogate, scn.weights)  # warm up
+        tracemalloc.start()
+        try:
+            rep = engine(raw, scn, surrogate, scn.weights)
+            traced.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        metered.append(rep.peak_aux_floats)
+    assert traced[0] - traced[1] == pytest.approx(
+        8 * (metered[0] - metered[1]), rel=0.1)
 
 
 def test_gradient_nonfinite_raises(short_scn):
