@@ -10,12 +10,14 @@ moment about the cg from the vehicle state:
 
 The surrogate is trained against an analytic flat-plate style coefficient
 model (:func:`standin_coeffs`), sampled on a uniform angle-of-attack grid.
-Both models expose exact state Jacobians for the gradient engines.
+Both models give the exact state Jacobian of their vector form, for a
+batch of states at once, to the gradient engine.
 
 ``forces`` takes one state of shape (8,) or a batch of lanes (..., 8).  A
 float64 state runs on Python floats; extended precision and batches take
 one vector form, which gives exactly zero force in every lane whose speed
-is below ``SPEED_FLOOR``.
+is below ``SPEED_FLOOR``.  ``forces_jac`` has only the vector form, with
+the same floor.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ from .dynamics import (
 )
 from .optimizer import AdamState, adam_step
 
-_ZERO_JAC = (np.zeros(3), np.zeros((3, 2)), np.zeros(3))
+_MATVEC = "...i,ji->...j"  # einsum subscripts of W @ h for each lane of h
 
-
-def _floored(speed, F) -> AeroForces:
-    """The vector form's forces ``F``, exactly zero in every lane whose speed
-    is below SPEED_FLOOR (a NaN speed keeps its NaN forces)."""
+def _floored(speed, arrays) -> tuple:
+    """The vector form's ``arrays`` (lanes on the last axis), exactly zero in
+    every lane whose speed is below SPEED_FLOOR (a NaN speed keeps its NaN
+    values)."""
     still = speed < SPEED_FLOOR
-    return AeroForces(*(np.where(still, 0.0, f) for f in F))
+    return tuple(np.where(still, 0.0, a) for a in arrays)
 
 
 class TrainingError(RuntimeError):
@@ -67,8 +69,9 @@ class NoAero:
     def forces(self, state, scn) -> AeroForces:
         return AeroForces(0.0, 0.0, 0.0)
 
-    def forces_jac(self, state, scn):
-        return _ZERO_JAC
+    def forces_jac(self, states, scn):
+        zero = np.zeros((3, len(states)))
+        return zero, np.zeros((3, 2, len(states))), zero
 
 
 # ---------------------------------------------------------------------------
@@ -115,33 +118,35 @@ class SimplifiedAero:
         speed = np.hypot(u, v)
         c = scn.q_coef * self.C_D
         lever = self.l_cp_frac - scn.l_cg_frac
-        return _floored(speed, (
+        return AeroForces(*_floored(speed, (
             -c * speed * u,
             -c * speed * v,
             lever * c * speed * (v * np.cos(th) - u * np.sin(th)),
-        ))
+        )))
 
-    def forces_jac(self, state, scn):
-        u = float(state[IX_U])
-        v = float(state[IX_V])
-        speed = math.hypot(u, v)
-        if speed < SPEED_FLOOR:
-            return _ZERO_JAC
-        th = float(state[IX_TH])
+    def forces_jac(self, states, scn):
+        u, v, th = states[..., IX_U], states[..., IX_V], states[..., IX_TH]
+        speed = np.hypot(u, v)
         c = scn.q_coef * self.C_D
         d = (self.l_cp_frac - scn.l_cg_frac) * c
-        cth = math.cos(th)
-        sth = math.sin(th)
+        cth = np.cos(th)
+        sth = np.sin(th)
         w = v * cth - u * sth
-
-        F = np.array([-c * speed * u, -c * speed * v, d * speed * w])
-        dF_dv = np.array([
-            [-c * (speed + u * u / speed), -c * (u * v / speed)],
-            [-c * (u * v / speed), -c * (speed + v * v / speed)],
-            [d * (u * w / speed - speed * sth), d * (v * w / speed + speed * cth)],
-        ])
-        dF_dth = np.array([0.0, 0.0, d * speed * (-v * sth - u * cth)])
-        return F, dF_dv, dF_dth
+        # a lane at rest divides by zero here and is zeroed by the floor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            iu = u / speed
+            iv = v / speed
+        ncs = -c * speed
+        ds = d * speed
+        cuv = -c * u * iv
+        zero = np.zeros_like(speed)
+        return _floored(speed, (
+            np.array([ncs * u, ncs * v, ds * w]),
+            np.array([[ncs - c * u * iu, cuv],
+                      [cuv, ncs - c * v * iv],
+                      [d * iu * w - ds * sth, d * iv * w + ds * cth]]),
+            np.array([zero, zero, -ds * (v * sth + u * cth)]),
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -242,24 +247,18 @@ class MlpSurrogate:
         z = np.array([np.sin(alpha), np.cos(alpha)])
         return self.coeffs_from_encoding(z)
 
-    def coeffs_and_dalpha(self, sin_a, cos_a):
-        """Coefficients plus their derivative with respect to alpha.
-
-        Propagates the tangent dz/dalpha = (cos a, -sin a) forward through
-        the network alongside the values; value and tangent share one
-        matrix product per layer.
-        """
-        hd = np.array([[sin_a, cos_a], [cos_a, -sin_a]]).T  # (in, 2)
-        for W, b in self.layers[:-1]:
-            a = W @ hd
-            a[:, 0] += b
-            h = np.tanh(a[:, 0])
-            hd = np.empty_like(a)
-            hd[:, 0] = h
-            hd[:, 1] = (1.0 - h * h) * a[:, 1]
-        W, b = self.layers[-1]
-        out = W @ hd
-        return out[:, 0] + b, out[:, 1]
+    def _network(self, z, dz=None):
+        """Coefficients (..., 3) at encodings z (..., 2); with a tangent
+        ``dz`` of the encodings, also their derivative along it.  The einsum
+        product W @ h sums in a fixed order, so a lane's bits do not depend
+        on the batch size; a BLAS product's do."""
+        *hidden, (W_out, b_out) = self.layers
+        for W, b in hidden:
+            z = np.tanh(np.einsum(_MATVEC, z, W) + b)
+            if dz is not None:
+                dz = (1.0 - z * z) * np.einsum(_MATVEC, dz, W)
+        C = np.einsum(_MATVEC, z, W_out) + b_out
+        return C if dz is None else (C, np.einsum(_MATVEC, dz, W_out))
 
     # -- force assembly -------------------------------------------------------
 
@@ -288,59 +287,45 @@ class MlpSurrogate:
         u, v = state[..., IX_U], state[..., IX_V]
         with np.errstate(divide="ignore", invalid="ignore"):
             sin_a, cos_a, speed = wind_axes(state)
-        h = np.stack((sin_a, cos_a), axis=-1)
-        for W, b in self.layers[:-1]:
-            h = np.tanh(h @ W.T + b)
-        W, b = self.layers[-1]
-        C = h @ W.T + b
+        C = self._network(np.stack((sin_a, cos_a), axis=-1))
         C_L, C_D, C_M = C[..., 0], C[..., 1], C[..., 2]
         s = scn.q_coef
-        return _floored(speed, (
+        return AeroForces(*_floored(speed, (
             s * speed * (-C_D * u - C_L * v),
             s * speed * (-C_D * v + C_L * u),
             s * speed * speed * C_M,
-        ))
+        )))
 
-    def forces_jac(self, state, scn):
-        u = float(state[IX_U])
-        v = float(state[IX_V])
-        speed = math.hypot(u, v)
-        if speed < SPEED_FLOOR:
-            return _ZERO_JAC
-        th = float(state[IX_TH])
-        cth = math.cos(th)
-        sth = math.sin(th)
-        sin_a = (v * cth - u * sth) / speed
-        cos_a = (u * cth + v * sth) / speed
-        C, dC = self.coeffs_and_dalpha(sin_a, cos_a)
-        C_L, C_D, C_M = float(C[0]), float(C[1]), float(C[2])
-        dC_L, dC_D, dC_M = float(dC[0]), float(dC[1]), float(dC[2])
+    def forces_jac(self, states, scn):
+        # alpha depends on the state through the encoding only: its tangent
+        # along alpha is (cos a, -sin a), d alpha / d(u, v) = (-v, u) / speed^2
+        # and d alpha / d theta = -1
+        u, v = states[..., IX_U], states[..., IX_V]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sin_a, cos_a, speed = wind_axes(states)
+            iu = u / speed
+            iv = v / speed
+        C, dC = self._network(np.stack((sin_a, cos_a), axis=-1),
+                              np.stack((cos_a, -sin_a), axis=-1))
+        C_L, C_D, C_M = C[..., 0], C[..., 1], C[..., 2]
+        dC_L, dC_D, dC_M = dC[..., 0], dC[..., 1], dC[..., 2]
         s = scn.q_coef
-        # d alpha / d(u, v) = (-v, u) / speed^2 and d alpha / d theta = -1
-        sp2 = speed * speed
-        da_du = -v / sp2
-        da_dv = u / sp2
-
         gx = -C_D * u - C_L * v          # Fx / (s * speed)
         gy = -C_D * v + C_L * u          # Fy / (s * speed)
         gx_a = -dC_D * u - dC_L * v      # d gx / d alpha
         gy_a = -dC_D * v + dC_L * u
-
-        F = np.array([s * speed * gx, s * speed * gy, s * sp2 * C_M])
-        dF_dv = np.array([
-            [s * (u / speed * gx + speed * (-C_D) + speed * gx_a * da_du),
-             s * (v / speed * gx + speed * (-C_L) + speed * gx_a * da_dv)],
-            [s * (u / speed * gy + speed * C_L + speed * gy_a * da_du),
-             s * (v / speed * gy + speed * (-C_D) + speed * gy_a * da_dv)],
-            [s * (2.0 * u * C_M + sp2 * dC_M * da_du),
-             s * (2.0 * v * C_M + sp2 * dC_M * da_dv)],
-        ])
-        dF_dth = np.array([
-            -s * speed * gx_a,
-            -s * speed * gy_a,
-            -s * sp2 * dC_M,
-        ])
-        return F, dF_dv, dF_dth
+        return _floored(speed, (
+            np.array([s * speed * gx, s * speed * gy,
+                      s * speed * speed * C_M]),
+            s * np.array([
+                [iu * gx - speed * C_D - iv * gx_a,
+                 iv * gx - speed * C_L + iu * gx_a],
+                [iu * gy + speed * C_L - iv * gy_a,
+                 iv * gy - speed * C_D + iu * gy_a],
+                [2.0 * u * C_M - v * dC_M, 2.0 * v * C_M + u * dC_M],
+            ]),
+            -s * np.array([speed * gx_a, speed * gy_a, speed * speed * dC_M]),
+        ))
 
 
 def mlp_forward(model: MlpSurrogate, alpha: float) -> np.ndarray:

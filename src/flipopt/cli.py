@@ -32,7 +32,7 @@ from . import plots
 from . import rollout as ro
 from . import scenario as sc
 from .controls import ControlSequence, RawControlParams, init_raw_params
-from .dynamics import IX_TH, IX_U, IX_V, angle_of_attack
+from .dynamics import angle_of_attack
 
 log = logging.getLogger(__name__)
 

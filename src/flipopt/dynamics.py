@@ -64,15 +64,17 @@ class AeroForces(NamedTuple):
 
 
 class AeroModel(Protocol):
-    """Anything that can produce aero forces (and their state Jacobian)."""
+    """Anything that can produce aero forces and their state Jacobian."""
 
     def forces(self, state: np.ndarray, scn: "NondimScenario") -> AeroForces: ...
 
     def forces_jac(
-        self, state: np.ndarray, scn: "NondimScenario"
+        self, states: np.ndarray, scn: "NondimScenario"
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (F, dF_dv, dF_dtheta) with F = (F_Ax, F_Ay, M_A),
-        dF_dv of shape (3, 2) and dF_dtheta of shape (3,)."""
+        """For a batch of B states (B, 8), return (F, dF_dv, dF_dtheta) with
+        F = (F_Ax, F_Ay, M_A) of shape (3, B), its partials with respect to
+        (u, v) of shape (3, 2, B) and with respect to theta of shape (3, B),
+        all exactly zero in every lane whose speed is below SPEED_FLOOR."""
         ...
 
 
@@ -149,58 +151,58 @@ def eval_rhs(state: np.ndarray, T, delta, scn, aero_model: AeroModel) -> np.ndar
     return rhs(state, (T, delta), aero_model.forces(state, scn), scn)
 
 
-def rhs_and_jacobians(state: np.ndarray, T, delta, scn, aero_model: AeroModel):
-    """Derivative plus the nonzero partials of d f/d state and d f/d ctrl.
+def rhs_and_jacobians(states: np.ndarray, T, scn, aero_model: AeroModel):
+    """The nonzero partials of d f/d state and d f/d ctrl for each lane of a
+    batch of states (B, 8), with ``T`` one thrust per lane.
 
-    Returns ``(f, p)``: ``f`` holds the 8 derivative components and ``p``
-    the 20 entries of J = d f/d state and B = d f/d (T, delta) that are not
-    structurally zero or one, in this order:
+    Returns ``p`` of shape (B, 20): row j holds lane j's 20 entries of
+    J = d f/d state and B = d f/d (T, delta) that are not structurally zero
+    or one, in this order:
 
         J[u, (u, v, theta, m, delta_d)], J[v, (u, v, theta, m, delta_d)],
         J[omega, (u, v, theta, delta_d)], J[delta_d, delta_d],
         B[(u, v, omega, m), T], B[delta_d, delta]
 
-    The structural ones are J[x, u], J[y, v] and J[theta, omega].
-    :func:`rhs_pullback` applies J^T and B^T.  The aero model contributes
-    the partials of (F_Ax, F_Ay, M_A) with respect to (u, v, theta);
-    everything else is closed form.  Gradient engines call this in the
-    double-precision hot loop, so it runs on plain Python floats.
+    The structural ones are J[x, u], J[y, v] and J[theta, omega].  No
+    partial depends on the gimbal command.  :func:`rhs_pullback` applies
+    J^T and B^T.  The aero model contributes the partials of
+    (F_Ax, F_Ay, M_A) with respect to (u, v, theta); everything else is
+    closed form.  Every operation is elementwise per lane, so a lane's bits
+    do not depend on the batch it is in.
     """
-    _, _, u, v, th, om, m, dd = state.tolist()
-    T = float(T)
+    th, m, dd = states[:, IX_TH], states[:, IX_M], states[:, IX_DD]
     psi = th + dd
-    cpsi = math.cos(psi)
-    spsi = math.sin(psi)
-    sdd = math.sin(dd)
-    cdd = math.cos(dd)
+    (Fx, Fy, _), dF_dv, dF_dth = aero_model.forces_jac(states, scn)
+    im = 1.0 / m
+    em = scn.eps_corr * im
+    eta_J = scn.eta_corr / scn.J_z
+    arm_J = scn.l_arm / scn.J_z
 
-    F, dF_dv, dF_dth = aero_model.forces_jac(state, scn)
-    Fx, Fy, M = F.tolist()
-    (Fx_u, Fx_v), (Fy_u, Fy_v), (M_u, M_v) = dF_dv.tolist()
-    Fx_th, Fy_th, M_th = dF_dth.tolist()
-    eps, eta, l_arm, J_z = scn.eps_corr, scn.eta_corr, scn.l_arm, scn.J_z
-
-    f_u = (T * cpsi + eps * Fx) / m
-    f_v = (T * spsi + eps * Fy) / m - scn.g
-    f = (u, v, f_u, f_v, om, (-T * sdd * l_arm + eta * M) / J_z,
-         -T / scn.c_ex, (float(delta) - dd) / scn.T_d)
-    p = (
-        eps * Fx_u / m, eps * Fx_v / m, (-T * spsi + eps * Fx_th) / m,
-        -f_u / m, -T * spsi / m,
-        eps * Fy_u / m, eps * Fy_v / m, (T * cpsi + eps * Fy_th) / m,
-        -(f_v + scn.g) / m, T * cpsi / m,
-        eta * M_u / J_z, eta * M_v / J_z, eta * M_th / J_z,
-        -T * cdd * l_arm / J_z,
-        -1.0 / scn.T_d,
-        cpsi / m, spsi / m, -sdd * l_arm / J_z, -1.0 / scn.c_ex,
-        1.0 / scn.T_d,
-    )
-    return f, p
+    p = np.empty((20, len(states)))
+    p[15] = B_uT = np.cos(psi) * im
+    p[16] = B_vT = np.sin(psi) * im
+    p[4] = J_udd = -T * B_vT
+    p[9] = J_vdd = T * B_uT
+    p[0:2] = em * dF_dv[0]
+    p[2] = em * dF_dth[0] + J_udd
+    p[3] = -(J_vdd + em * Fx) * im        # -f_u / m
+    p[5:7] = em * dF_dv[1]
+    p[7] = em * dF_dth[1] + J_vdd
+    p[8] = (J_udd - em * Fy) * im         # -(f_v + g) / m
+    p[10:12] = eta_J * dF_dv[2]
+    p[12] = eta_J * dF_dth[2]
+    p[13] = -arm_J * T * np.cos(dd)
+    p[14] = -1.0 / scn.T_d
+    p[17] = -arm_J * np.sin(dd)
+    p[18] = -1.0 / scn.c_ex
+    p[19] = 1.0 / scn.T_d
+    return p.T
 
 
-def rhs_pullback(p: tuple, g) -> tuple[list, float, float]:
-    """(J^T g, (B^T g)_T, (B^T g)_delta) from the partials ``p`` of
-    :func:`rhs_and_jacobians`, for a cotangent ``g`` of the derivative."""
+def rhs_pullback(p, g) -> tuple[list, float, float]:
+    """(J^T g, (B^T g)_T, (B^T g)_delta) from one lane's partials ``p`` (a
+    row of :func:`rhs_and_jacobians`), for a cotangent ``g`` of the
+    derivative."""
     (u_u, u_v, u_th, u_m, u_dd, v_u, v_v, v_th, v_m, v_dd,
      om_u, om_v, om_th, om_dd, dd_dd, T_u, T_v, T_om, T_m, dl_dd) = p
     gu = g[IX_U]

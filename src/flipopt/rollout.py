@@ -6,16 +6,17 @@ with path penalties (control smoothness, dry-mass floor, pitch error after
 the flip deadline).  Gradients come from one engine and one oracle:
 
 * :func:`_grad` - reverse accumulation through every RK4 step with the
-  exact transposed stage recursion.  The forward pass keeps every
-  ``seg_len``-th state as a checkpoint, and the reverse sweep rebuilds
-  each segment's states from its checkpoint before pulling the cotangent
-  through it: the storage/recompute trade-off of checkpointed reverse
-  mode.  Two storage policies are exposed under the engine names of the
-  config and the CLI.  :func:`grad_bptt` keeps every state (memory
+  exact transposed stage recursion, along the very stage states that the
+  forward pass produced.  Segments of ``seg_len`` steps are recorded,
+  linearized in blocks of 4 steps and swept newest first; each earlier
+  segment is recorded again from its checkpoint: checkpointed reverse
+  mode (Griewank & Walther, *Evaluating Derivatives*, 2008).  Two storage
+  policies are exposed under the engine names of the config and the CLI.
+  :func:`grad_bptt` records the whole horizon as one segment (memory
   linear in K, nothing recomputed); :func:`grad_adjoint` keeps a fixed
-  budget of checkpoints (memory essentially flat in K, at the price of
-  one extra forward recompute).  Both run the same code, so their
-  gradients agree to the last bit; only the memory counters differ.
+  budget of checkpoints (memory grows only with the K/24-step segment, at
+  the price of one extra forward recompute).  Both run the same code, so
+  their gradients agree to the last bit; only the memory counters differ.
 * :func:`finite_diff_grad` - central differences on the raw parameters,
   the independent validation oracle.  Its 4K perturbed rollouts advance
   together as the lanes of one state batch, and it can evaluate them in
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,10 +56,8 @@ from .dynamics import (
     rk4_advance,
 )
 
-if TYPE_CHECKING:
-    from .scenario import NondimScenario
-
 ADJOINT_TARGET_SEGMENTS = 24  # checkpoint budget; segment length scales with K
+BLOCK_STEPS = 4  # steps whose stages are linearized in one vector call
 
 LOSS_TERM_NAMES = ("terminal_position", "terminal_velocity", "terminal_pitch",
                    "terminal_omega", "smoothness", "mass_floor", "flip_deadline")
@@ -158,14 +156,16 @@ class GradientReport:
 class MemoryMeter:
     """Counts live auxiliary floats; engines report the peak.
 
-    The engine counts its state-sized storage: the array that holds the
-    checkpoints and the segment being swept, the current forward state and
-    the cotangent.
+    The engine counts the checkpoints, the segment record (four states per
+    step), the partials of the block of stages being linearized (20 per
+    stage), the current forward state ``x`` and the cotangent ``lam``.
     The O(K) arrays of control size (the control gradients and the squash
     and smoothness gradients) are not counted, so the adjoint's measured
     allocation still grows with K: its ``tracemalloc`` peak on case2 is
-    about 26 KB at K = 180 and 45 KB at K = 360, while the difference
+    about 52 KB at K = 180 and 66 KB at K = 360, while the difference
     between the two policies' peaks matches 8 bytes per counted float.
+    The aero model's temporaries for one block are not counted either; they
+    are the same under both policies.
     """
 
     def __init__(self) -> None:
@@ -354,25 +354,16 @@ def _add_path_cotangent(lam: list, x: np.ndarray, k: int, k_flip: int,
         lam[IX_TH] += 2.0 * w.w_flip * (float(x[IX_TH]) - scn.theta_f)
 
 
-def _step_vjp(x: np.ndarray, T, delta, scn, aero: AeroModel, lam: list):
+def _step_vjp(partials, dt, lam: list):
     """Pull the cotangent of the step result back through one RK4 step.
 
-    Reconstructs the stage states from the step-start state (the stage
-    derivatives fall out of the Jacobian evaluations for free), then runs
-    the transposed stage recursion on floats, applying each stage's
-    Jacobians through :func:`rhs_pullback`.  Returns (cotangent w.r.t. the
-    step start state, cotangent w.r.t. (T, delta)).
+    ``partials`` holds the :func:`rhs_and_jacobians` partials of the step's
+    four stage states, in stage order.  Runs the transposed stage recursion
+    on floats, applying each stage's Jacobians through
+    :func:`rhs_pullback`.  Returns (cotangent w.r.t. the step start state,
+    cotangent w.r.t. (T, delta)).
     """
-    dt = scn.dt
     h2 = 0.5 * dt
-    xs = x.tolist()
-    f, p = rhs_and_jacobians(x, T, delta, scn, aero)
-    partials = [p]
-    for h in (h2, h2, dt):
-        a = np.array([xi + h * fi for xi, fi in zip(xs, f)])
-        f, p = rhs_and_jacobians(a, T, delta, scn, aero)
-        partials.append(p)
-
     # stage i's derivative cotangent is w_i lam plus h_i times the pullback
     # of stage i + 1, with RK4 weights w = dt (1/6, 1/3, 1/3, 1/6)
     c6 = dt / 6.0
@@ -407,14 +398,20 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
           seg_len: int, engine: str) -> GradientReport:
     """Exact gradient by one reverse sweep over checkpoint segments.
 
-    The forward pass keeps every ``seg_len``-th state as a checkpoint.  The
-    reverse sweep takes the segments newest first, rebuilds each one's step
-    states from its checkpoint, and pulls the cotangent back through them.
-    A segment is rebuilt in place, over the rows of the checkpoints already
-    swept, so the peak auxiliary memory is n_seg + seg_len + 1 states: the
-    states array, the cotangent, and during the forward pass the current
-    state.  The recompute costs up to one extra forward pass; with
-    ``seg_len = 1`` every state is a checkpoint and nothing is recomputed.
+    The forward pass keeps the start state of every ``seg_len``-step
+    segment but the last as a checkpoint, and records each step's start
+    and three stage states, as :func:`rk4_advance` returns them, for the
+    segment it is in.  The reverse sweep takes the segments newest first,
+    recording each earlier one again from its checkpoint.  It linearizes
+    the stages of up to ``BLOCK_STEPS`` steps in one
+    :func:`rhs_and_jacobians` call, then pulls the cotangent back through
+    them step by step on floats.  A stage's partials do not depend on the
+    block that computes them, so every ``seg_len`` gives the same bits.
+
+    The peak auxiliary memory is n_seg - 1 checkpoints, 4 seg_len recorded
+    states, one block's partials, the state ``x`` and the cotangent
+    ``lam``.  With ``seg_len = K`` nothing is recomputed; otherwise the
+    recompute costs up to one extra forward pass.
     """
     w = w or scn.weights
     t0 = time.perf_counter()
@@ -422,19 +419,29 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     K = scn.K
     n_seg = -(-K // seg_len)
     meter = MemoryMeter()
+    ckpt = np.empty((n_seg - 1, STATE_DIM))
+    # rows 4i to 4i + 3: the start state and stage states of the segment's
+    # step i
+    rec = np.empty((4 * seg_len, STATE_DIM))
+    meter.alloc(ckpt.size + rec.size + STATE_DIM)
 
-    states = np.empty((n_seg + seg_len - 1, STATE_DIM))
-    meter.alloc(states.size)
+    def advance(x, k):
+        """Step k from x, recorded in its segment's rows."""
+        nxt, stages, _ = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt,
+                                     scn, aero)
+        i = 4 * (k % seg_len)
+        rec[i] = x
+        rec[i + 1:i + 4] = stages
+        return nxt
+
     acc = _PathAccumulator(scn, w)
     x = scn.x0
-    meter.alloc(STATE_DIM)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            if k % seg_len == 0:
-                states[k // seg_len] = x
+            if k % seg_len == 0 and k // seg_len < len(ckpt):
+                ckpt[k // seg_len] = x
             acc.add(x, k)
-            x = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt, scn,
-                            aero)[0]
+            x = advance(x, k)
             _check_finite(x, k + 1)
     acc.add(x, K)
     total, terms = acc.finish(x, smoothness_penalty(seq, scn))
@@ -442,26 +449,30 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     lam = _terminal_cotangent(x, scn, w)
     meter.alloc(STATE_DIM)
     _add_path_cotangent(lam, x, K, acc.k_flip, scn, w)
-    meter.free(STATE_DIM)
 
     gT = np.zeros(K)
     gd = np.zeros(K)
     for j in range(n_seg - 1, -1, -1):
         s = j * seg_len
         e = min(s + seg_len, K)
-        o = j - s  # segment j's step k state lives in row k + o
-        for k in range(s, e - 1):
-            states[k + o + 1] = rk4_advance(states[k + o], seq.thrust[k],
-                                            seq.delta[k], scn.dt, scn, aero)[0]
-        for k in range(e - 1, s - 1, -1):
-            x = states[k + o]
-            lam, g_c = _step_vjp(x, seq.thrust[k], seq.delta[k], scn, aero,
-                                 lam)
-            gT[k], gd[k] = g_c
-            _add_path_cotangent(lam, x, k, acc.k_flip, scn, w)
+        if j < n_seg - 1:
+            x = ckpt[j]
+            for k in range(s, e):
+                x = advance(x, k)
+        for b in reversed(range(s, e, BLOCK_STEPS)):
+            n = min(BLOCK_STEPS, e - b)
+            lanes = rec[4 * (b - s):4 * (b - s + n)]
+            T = np.repeat(seq.thrust[b:b + n], 4)  # one thrust per stage
+            partials = rhs_and_jacobians(lanes, T, scn, aero).tolist()
+            meter.alloc(20 * len(lanes))
+            for k in reversed(range(b, b + n)):
+                i = 4 * (k - b)
+                lam, g_c = _step_vjp(partials[i:i + 4], scn.dt, lam)
+                gT[k], gd[k] = g_c
+                _add_path_cotangent(lam, lanes[i], k, acc.k_flip, scn, w)
+            meter.free(20 * len(lanes))
 
-    meter.free(STATE_DIM)
-    meter.free(states.size)
+    meter.free(ckpt.size + rec.size + 2 * STATE_DIM)
 
     gu_T, gu_d = _controls_to_raw_grad(raw, seq, gT, gd, scn, w)
     for name, g in (("u_T", gu_T), ("u_delta", gu_d)):
@@ -477,14 +488,15 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
 
 def grad_bptt(raw: RawControlParams, scn, aero: AeroModel,
               w: LossWeights | None = None) -> GradientReport:
-    """Exact gradient keeping every step state (memory linear in K)."""
-    return _grad(raw, scn, aero, w, 1, "bptt")
+    """Exact gradient recording every step's stages (memory linear in K)."""
+    return _grad(raw, scn, aero, w, scn.K, "bptt")
 
 
 def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
                  w: LossWeights | None = None) -> GradientReport:
     """Exact gradient from at most ADJOINT_TARGET_SEGMENTS checkpoints
-    (memory essentially flat in K); the same bits as :func:`grad_bptt`."""
+    (memory grows with K only through the segment length); the same bits
+    as :func:`grad_bptt`."""
     return _grad(raw, scn, aero, w, -(-scn.K // ADJOINT_TARGET_SEGMENTS),
                  "adjoint")
 

@@ -220,14 +220,43 @@ def test_weights_file_round_trip(surrogate, tmp_path):
     assert doc["layers"][-1]["rows"] == 3
 
 
-def test_mlp_alpha_derivative_matches_fd(surrogate):
+def test_mlp_alpha_derivative_matches_fd(case2_scn, surrogate):
+    # dF/dtheta of the vector Jacobian against central differences of the
+    # forces in theta, over a sweep of the angle of attack
     rng = np.random.default_rng(9)
     h = 1e-6
-    for alpha in rng.uniform(0.0, 2.0 * math.pi, 100):
-        _, dC = surrogate.coeffs_and_dalpha(math.sin(alpha), math.cos(alpha))
-        fd = (am.mlp_forward(surrogate, alpha + h)
-              - am.mlp_forward(surrogate, alpha - h)) / (2.0 * h)
-        np.testing.assert_allclose(dC, fd, rtol=1e-6, atol=1e-9)
+    alpha = rng.uniform(0.0, 2.0 * math.pi, 100)
+    gamma = rng.uniform(0.0, 2.0 * math.pi, 100)   # flight-path angle
+    X = np.zeros((100, 8))
+    X[:, dyn.IX_U] = 0.3 * np.cos(gamma)
+    X[:, dyn.IX_V] = 0.3 * np.sin(gamma)
+    X[:, dyn.IX_TH] = gamma - alpha
+    _, _, dF_dth = surrogate.forces_jac(X, case2_scn)
+    Xp, Xm = X.copy(), X.copy()
+    Xp[:, dyn.IX_TH] += h
+    Xm[:, dyn.IX_TH] -= h
+    fd = (np.array(surrogate.forces(Xp, case2_scn))
+          - np.array(surrogate.forces(Xm, case2_scn))) / (2.0 * h)
+    np.testing.assert_allclose(dF_dth, fd, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
+def test_float64_lanes_do_not_depend_on_batch_size(model_name, case2_scn,
+                                                   simplified, surrogate):
+    model = {"simplified": simplified, "surrogate": surrogate}[model_name]
+    rng = np.random.default_rng(21)
+    X = case2_scn.x0 + rng.normal(0.0, 0.05, (50, 8))
+    X[7, dyn.IX_U] = X[7, dyn.IX_V] = 0.0      # a lane at rest
+
+    def evaluate(states):
+        return (np.array(model.forces(states, case2_scn)),
+                *model.forces_jac(states, case2_scn))
+
+    batch = evaluate(X)
+    assert all(np.all(a[..., 7] == 0.0) for a in batch)
+    for j in range(50):
+        for a, b in zip(batch, evaluate(X[j:j + 1])):
+            assert np.array_equal(a[..., j], b[..., 0])
 
 
 def test_surrogate_zero_speed(case2_scn, surrogate):

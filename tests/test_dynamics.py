@@ -157,15 +157,20 @@ def test_rhs_jacobians_match_finite_differences(model_name, case1_scn,
     model = {"none": am.NoAero(), "simplified": am.SimplifiedAero(C_D=1.0),
              "surrogate": surrogate}[model_name]
     rng = np.random.default_rng(42)
+    cases = []
     for _ in range(5):
         s = state(u=rng.uniform(-0.4, 0.4), v=rng.uniform(-0.5, -0.05),
                   theta=rng.uniform(-1.0, 4.0), omega=rng.uniform(-0.3, 0.3),
                   m=rng.uniform(5.0, 5.6), delta_d=rng.uniform(-0.17, 0.17))
         T = rng.uniform(0.01, 0.04)
         delta = rng.uniform(-0.17, 0.17)
-        f, p = dyn.rhs_and_jacobians(s, T, delta, case1_scn, model)
-        np.testing.assert_allclose(f, dyn.eval_rhs(s, T, delta, case1_scn, model),
-                                   rtol=1e-14)
+        cases.append((s, T, delta))
+    # the five states linearized as the lanes of one batch
+    X = np.array([c[0] for c in cases])
+    thrusts = np.array([c[1] for c in cases])
+    P = dyn.rhs_and_jacobians(X, thrusts, case1_scn, model)
+    assert P.shape == (5, 20)
+    for p, (s, T, delta) in zip(P, cases):
         J, B = _dense_jacobians(p)
         Jn, Bn = _numeric_jacobians(s, T, delta, case1_scn, model)
         np.testing.assert_allclose(J, Jn, rtol=2e-6, atol=2e-7)
@@ -320,7 +325,7 @@ def test_non_finite_stage_raises():
         def forces(self, s, scn):
             return fo.AeroForces(np.inf, 0.0, 0.0)
 
-        def forces_jac(self, s, scn):
+        def forces_jac(self, states, scn):
             raise NotImplementedError
 
     scn_cfg = fo.load_scenario("case1")

@@ -96,7 +96,7 @@ def test_nonfinite_state_reports_step(short_scn):
                 return fo.AeroForces(float("nan"), 0.0, 0.0)
             return fo.AeroForces(0.0, 0.0, 0.0)
 
-        def forces_jac(self, s, scn):
+        def forces_jac(self, states, scn):
             raise NotImplementedError
 
     raw = fo.init_raw_params(short_scn)
@@ -272,10 +272,11 @@ def test_engines_match_finite_differences_at_full_horizon(preset, case1_scn,
         np.testing.assert_allclose(g[~big], r[~big], rtol=0, atol=1e-8)
 
 
-def _dense_step_vjp(x, T, delta, scn, model, lam):
-    """Reference step VJP: the transposed RK4 recursion on dense J and B."""
+def _dense_step_vjp(X, T, scn, model, lam):
+    """Reference step VJP: the transposed RK4 recursion on dense J and B of
+    the step's four stage states ``X``, each linearized on its own."""
     def jac(a):
-        _, p = dyn.rhs_and_jacobians(a, T, delta, scn, model)
+        p = dyn.rhs_and_jacobians(a[None], np.array([T]), scn, model)[0]
         J = np.zeros((8, 8))
         B = np.zeros((8, 2))
         for i in range(8):
@@ -285,8 +286,7 @@ def _dense_step_vjp(x, T, delta, scn, model, lam):
         return J, B
 
     dt = scn.dt
-    _, stages, _ = dyn.rk4_advance(x, T, delta, dt, scn, model)
-    (J1, B1), (J2, B2), (J3, B3), (J4, B4) = map(jac, (x, *stages))
+    (J1, B1), (J2, B2), (J3, B3), (J4, B4) = map(jac, X)
     g_k1, g_k2, g_k3, g_k4 = (dt / 6.0) * lam, (dt / 3.0) * lam, \
         (dt / 3.0) * lam, (dt / 6.0) * lam
     g_a4 = J4.T @ g_k4
@@ -311,10 +311,58 @@ def test_step_vjp_matches_dense_recursion(model_name, case1_scn, simplified,
     for k in (0, 30, 60, 89):
         lam = rng.normal(size=8)
         T, delta = seq.thrust[k], seq.delta[k]
-        g_x, g_c = ro._step_vjp(states[k], T, delta, scn, model, list(lam))
-        ref_x, ref_c = _dense_step_vjp(states[k], T, delta, scn, model, lam)
+        _, stages, _ = dyn.rk4_advance(states[k], T, delta, scn.dt, scn, model)
+        X = np.array([states[k], *stages])
+        partials = dyn.rhs_and_jacobians(X, np.full(4, T), scn, model).tolist()
+        g_x, g_c = ro._step_vjp(partials, scn.dt, list(lam))
+        ref_x, ref_c = _dense_step_vjp(X, T, scn, model, lam)
         np.testing.assert_allclose(g_x, ref_x, rtol=1e-12, atol=0)
         np.testing.assert_allclose(g_c, ref_c, rtol=1e-12, atol=0)
+
+
+class _RecordingAero:
+    """Aero proxy that keeps a copy of every batch ``forces_jac`` receives."""
+
+    def __init__(self, model):
+        self.model = model
+        self.forces = model.forces
+        self.jac_batches = []
+
+    def forces_jac(self, states, scn):
+        self.jac_batches.append(np.array(states))
+        return self.model.forces_jac(states, scn)
+
+
+@pytest.mark.parametrize("engine", ["bptt", "adjoint"])
+@pytest.mark.parametrize("K", [90, 97])
+def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
+                                                        surrogate,
+                                                        monkeypatch):
+    """One forces_jac call per block of up to 4 steps within a segment, on
+    states that are bit for bit the stage states of the rollout."""
+    scn = fo.nondimensionalize(truncate(case2_cfg, K))
+    raw = random_raw(scn, 23)
+    produced = set()
+
+    def recording_advance(x, *args):
+        out = dyn.rk4_advance(x, *args)
+        produced.update(a.tobytes() for a in (x, *out[1]))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(ro, "rk4_advance", recording_advance)
+        ro.rollout(raw, scn, surrogate)
+    assert len(produced) == 4 * K
+
+    proxy = _RecordingAero(surrogate)
+    getattr(ro, f"grad_{engine}")(raw, scn, proxy, scn.weights)
+    seg_len = K if engine == "bptt" else -(-K // ro.ADJOINT_TARGET_SEGMENTS)
+    n_blocks = sum(-(-min(seg_len, K - s) // 4) for s in range(0, K, seg_len))
+    assert len(proxy.jac_batches) == n_blocks
+    seen = [row.tobytes()
+            for X in proxy.jac_batches for row in np.atleast_2d(X)]
+    assert len(seen) == 4 * K
+    assert set(seen) <= produced
 
 
 @pytest.mark.parametrize("K", [1, 7, 30, 97])
@@ -420,10 +468,9 @@ def test_memory_meter_matches_traced_allocation(K, case2_cfg, surrogate):
 
 def test_gradient_nonfinite_raises(short_scn):
     class NaNAero(am.NoAero):
-        def forces_jac(self, s, scn):
-            F = np.zeros(3)
-            dF_dv = np.full((3, 2), np.nan)
-            return F, dF_dv, np.zeros(3)
+        def forces_jac(self, states, scn):
+            F, dF_dv, dF_dth = super().forces_jac(states, scn)
+            return F, np.full_like(dF_dv, np.nan), dF_dth
 
     raw = fo.init_raw_params(short_scn)
     with pytest.raises(FloatingPointError):
