@@ -14,10 +14,11 @@ Both models give the exact state Jacobian of their vector form, for a
 batch of states at once, to the gradient engine.
 
 ``forces`` takes one state of shape (8,) or a batch of lanes (..., 8).  A
-float64 state runs on Python floats; extended precision and batches take
-one vector form, which gives exactly zero force in every lane whose speed
-is below ``SPEED_FLOOR``.  ``forces_jac`` has only the vector form, with
-the same floor.
+float64 state runs on Python floats and returns them; the surrogate then
+costs one BLAS product and one tanh per layer, its biases folded into the
+weights.  Extended precision and batches take one vector form, which gives
+exactly zero force in every lane whose speed is below ``SPEED_FLOOR``.
+``forces_jac`` has only the vector form, with the same floor.
 """
 
 from __future__ import annotations
@@ -212,12 +213,16 @@ class MlpSurrogate:
     """Small tanh MLP mapping (sin alpha, cos alpha) -> (C_L, C_D, C_M).
 
     ``layers`` holds (weight, bias) pairs ordered input to output; hidden
-    activations are tanh, the output layer is affine.  Instances are
-    immutable; evaluation is pure and thread-safe.
+    activations are tanh, the output layer is affine.  ``folded`` holds
+    each layer as one matrix ``[W | b]`` for the single-encoding forward
+    pass, which allocates its activation buffers per call.  All arrays
+    are read-only, so instances are immutable and evaluation is pure and
+    thread-safe.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     meta: dict = field(default_factory=dict)
+    folded: tuple = field(init=False, repr=False, compare=False)
 
     kind = "surrogate"
 
@@ -226,26 +231,33 @@ class MlpSurrogate:
             raise ValueError("first layer must take 2 inputs (sin a, cos a)")
         if self.layers[-1][0].shape[0] != 3:
             raise ValueError("last layer must emit 3 coefficients")
+        folded = []
         for W, b in self.layers:
             if not (np.isfinite(W).all() and np.isfinite(b).all()):
                 raise ValueError("non-finite surrogate parameters")
-            W.setflags(write=False)
-            b.setflags(write=False)
+            folded.append(np.column_stack((W, b)))
+            for a in (W, b, folded[-1]):
+                a.setflags(write=False)
+        object.__setattr__(self, "folded", tuple(folded))
 
     # -- coefficient evaluation ---------------------------------------------
 
-    def coeffs_from_encoding(self, z: np.ndarray) -> np.ndarray:
-        """Forward pass from the (sin a, cos a) encoding."""
-        h = z
-        for W, b in self.layers[:-1]:
-            h = np.tanh(W @ h + b)
-        W, b = self.layers[-1]
-        return W @ h + b
+    def coeffs_from_encoding(self, z) -> np.ndarray:
+        """Forward pass from the (sin a, cos a) encoding ``z``.  Each layer
+        is one product of its folded ``[W | b]`` with a buffer that ends in
+        1.0, and a hidden layer's tanh fills the head of the next buffer."""
+        h = np.array((z[0], z[1], 1.0))
+        *hidden, out = self.folded
+        for Wb in hidden:
+            h_next = np.empty(len(Wb) + 1)
+            h_next[-1] = 1.0
+            np.tanh(np.dot(Wb, h), out=h_next[:-1])
+            h = h_next
+        return np.dot(out, h)
 
     def coeffs(self, alpha: float) -> np.ndarray:
         """(C_L, C_D, C_M) at an angle of attack; 2*pi periodic bit-exactly."""
-        z = np.array([np.sin(alpha), np.cos(alpha)])
-        return self.coeffs_from_encoding(z)
+        return self.coeffs_from_encoding((np.sin(alpha), np.cos(alpha)))
 
     def _network(self, z, dz=None):
         """Coefficients (..., 3) at encodings z (..., 2); with a tangent
@@ -272,9 +284,9 @@ class MlpSurrogate:
             th = float(state[IX_TH])
             cth = math.cos(th)
             sth = math.sin(th)
-            z = np.array([(v * cth - u * sth) / speed,
-                          (u * cth + v * sth) / speed])
-            C_L, C_D, C_M = self.coeffs_from_encoding(z)
+            C_L, C_D, C_M = self.coeffs_from_encoding(
+                ((v * cth - u * sth) / speed,
+                 (u * cth + v * sth) / speed)).tolist()
             s = scn.q_coef
             # drag along -v_hat, lift along the +90 deg rotation of v_hat
             return AeroForces(

@@ -66,7 +66,10 @@ class AeroForces(NamedTuple):
 class AeroModel(Protocol):
     """Anything that can produce aero forces and their state Jacobian."""
 
-    def forces(self, state: np.ndarray, scn: "NondimScenario") -> AeroForces: ...
+    def forces(self, state: np.ndarray, scn: "NondimScenario") -> AeroForces:
+        """(F_Ax, F_Ay, M_A) at one state (8,) or lanes (..., 8); a float64
+        state may give Python floats or numpy scalars, the RK4 kernel takes
+        both."""
 
     def forces_jac(
         self, states: np.ndarray, scn: "NondimScenario"

@@ -165,6 +165,60 @@ def test_surrogate_layer_validation():
         am.MlpSurrogate(layers=((np.full((3, 2), np.nan), np.zeros(3)),))
 
 
+def test_surrogate_parameters_are_read_only(surrogate):
+    for W, b in surrogate.layers:
+        for a in (W, b):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+    assert len(surrogate.folded) == len(surrogate.layers)
+    for Wb in surrogate.folded:
+        with pytest.raises(ValueError):
+            Wb[0, -1] = 1.0
+
+
+def _layerwise(model, z):
+    """The network written out one layer at a time, bias added after W @ h."""
+    h = np.asarray(z)
+    for W, b in model.layers[:-1]:
+        h = np.tanh(W @ h + b)
+    W, b = model.layers[-1]
+    return W @ h + b
+
+
+def _random_net(rng, hidden):
+    sizes = (2, *hidden, 3)
+    return am.MlpSurrogate(layers=tuple(
+        (rng.normal(size=(n_out, n_in)), rng.normal(size=n_out))
+        for n_in, n_out in zip(sizes[:-1], sizes[1:])))
+
+
+@pytest.mark.parametrize("hidden", [None, (7,), (5, 16, 9)])
+def test_folded_forward_matches_layerwise_reference(hidden, surrogate):
+    # the folded product sums the bias inside the BLAS call, so only the
+    # summation order may differ; atol covers outputs near a zero crossing
+    rng = np.random.default_rng(17)
+    model = surrogate if hidden is None else _random_net(rng, hidden)
+    for a in rng.uniform(0.0, 2.0 * math.pi, 200):
+        z = np.array([np.sin(a), np.cos(a)])
+        np.testing.assert_allclose(model.coeffs_from_encoding(z),
+                                   _layerwise(model, z), rtol=1e-14, atol=1e-14)
+
+
+def test_single_state_forces_are_floats_matching_one_lane(case2_scn,
+                                                           surrogate):
+    rng = np.random.default_rng(5)
+    X = case2_scn.x0 + rng.normal(0.0, 0.05, (40, 8))
+    for x in X:
+        F = surrogate.forces(x, case2_scn)
+        assert all(type(f) is float for f in F)
+        lane = np.array(surrogate.forces(x[None], case2_scn))[:, 0]
+        np.testing.assert_allclose(F, lane, rtol=1e-13)
+    still = state(u=0.5 * dyn.SPEED_FLOOR, v=-0.5 * dyn.SPEED_FLOOR)
+    F = surrogate.forces(still, case2_scn)
+    assert F == (0.0, 0.0, 0.0) and all(type(f) is float for f in F)
+    assert np.all(np.array(surrogate.forces(still[None], case2_scn)) == 0.0)
+
+
 def test_trained_fit_quality(surrogate):
     ds = am.generate_dataset(36)
     worst = 0.0
