@@ -5,6 +5,12 @@ built from a reference length, velocity and mass.  This module owns the
 dimensional configuration (loaded from JSON or from an embedded preset),
 its validation, and the conversion to and from the nondimensional scales.
 
+The JSON schema is one table, ``_SCHEMA``: a row per key gives its config
+field, its JSON type, its unit conversion and the values the field
+admits.  That table reads a scenario, writes it back and validates it.
+``ScenarioConfig`` validates itself on construction, so every config that
+exists is valid, and every error names the JSON key the user wrote.
+
 Scaling conventions:
     length  -> L_ref          velocity -> v_ref        mass   -> m_ref
     time    -> L_ref / v_ref  force    -> m_ref v_ref^2 / L_ref
@@ -16,10 +22,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from importlib import resources
-from operator import attrgetter
-from typing import Any
+from dataclasses import MISSING, dataclass, field, fields, replace
+from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .optimizer import OptimizerConfig
 from .rollout import LossWeights, Trajectory
 
 PRESET_NAMES = ("case1", "case2")
+_PRESET_DIR = Path(__file__).with_name("presets")
 
 
 class ScenarioError(ValueError):
@@ -126,6 +132,9 @@ class ScenarioConfig:
     opt: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        _validate(self)
+
     @property
     def dt(self) -> float:
         """Step size [s]; t_f is always dt * K by construction."""
@@ -178,264 +187,241 @@ class NondimScenario:
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# JSON schema: one row per key reads, writes and validates its field
+#
+# Each JSON type has read(), which only normalises a well-typed JSON value
+# into its field form (int to float, list to tuple) and passes anything
+# else on unchanged, and admits(), which decides whether a field value has
+# the right type and range.  So a mistyped value read from JSON and a bad
+# value set in code both fail in admits(), when the config is built.
 # ---------------------------------------------------------------------------
 
-def _field_names(kind: type) -> tuple[str, ...]:
-    """Dotted names of the config fields whose default is a ``kind``."""
-    sections = (("refs", ReferenceQuantities), ("vehicle", VehicleParams),
-                ("bc", BoundaryConditions), ("aero", AeroConfig),
-                ("loss_weights", LossWeights), ("opt", OptimizerConfig))
-    return tuple(f"{section}.{name}" for section, cls in sections
-                 for name, value in vars(cls()).items() if isinstance(value, kind))
+class _String:
+    """A JSON string, one of ``choices`` if any are given."""
+
+    def __init__(self, *choices: str) -> None:
+        self.choices = choices
+        self.what = " or ".join(map(repr, choices)) if choices else "a string"
+
+    def read(self, raw: Any) -> Any:
+        return raw
+
+    def admits(self, x: Any) -> bool:
+        return type(x) is str and (not self.choices or x in self.choices)
 
 
-# float and 2-vector fields, read in one call each by the finiteness check
-_SCALAR_FIELDS = _field_names(float)
-_VECTOR_FIELDS = _field_names(tuple)
-_get_scalars = attrgetter(*_SCALAR_FIELDS)
-_get_vectors = attrgetter(*_VECTOR_FIELDS)
+class _Number:
+    """A JSON number; its field lies in an interval such as '(0, 1]'."""
+
+    noun = "a number"
+
+    def __init__(self, interval: str = "(-inf, inf)") -> None:
+        self.what = f"{self.noun} in {interval}"
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        # step open ends one ulp inwards: lo <= x <= hi then decides
+        # membership, and it is false for NaN and for an infinite open end
+        self.lo = math.nextafter(lo, math.inf) if interval[0] == "(" else lo
+        self.hi = math.nextafter(hi, -math.inf) if interval[-1] == ")" else hi
+
+    def read(self, raw: Any) -> Any:
+        # an int outside the interval (even beyond float range) stays an
+        # int, which admits() rejects
+        return float(raw) if type(raw) is int and self.lo <= raw <= self.hi else raw
+
+    def admits(self, x: Any) -> bool:
+        # a JSON true is a Python bool, a subclass of int, but not a number
+        return (type(x) is float or type(x) is int) and self.lo <= x <= self.hi
 
 
-def _require(cond: bool, name: str, msg: str) -> None:
-    if not cond:
-        raise ScenarioError(f"invalid scenario field '{name}': {msg}")
+class _Integer(_Number):
+    noun = "an integer"
+
+    def read(self, raw: Any) -> Any:
+        return int(raw) if type(raw) is float and raw.is_integer() else raw
+
+    def admits(self, x: Any) -> bool:
+        return type(x) is int and self.lo <= x <= self.hi
 
 
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Check every invariant, naming the offending field on failure.
+class _Vector(_Number):
+    noun = "a list of 2 numbers"
 
-    Every float field must be finite; the other checks follow."""
-    scalars = _get_scalars(cfg)
-    vectors = _get_vectors(cfg)
-    # one sum is non-finite if any entry is (or if large entries overflow)
-    if not math.isfinite(sum(scalars) + sum(map(sum, vectors))):
-        for name, value in zip(_SCALAR_FIELDS, scalars):
-            _require(math.isfinite(value), name, "must be finite")
-        for name, value in zip(_VECTOR_FIELDS, vectors):
-            _require(all(map(math.isfinite, value)), name, "must be finite")
-    clip = cfg.opt.grad_clip
-    _require(clip is None or math.isfinite(clip), "opt.grad_clip", "must be finite")
-    _require(math.isfinite(cfg.t_f), "t_f_s", "must be finite")
-    r = cfg.refs
-    for name in ("L_ref", "v_ref", "m_ref", "rho", "g0"):
-        _require(getattr(r, name) > 0.0, f"refs.{name}", "must be strictly positive")
-    v = cfg.vehicle
-    _require(v.m_dry < v.m_wet, "m_dry", f"m_dry ({v.m_dry}) must be < m_wet ({v.m_wet})")
-    _require(v.m_dry > 0.0, "m_dry", "must be positive")
-    _require(0.0 < v.throttle_min_frac < 1.0, "throttle_min_frac", "must be in (0, 1)")
-    _require(v.delta_max > 0.0, "delta_max", "must be positive")
-    _require(v.T_d > 0.0, "T_d", "must be positive")
-    _require(v.T_max > 0.0, "T_max", "must be positive")
-    _require(v.J_z > 0.0, "J_z", "must be positive")
-    _require(v.I_sp > 0.0, "I_sp", "must be positive")
-    _require(0.0 < v.l_cg_frac < 1.0, "l_cg_frac", "must be in (0, 1)")
-    _require(v.S_ref > 0.0, "S_ref", "must be positive")
-    _require(cfg.K >= 1, "K", "must be >= 1")
-    _require(cfg.t_f > 0.0, "t_f_s", "must be positive")
-    _require(cfg.aero.kind in ("simplified", "surrogate"), "aero.kind",
-             "must be 'simplified' or 'surrogate'")
-    _require(cfg.aero.C_D >= 0.0, "aero.C_D", "must be >= 0")
-    _require(0.0 < cfg.aero.l_cp_frac < 1.0, "aero.l_cp_frac", "must be in (0, 1)")
-    w = cfg.loss_weights
-    for name in ("w_r", "w_v", "w_theta", "w_omega", "w_smooth", "w_mass", "w_flip"):
-        _require(getattr(w, name) >= 0.0, f"loss_weights.{name}", "must be >= 0")
-    o = cfg.opt
-    _require(0.0 <= o.beta1 < 1.0, "opt.beta1", "must be in [0, 1)")
-    _require(0.0 <= o.beta2 < 1.0, "opt.beta2", "must be in [0, 1)")
-    _require(o.lr_max >= o.lr_min > 0.0, "opt.lr_max", "need lr_max >= lr_min > 0")
-    _require(o.n_steps >= 1, "opt.n_steps", "must be >= 1")
-    _require(o.grad_engine in ("bptt", "adjoint"), "opt.grad_engine",
-             "must be 'bptt' or 'adjoint'")
+    def read(self, raw: Any) -> Any:
+        return tuple(map(super().read, raw)) if type(raw) is list else raw
+
+    def admits(self, x: Any) -> bool:
+        return type(x) is tuple and len(x) == 2 and all(map(super().admits, x))
 
 
-# ---------------------------------------------------------------------------
-# JSON schema (all keys optional; unspecified fields keep defaults)
-# ---------------------------------------------------------------------------
+class _Nullable:
+    """JSON null, read as None, or a value of ``inner``."""
 
-def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
-    """Build a validated config from the documented JSON schema.
+    def __init__(self, inner: _String | _Number) -> None:
+        self.inner = inner
+        self.what = f"null or {inner.what}"
 
-    A key the schema does not know is an error at every level, so a
-    misspelt key cannot silently leave its field at the default."""
-    _reject_unknown_keys(data)
-    try:
-        refs = _refs_from(data.get("refs", {}))
-        vehicle = _vehicle_from(data.get("vehicle", {}))
-        bc = _bc_from(data.get("bc", {}))
-        aero = _aero_from(data.get("aero", {}))
-        weights = _weights_from(data.get("loss_weights", {}))
-        opt = _opt_from(data.get("opt", {}))
-        cfg = ScenarioConfig(
-            refs=refs, vehicle=vehicle, bc=bc,
-            K=int(data.get("K", ScenarioConfig.K)),
-            t_f=float(data.get("t_f_s", ScenarioConfig.t_f)),
-            aero=aero, loss_weights=weights, opt=opt,
-            seed=int(data.get("seed", ScenarioConfig.seed)),
-        )
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"malformed scenario data: {exc}") from exc
-    validate_config(cfg)
-    return cfg
+    def read(self, raw: Any) -> Any:
+        return raw if raw is None else self.inner.read(raw)
+
+    def admits(self, x: Any) -> bool:
+        return x is None or self.inner.admits(x)
 
 
-def _refs_from(d: dict[str, Any]) -> ReferenceQuantities:
-    base = ReferenceQuantities()
-    return ReferenceQuantities(
-        L_ref=float(d.get("L_ref_m", base.L_ref)),
-        v_ref=float(d.get("v_ref_mps", base.v_ref)),
-        m_ref=float(d.get("m_ref_kg", base.m_ref)),
-        rho=float(d.get("rho_kgpm3", base.rho)),
-        g0=float(d.get("g0_mps2", base.g0)),
-    )
+_DEGREES = (math.radians, math.degrees)   # (JSON -> field, field -> JSON)
 
 
-def _vehicle_from(d: dict[str, Any]) -> VehicleParams:
-    base = VehicleParams()
-    return VehicleParams(
-        J_z=float(d.get("J_z_kgm2", base.J_z)),
-        I_sp=float(d.get("I_sp_s", base.I_sp)),
-        m_wet=float(d.get("m_wet_kg", base.m_wet)),
-        m_dry=float(d.get("m_dry_kg", base.m_dry)),
-        l_cg_frac=float(d.get("l_cg_frac", base.l_cg_frac)),
-        T_max=float(d.get("T_max_N", base.T_max)),
-        throttle_min_frac=float(d.get("throttle_min_frac", base.throttle_min_frac)),
-        delta_max=math.radians(float(d["delta_max_deg"])) if "delta_max_deg" in d
-        else base.delta_max,
-        T_d=float(d.get("T_d_s", base.T_d)),
-        eps_corr=float(d.get("eps_corr", base.eps_corr)),
-        eta_corr=float(d.get("eta_corr", base.eta_corr)),
-        S_ref=float(d.get("S_ref_m2", base.S_ref)),
-    )
+@dataclass(frozen=True)
+class _Key:
+    """One key of the scenario JSON, the config field it sets and the values
+    that field admits.  A unit conversion scales the field; it moves no
+    bound of the intervals used."""
+
+    section: str                 # enclosing JSON object; "" at the top level
+    key: str
+    field: str
+    value: _String | _Number | _Nullable
+    unit: tuple[Callable[[float], float], Callable[[float], float]] | None = None
+
+    def error(self) -> ScenarioError:
+        name = f"{self.section}.{self.key}" if self.section else self.key
+        return ScenarioError(
+            f"invalid scenario field '{name}': must be {self.value.what}")
+
+    def read(self, raw: Any) -> Any:
+        value = self.value.read(raw)
+        return self.unit[0](value) if self.unit and type(value) is float else value
+
+    def write(self, value: Any) -> Any:
+        if self.unit is not None:
+            value = self.unit[1](value)
+        return list(value) if type(value) is tuple else value
 
 
-def _bc_from(d: dict[str, Any]) -> BoundaryConditions:
-    base = BoundaryConditions()
+_SCHEMA = (
+    _Key("refs", "L_ref_m", "L_ref", _Number("(0, inf)")),
+    _Key("refs", "v_ref_mps", "v_ref", _Number("(0, inf)")),
+    _Key("refs", "m_ref_kg", "m_ref", _Number("(0, inf)")),
+    _Key("refs", "rho_kgpm3", "rho", _Number("(0, inf)")),
+    _Key("refs", "g0_mps2", "g0", _Number("(0, inf)")),
+    _Key("vehicle", "J_z_kgm2", "J_z", _Number("(0, inf)")),
+    _Key("vehicle", "I_sp_s", "I_sp", _Number("(0, inf)")),
+    _Key("vehicle", "m_wet_kg", "m_wet", _Number("(0, inf)")),
+    _Key("vehicle", "m_dry_kg", "m_dry", _Number("(0, inf)")),
+    _Key("vehicle", "l_cg_frac", "l_cg_frac", _Number("(0, 1)")),
+    _Key("vehicle", "T_max_N", "T_max", _Number("(0, inf)")),
+    _Key("vehicle", "throttle_min_frac", "throttle_min_frac", _Number("(0, 1)")),
+    _Key("vehicle", "delta_max_deg", "delta_max", _Number("(0, inf)"), _DEGREES),
+    _Key("vehicle", "T_d_s", "T_d", _Number("(0, inf)")),
+    _Key("vehicle", "eps_corr", "eps_corr", _Number()),
+    _Key("vehicle", "eta_corr", "eta_corr", _Number()),
+    _Key("vehicle", "S_ref_m2", "S_ref", _Number("(0, inf)")),
+    _Key("bc", "r0_m", "r0", _Vector()),
+    _Key("bc", "v0_mps", "v0", _Vector()),
+    _Key("bc", "theta0_deg", "theta0", _Number(), _DEGREES),
+    _Key("bc", "omega0_radps", "omega0", _Number()),
+    _Key("bc", "a0_mps2", "a0", _Vector()),
+    _Key("bc", "r_f_m", "r_f", _Vector()),
+    _Key("bc", "v_f_mps", "v_f", _Vector()),
+    _Key("bc", "theta_f_deg", "theta_f", _Number(), _DEGREES),
+    _Key("bc", "omega_f_radps", "omega_f", _Number()),
+    _Key("bc", "t_flip_max_s", "t_flip_max", _Number()),
+    _Key("", "K", "K", _Integer("[1, inf)")),
+    _Key("", "t_f_s", "t_f", _Number("(0, inf)")),
+    _Key("aero", "kind", "kind", _String("simplified", "surrogate")),
+    _Key("aero", "C_D", "C_D", _Number("[0, inf)")),
+    _Key("aero", "l_cp_frac", "l_cp_frac", _Number("(0, 1)")),
+    _Key("aero", "weights_path", "weights_path", _Nullable(_String())),
+    *(_Key("loss_weights", name, name, _Number("[0, inf)"))
+      for name in ("w_r", "w_v", "w_theta", "w_omega", "w_smooth", "w_mass", "w_flip")),
+    _Key("opt", "beta1", "beta1", _Number("[0, 1)")),
+    _Key("opt", "beta2", "beta2", _Number("[0, 1)")),
+    _Key("opt", "eps", "eps", _Number("(0, inf)")),
+    _Key("opt", "lr_max", "lr_max", _Number()),    # lr_max >= lr_min > 0 below
+    _Key("opt", "lr_min", "lr_min", _Number()),
+    _Key("opt", "n_steps", "n_steps", _Integer("[1, inf)")),
+    _Key("opt", "grad_engine", "grad_engine", _String("bptt", "adjoint")),
+    _Key("opt", "log_every", "log_every", _Integer("[0, inf)")),   # 0: silent
+    _Key("opt", "grad_clip", "grad_clip", _Nullable(_Number("(0, inf)"))),
+    _Key("", "seed", "seed", _Integer("[0, inf)")),   # numpy takes seeds >= 0
+)
 
-    def vec(key: str, default: tuple[float, float]) -> tuple[float, float]:
-        raw = d.get(key, default)
-        return (float(raw[0]), float(raw[1]))
-
-    return BoundaryConditions(
-        r0=vec("r0_m", base.r0),
-        v0=vec("v0_mps", base.v0),
-        theta0=math.radians(float(d["theta0_deg"])) if "theta0_deg" in d else base.theta0,
-        omega0=float(d.get("omega0_radps", base.omega0)),
-        a0=vec("a0_mps2", base.a0),
-        r_f=vec("r_f_m", base.r_f),
-        v_f=vec("v_f_mps", base.v_f),
-        theta_f=math.radians(float(d["theta_f_deg"])) if "theta_f_deg" in d else base.theta_f,
-        omega_f=float(d.get("omega_f_radps", base.omega_f)),
-        t_flip_max=float(d.get("t_flip_max_s", base.t_flip_max)),
-    )
+# the rows by JSON object and key; the top level ("") comes first
+_SECTIONS: dict[str, dict[str, _Key]] = {"": {}}
+for _row in _SCHEMA:
+    _SECTIONS.setdefault(_row.section, {})[_row.key] = _row
+# the config class behind each nested object
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(ScenarioConfig)
+                  if f.default_factory is not MISSING}
 
 
-def _aero_from(d: dict[str, Any]) -> AeroConfig:
-    base = AeroConfig()
-    return AeroConfig(
-        kind=str(d.get("kind", base.kind)),
-        C_D=float(d.get("C_D", base.C_D)),
-        l_cp_frac=float(d.get("l_cp_frac", base.l_cp_frac)),
-        weights_path=d.get("weights_path", base.weights_path),
-    )
+def _validate(cfg: ScenarioConfig) -> None:
+    """Check every field against its row, then the two cross-field rules."""
+    for section, rows in _SECTIONS.items():
+        obj = getattr(cfg, section) if section else cfg
+        for row in rows.values():
+            if not row.value.admits(getattr(obj, row.field)):
+                raise row.error()
+    v, o = cfg.vehicle, cfg.opt
+    if not v.m_dry < v.m_wet:
+        raise ScenarioError(f"invalid scenario field 'vehicle.m_dry_kg': must be < "
+                            f"vehicle.m_wet_kg ({v.m_dry} >= {v.m_wet})")
+    if not o.lr_max >= o.lr_min > 0.0:
+        raise ScenarioError("invalid scenario field 'opt.lr_max': "
+                            "need opt.lr_max >= opt.lr_min > 0")
 
 
-def _weights_from(d: dict[str, Any]) -> LossWeights:
-    base = LossWeights()
-    kwargs = {name: float(d.get(name, getattr(base, name)))
-              for name in ("w_r", "w_v", "w_theta", "w_omega",
-                           "w_smooth", "w_mass", "w_flip")}
-    return LossWeights(**kwargs)
+def scenario_from_dict(data: Any) -> ScenarioConfig:
+    """Build a config from the JSON schema in ``_SCHEMA``.
 
-
-def _opt_from(d: dict[str, Any]) -> OptimizerConfig:
-    base = OptimizerConfig()
-    clip = d.get("grad_clip", base.grad_clip)
-    return OptimizerConfig(
-        beta1=float(d.get("beta1", base.beta1)),
-        beta2=float(d.get("beta2", base.beta2)),
-        eps=float(d.get("eps", base.eps)),
-        lr_max=float(d.get("lr_max", base.lr_max)),
-        lr_min=float(d.get("lr_min", base.lr_min)),
-        n_steps=int(d.get("n_steps", base.n_steps)),
-        grad_engine=str(d.get("grad_engine", base.grad_engine)),
-        log_every=int(d.get("log_every", base.log_every)),
-        grad_clip=None if clip is None else float(clip),
-    )
+    Every key is optional; an omitted key leaves its field at the default.
+    A key the schema does not know, a value of the wrong JSON type and a
+    value out of range are each an error naming the key, so nothing the
+    data says is silently ignored or changed."""
+    kwargs: dict[str, Any] = {}
+    for section, rows in _SECTIONS.items():
+        obj = data.get(section, {}) if section else data
+        if not isinstance(obj, dict):
+            raise ScenarioError(f"scenario key '{section}' must be an object"
+                                if section else "a scenario must be a JSON object")
+        values = {}
+        for key, raw in obj.items():
+            if key in rows:
+                values[rows[key].field] = rows[key].read(raw)
+            elif section or key not in _SECTIONS:
+                prefix = f"{section}." if section else ""
+                raise ScenarioError(f"unknown scenario key '{prefix}{key}'")
+        if section:
+            kwargs[section] = _SECTION_TYPES[section](**values)
+        else:
+            kwargs.update(values)
+    return ScenarioConfig(**kwargs)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
     """Serialize a config back to the JSON schema (exact round-trip)."""
-    r, v, b = cfg.refs, cfg.vehicle, cfg.bc
-    return {
-        "refs": {"L_ref_m": r.L_ref, "v_ref_mps": r.v_ref, "m_ref_kg": r.m_ref,
-                 "rho_kgpm3": r.rho, "g0_mps2": r.g0},
-        "vehicle": {"J_z_kgm2": v.J_z, "I_sp_s": v.I_sp, "m_wet_kg": v.m_wet,
-                    "m_dry_kg": v.m_dry, "l_cg_frac": v.l_cg_frac,
-                    "T_max_N": v.T_max, "throttle_min_frac": v.throttle_min_frac,
-                    "delta_max_deg": math.degrees(v.delta_max), "T_d_s": v.T_d,
-                    "eps_corr": v.eps_corr, "eta_corr": v.eta_corr,
-                    "S_ref_m2": v.S_ref},
-        "bc": {"r0_m": list(b.r0), "v0_mps": list(b.v0),
-               "theta0_deg": math.degrees(b.theta0), "omega0_radps": b.omega0,
-               "a0_mps2": list(b.a0), "r_f_m": list(b.r_f), "v_f_mps": list(b.v_f),
-               "theta_f_deg": math.degrees(b.theta_f), "omega_f_radps": b.omega_f,
-               "t_flip_max_s": b.t_flip_max},
-        "K": cfg.K,
-        "t_f_s": cfg.t_f,
-        "aero": {"kind": cfg.aero.kind, "C_D": cfg.aero.C_D,
-                 "l_cp_frac": cfg.aero.l_cp_frac,
-                 "weights_path": cfg.aero.weights_path},
-        "loss_weights": {name: getattr(cfg.loss_weights, name)
-                         for name in ("w_r", "w_v", "w_theta", "w_omega",
-                                      "w_smooth", "w_mass", "w_flip")},
-        "opt": {"beta1": cfg.opt.beta1, "beta2": cfg.opt.beta2, "eps": cfg.opt.eps,
-                "lr_max": cfg.opt.lr_max, "lr_min": cfg.opt.lr_min,
-                "n_steps": cfg.opt.n_steps, "grad_engine": cfg.opt.grad_engine,
-                "log_every": cfg.opt.log_every, "grad_clip": cfg.opt.grad_clip},
-        "seed": cfg.seed,
-    }
-
-
-# every key of the schema, nested as in the JSON; a nested object is a section
-_SCHEMA = scenario_to_dict(ScenarioConfig())
-_SECTIONS = tuple(key for key, value in _SCHEMA.items() if isinstance(value, dict))
-
-
-def _reject_unknown_keys(data: dict[str, Any]) -> None:
-    levels = [("", data, _SCHEMA)]
-    for section in _SECTIONS:
-        value = data.get(section, {})
-        if not isinstance(value, dict):
-            raise ScenarioError(f"scenario key '{section}' must be an object")
-        levels.append((section + ".", value, _SCHEMA[section]))
-    for prefix, d, schema in levels:
-        if not d.keys() <= schema.keys():
-            raise ScenarioError("unknown scenario key "
-                                f"'{prefix}{min(d.keys() - schema.keys())}'")
+    doc: dict[str, Any] = {}
+    for row in _SCHEMA:
+        obj = getattr(cfg, row.section) if row.section else cfg
+        (doc.setdefault(row.section, {}) if row.section else doc)[row.key] = \
+            row.write(getattr(obj, row.field))
+    return doc
 
 
 def load_scenario(path_or_name: str) -> ScenarioConfig:
     """Load a scenario from a JSON file or a preset name (case1 / case2)."""
-    if path_or_name in PRESET_NAMES:
-        text = resources.files("flipopt.presets").joinpath(
-            f"{path_or_name}.json").read_text()
-        source = f"preset '{path_or_name}'"
-    else:
-        try:
-            with open(path_or_name, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-        source = path_or_name
+    path = (_PRESET_DIR / f"{path_or_name}.json" if path_or_name in PRESET_NAMES
+            else path_or_name)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
-            f"{source}: JSON parse error at line {exc.lineno}, column {exc.colno}: "
+            f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{source}: top-level JSON value must be an object")
     return scenario_from_dict(data)
 
 
@@ -445,7 +431,6 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
 
 def nondimensionalize(cfg: ScenarioConfig) -> NondimScenario:
     """Scale every dimensional quantity by the reference power products."""
-    validate_config(cfg)
     r, v, b = cfg.refs, cfg.vehicle, cfg.bc
     L, V, M = r.L_ref, r.v_ref, r.m_ref
     t_ref = r.t_ref

@@ -62,16 +62,39 @@ def test_unknown_scenario_exits_2():
     assert "case1" in proc.stderr and "case2" in proc.stderr
 
 
+SURROGATE = {"kind": "surrogate"}
+
+
 @pytest.mark.parametrize("data, field", [
-    ({"K": "abc"}, "invalid literal"),
+    ({"K": "abc"}, "'K'"),
     ({"t_f_s": math.inf}, "t_f_s"),
     ({"bc": {"theta_f_deg": math.nan}}, "bc.theta_f"),
     ({"loss_weights": {"w_smoth": 1.0}}, "loss_weights.w_smoth"),
     ({"vehicel": {"J_z_kgm2": 2e7}}, "vehicel"),
     ({"refs": 5}, "refs"),
+    ({"vehicle": {"T_max_N": "2e6"}}, "vehicle.T_max_N"),
+    ({"aero": {"C_D": True}}, "aero.C_D"),
+    ({"K": 2.7}, "'K'"),
+    ({"opt": {"n_steps": 10.9}}, "opt.n_steps"),
+    ({"opt": {"log_every": 2.5}}, "opt.log_every"),
+    ({"seed": 0.5}, "'seed'"),
+    ({"bc": {"v0_mps": [1, 2, 3]}}, "bc.v0_mps"),
+    ({"bc": {"r0_m": "12"}}, "bc.r0_m"),
+    ({"aero": {**SURROGATE, "weights_path": 5}}, "aero.weights_path"),
+    ({"aero": {**SURROGATE, "weights_path": "missing.json"}}, "aero.weights_path"),
+    ({"aero": {**SURROGATE, "weights_path": "layers-3.json"}}, "aero.weights_path"),
 ], ids=["K-abc", "t_f_s-inf", "theta_f-nan", "w_smoth-unknown",
-        "vehicel-unknown", "refs-not-object"])
+        "vehicel-unknown", "refs-not-object", "T_max-string", "C_D-bool",
+        "K-fraction", "n_steps-fraction", "log_every-fraction",
+        "seed-fraction", "v0-three-numbers", "r0-string",
+        "weights_path-number", "weights-missing", "weights-malformed"])
 def test_malformed_scenario_value_exits_2(tmp_path, data, field):
+    (tmp_path / "layers-3.json").write_text(
+        json.dumps({"activation": "tanh", "layers": 3}))
+    aero = data.get("aero", {})
+    if isinstance(aero.get("weights_path"), str):   # a file name in tmp_path
+        data = {**data, "aero": {**aero, "weights_path": str(
+            tmp_path / aero["weights_path"])}}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))   # writes Infinity and NaN literals
     proc = run_cli("optimize", "--scenario", str(bad), "--out",

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,10 +45,37 @@ def test_presets_reproduce_parameter_table(name, J_z, r_f):
     assert doc["K"] == 90
 
 
-def test_dict_round_trip_is_exact(case1_cfg):
-    doc = sc.scenario_to_dict(case1_cfg)
+@pytest.mark.parametrize("cfg", [
+    fo.load_scenario("case1"),
+    fo.load_scenario("case2"),
+    sc.ScenarioConfig(aero=sc.AeroConfig(kind="surrogate", weights_path="w.json"),
+                      opt=fo.OptimizerConfig(grad_clip=0.5)),
+], ids=["case1", "case2", "nullables-set"])
+def test_dict_round_trip_is_exact(cfg):
+    doc = sc.scenario_to_dict(cfg)
     again = sc.scenario_from_dict(json.loads(json.dumps(doc)))
-    assert again == case1_cfg
+    assert again == cfg
+
+
+def test_json_numbers_take_the_field_type():
+    # a manifest records the scenario as read, so 1 and 1.0 must write alike
+    doc = sc.scenario_to_dict(sc.scenario_from_dict(
+        {"vehicle": {"J_z_kgm2": 20000000}, "bc": {"r0_m": [1, 2]}, "K": 1e2}))
+    assert json.dumps([doc["vehicle"]["J_z_kgm2"], doc["bc"]["r0_m"], doc["K"]]) \
+        == "[20000000.0, [1.0, 2.0], 100]"
+
+
+def test_readme_schema_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Scenario JSON schema")[1].split("```jsonc")[1]
+    doc = json.loads(re.sub(r"//[^\n]*", "", block.split("```")[0]))
+
+    def keys(d, prefix=""):
+        return {k for key, value in d.items() for k in
+                (keys(value, f"{prefix}{key}.") if isinstance(value, dict)
+                 else [prefix + key])}
+
+    assert keys(doc) == keys(sc.scenario_to_dict(sc.ScenarioConfig()))
 
 
 def test_unspecified_fields_take_defaults():
@@ -78,6 +107,8 @@ def test_parse_failure_reports_line(tmp_path):
     ({"K": 0}, "K"),
     ({"aero": {"kind": "cfd"}}, "aero.kind"),
     ({"opt": {"lr_min": 0.0}}, "opt.lr_max"),
+    ({"opt": {"grad_clip": -1.0}}, "opt.grad_clip"),
+    ({"opt": {"eps": 0.0}}, "opt.eps"),
 ])
 def test_invariant_violations_are_named(patch, field):
     with pytest.raises(fo.ScenarioError, match=field.replace(".", r"\.")):
