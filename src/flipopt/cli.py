@@ -85,7 +85,12 @@ def _resolve_seed(args, cfg_seed: int) -> int:
         return int(args.seed)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise sc.ScenarioError(
+                f"invalid environment variable {SEED_ENV_VAR}={env!r}: "
+                f"expected an integer seed") from None
     return cfg_seed
 
 
@@ -346,6 +351,9 @@ def cmd_train_aero(args) -> int:
         log.error("--samples must be >= 4 (got %d)", args.samples)
         return 2
     seed = _resolve_seed(args, 0)
+    if seed < 0:
+        log.error("the seed must be >= 0 (got %d)", seed)
+        return 2
     out_path = Path(args.out)
     out_dir = out_path.parent if out_path.parent != Path("") else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -88,16 +88,18 @@ def reparameterize_grads(raw: RawControlParams, scn):
     return dT, dd
 
 
-def smoothness_penalty(seq: ControlSequence, scn) -> float:
+def smoothness_penalty(seq: ControlSequence, scn) -> np.floating:
     """Sum of squared step-to-step control changes, scaled dimensionless.
 
-    Zero for constant sequences and invariant under time reversal.
+    Zero for constant sequences and invariant under time reversal.  The
+    sum stays in the controls' dtype, so extended-precision controls get
+    an extended-precision penalty.
     """
     if seq.K < 2:
-        return 0.0
+        return seq.thrust.dtype.type(0.0)
     dT = np.diff(seq.thrust) / scn.T_max
     dd = np.diff(seq.delta) / scn.delta_max
-    return float(np.dot(dT, dT) + np.dot(dd, dd))
+    return np.dot(dT, dT) + np.dot(dd, dd)
 
 
 def smoothness_grads(seq: ControlSequence, scn):

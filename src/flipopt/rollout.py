@@ -19,9 +19,10 @@ the flip deadline).  Gradients come from one engine and one oracle:
   their gradients agree to the last bit; only the memory counters differ.
 * :func:`finite_diff_grad` - central differences on the raw parameters,
   the independent validation oracle.  Its 4K perturbed rollouts advance
-  together as the lanes of one state batch, and it can evaluate them in
-  extended precision to push the difference roundoff floor far below the
-  gradient-check tolerances.
+  together as the lanes of one state batch, each starting from the
+  unperturbed rollout at the step it perturbs, and it can evaluate them
+  in extended precision to push the difference roundoff floor far below
+  the gradient-check tolerances.
 """
 
 from __future__ import annotations
@@ -219,30 +220,38 @@ class _PathAccumulator:
 
     The gradient engine and the finite-difference oracle feed states
     through this accumulator, so every route sums the loss terms in an
-    identical floating-point order.  A state may be a batch of lanes
-    (B, 8); the accumulated terms are then one value per lane.
+    identical floating-point order.  With ``lanes`` it keeps one mass
+    floor and one flip sum per lane: a batch of p states (p, 8) updates
+    lanes 0 to p - 1, and :meth:`seed` starts later lanes from lane 0's
+    sums.  The oracle uses both to let a perturbed rollout take over the
+    base rollout's prefix (see :func:`finite_diff_grad`).
     """
 
-    def __init__(self, scn, w: LossWeights, dtype=None):
+    def __init__(self, scn, w: LossWeights, dtype=None, lanes: int | None = None):
         self.scn = scn
         self.w = w
         self.k_flip = first_flip_index(scn)
-        zero = (dtype or np.float64)(0.0)
-        self.mass_acc = zero
-        self.flip_acc = zero
-        self.terminal = None
+        shape = () if lanes is None else lanes
+        self.mass_acc = np.zeros(shape, dtype)
+        self.flip_acc = np.zeros(shape, dtype)
 
     def add(self, x: np.ndarray, k: int) -> None:
         x = x.T
         m = x[IX_M]
         m_dry = self.scn.m_dry
+        p = slice(len(m)) if m.ndim else ()  # the lanes that x holds
         if m.ndim or m < m_dry:
             # a lane above the floor adds an exact zero
             d = np.where(m < m_dry, m_dry - m, 0.0)
-            self.mass_acc = self.mass_acc + d * d
+            self.mass_acc[p] += d * d
         if k >= self.k_flip:
             e = x[IX_TH] - self.scn.theta_f
-            self.flip_acc = self.flip_acc + e * e
+            self.flip_acc[p] += e * e
+
+    def seed(self, lanes: slice) -> None:
+        """Copy lane 0's sums into ``lanes``."""
+        self.mass_acc[lanes] = self.mass_acc[0]
+        self.flip_acc[lanes] = self.flip_acc[0]
 
     def finish(self, x_final: np.ndarray, smoothness):
         """Total and terms, given the smoothness penalty of the controls
@@ -510,21 +519,27 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
                      dtype=None) -> GradientReport:
     """Central differences on every raw parameter (2 rollouts per entry).
 
-    The ``n_rollouts`` = 4K perturbed rollouts advance together as the
-    lanes of one (4K, 8) state array, one :func:`rk4_advance` call per
-    step.  The lanes come in blocks of K: u_T + h, u_T - h, u_delta + h,
-    u_delta - h, where lane i of a block moves entry i.  Lanes never mix,
-    and in extended precision each lane's loss is bit-identical to a
-    rollout of its perturbed controls on its own.  No unperturbed loss is
-    evaluated, so the report's ``loss`` is None.  ``peak_aux_floats``
-    counts the lane states, the RK4 step's stage states, stage derivatives
-    and result, the lane controls and loss accumulators, and the control
-    sequences; the aero model's temporaries are not counted.
+    The ``n_rollouts`` = 4K perturbed rollouts and the unperturbed base
+    rollout advance together as the 4K + 1 lanes of one state batch.  Lane
+    0 is the base rollout; lanes 4i + 1 to 4i + 4 move the entry of step i
+    by u_T + h, u_T - h, u_delta + h and u_delta - h.  Such a lane equals
+    the base rollout until step i, so it shares that prefix instead of
+    computing it: at step k, lanes 4k + 1 to 4k + 4 take lane 0's state
+    and loss sums, and one :func:`rk4_advance` call advances the first
+    4k + 5 lanes.  That is 2K(K + 1) + K lane-steps against 4K^2 for
+    running every lane from the start.  Lanes never mix, and in extended
+    precision each lane's loss is bit-identical to a rollout of its
+    perturbed controls on its own.  The base lane's loss is not reported,
+    so the report's ``loss`` is None.  ``peak_aux_floats`` counts the lane
+    states, the RK4 step's stage states, stage derivatives and result,
+    the lane controls and loss sums, and the control sequences, for all
+    4K + 1 lanes at the last step; the aero model's temporaries are not
+    counted.
 
-    ``dtype=np.longdouble`` runs the perturbed rollouts in extended
-    precision, which drops the cancellation floor of the difference
-    quotient by ~5 orders of magnitude on x86; the analytic engine stays
-    untouched, so the oracle remains an independent route to the value.
+    ``dtype=np.longdouble`` runs the rollouts in extended precision, which
+    drops the cancellation floor of the difference quotient by ~5 orders
+    of magnitude on x86; the analytic engine stays untouched, so the
+    oracle remains an independent route to the value.
     """
     w = w or scn.weights
     if h <= 0:
@@ -538,34 +553,39 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     base = reparameterize(RawControlParams(u_T, u_d), scn)
     plus = reparameterize(RawControlParams(u_T + h, u_d + h), scn)
     minus = reparameterize(RawControlParams(u_T - h, u_d - h), scn)
-    moved = (plus.thrust, minus.thrust, plus.delta, minus.delta)  # per block
-    smoothness = np.empty(n)
+    moved = (plus.thrust, minus.thrust, plus.delta, minus.delta)  # per lane
+    smoothness = np.zeros(n + 1, dtype)  # lane 0's loss is not used
     for j in range(n):
-        block, i = divmod(j, K)
+        i, kind = divmod(j, 4)
         lane = [base.thrust.copy(), base.delta.copy()]
-        lane[block // 2][i] = moved[block][i]
-        smoothness[j] = smoothness_penalty(ControlSequence(*lane), scn)
+        lane[kind // 2][i] = moved[kind][i]
+        smoothness[j + 1] = smoothness_penalty(ControlSequence(*lane), scn)
 
-    acc = _PathAccumulator(scn, w, dtype=dtype)
-    x = np.tile(scn.x0.astype(dtype), (n, 1))
+    acc = _PathAccumulator(scn, w, dtype=dtype, lanes=n + 1)
+    # field-major, so that each field's lane prefix is contiguous
+    xt = np.tile(scn.x0.astype(dtype)[:, None], n + 1)
     for k in range(K):
+        p = 4 * k + 5  # the base lane and the lanes that have left it
+        new = slice(p - 4, p)
+        xt[:, new] = xt[:, :1]
+        acc.seed(new)
+        x = xt[:, :p].T
         acc.add(x, k)
-        T = np.full(n, base.thrust[k])
-        T[k] = plus.thrust[k]
-        T[K + k] = minus.thrust[k]
-        delta = np.full(n, base.delta[k])
-        delta[2 * K + k] = plus.delta[k]
-        delta[3 * K + k] = minus.delta[k]
-        x = rk4_advance(x, T, delta, scn.dt, scn, aero)[0]
-    acc.add(x, K)
-    total, _ = acc.finish(x, smoothness)
-    lp_lm = total.reshape(4, K)
+        T = np.full(p, base.thrust[k])
+        T[p - 4:p - 2] = plus.thrust[k], minus.thrust[k]
+        delta = np.full(p, base.delta[k])
+        delta[p - 2:] = plus.delta[k], minus.delta[k]
+        xt[:, :p] = rk4_advance(x, T, delta, scn.dt, scn, aero)[0].T
+    acc.add(xt.T, K)
+    total, _ = acc.finish(xt.T, smoothness)
+    # rows: u_T + h, u_T - h, u_delta + h, u_delta - h
+    lp_lm = total[1:].reshape(K, 4).T
     g = ((lp_lm[0::2] - lp_lm[1::2]) / (2.0 * dtype(h))).astype(np.float64)
 
     # the three control sequences, and per lane the state, the RK4 step's
     # three stage states, four stage derivatives and result, the lane's
-    # thrust, gimbal and mass rate, and its three loss accumulators
-    peak_aux = 6 * K + n * (9 * STATE_DIM + 6)
+    # thrust, gimbal and mass rate, its two loss sums and its smoothness
+    peak_aux = 6 * K + (n + 1) * (9 * STATE_DIM + 6)
     return GradientReport(
         grad_u_T=g[0], grad_u_delta=g[1], engine="finite_diff",
         wall_time_s=time.perf_counter() - t0,

@@ -214,6 +214,23 @@ def test_seed_env_var_override(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_non_integer_seed_env_var_exits_2(tmp_path):
+    proc = run_cli("check-grad", "--scenario", "case1", "--k", "6", "--out",
+                   str(tmp_path / "cg"), env_extra={cli.SEED_ENV_VAR: "abc"})
+    assert proc.returncode == 2
+    assert cli.SEED_ENV_VAR in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_train_aero_negative_seed_exits_2(tmp_path):
+    proc = run_cli("train-aero", "--samples", "12", "--seed", "-1",
+                   "--out", str(tmp_path / "w.json"))
+    assert proc.returncode == 2
+    assert "seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "w.json").exists()
+
+
 def test_check_grad_passes_and_detects_corruption(tmp_path):
     rc = cli.main(["check-grad", "--scenario", "case1", "--k", "6",
                    "--out", str(tmp_path / "cg")])

@@ -121,6 +121,25 @@ def test_smoothness_time_reversal_invariance(case1_scn, vals):
         fo.smoothness_penalty(rev, scn), rel=1e-12, abs=1e-15)
 
 
+def test_smoothness_keeps_the_control_dtype(case1_scn):
+    scn = case1_scn
+    rng = np.random.default_rng(3)
+    t = rng.uniform(scn.T_min, scn.T_max, 12)
+    d = rng.uniform(-scn.delta_max, scn.delta_max, 12)
+    # float64 keeps the bits of the plain float64 sum
+    s64 = fo.smoothness_penalty(fo.ControlSequence(t, d), scn)
+    dT, dd = np.diff(t) / scn.T_max, np.diff(d) / scn.delta_max
+    assert s64 == float(np.dot(dT, dT) + np.dot(dd, dd))
+    # long double is summed, and returned, in long double
+    tl, dl = t.astype(np.longdouble), d.astype(np.longdouble)
+    sld = fo.smoothness_penalty(fo.ControlSequence(tl, dl), scn)
+    dT, dd = np.diff(tl) / scn.T_max, np.diff(dl) / scn.delta_max
+    assert sld.dtype == np.longdouble
+    assert sld == np.dot(dT, dT) + np.dot(dd, dd)
+    one = fo.ControlSequence(tl[:1], dl[:1])
+    assert fo.smoothness_penalty(one, scn).dtype == np.longdouble
+
+
 def test_smoothness_single_step_edge(case1_scn):
     seq = fo.ControlSequence(thrust=np.array([0.03]), delta=np.array([0.0]))
     assert fo.smoothness_penalty(seq, case1_scn) == 0.0

@@ -242,12 +242,28 @@ def _fd_reference(raw, scn, model, h):
     return np.array(grads)
 
 
-@pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
-def test_finite_diff_lanes_match_single_rollouts(model_name, case1_cfg,
-                                                 simplified, surrogate):
-    scn = fo.nondimensionalize(truncate(case1_cfg, 6))
+@pytest.mark.parametrize("model_name, K, dry_margin_kg", [
+    ("simplified", 6, None), ("surrogate", 6, None),
+    ("simplified", 16, None), ("surrogate", 16, None),
+    ("simplified", 16, 500.0), ("surrogate", 16, 500.0),
+], ids=["simplified", "surrogate", "K16-simplified", "K16-surrogate",
+        "K16-dry-floor-simplified", "K16-dry-floor-surrogate"])
+def test_finite_diff_lanes_match_single_rollouts(model_name, K, dry_margin_kg,
+                                                 case1_cfg, simplified,
+                                                 surrogate):
+    # K = 16 passes case1's first flip index (11), so lanes start from the
+    # base lane's non-zero flip sum; a dry mass 500 kg below the wet mass
+    # puts the floor inside the horizon, so they start from its mass sum too
+    cfg = truncate(case1_cfg, K)
+    if dry_margin_kg is not None:
+        v = cfg.vehicle
+        cfg = replace(cfg, vehicle=replace(v, m_dry=v.m_wet - dry_margin_kg))
+    scn = fo.nondimensionalize(cfg)
     model = {"simplified": simplified, "surrogate": surrogate}[model_name]
     raw = random_raw(scn, 19)
+    terms = ro.loss(ro.rollout(raw, scn, model), scn.weights, scn).terms
+    assert (terms["flip_deadline"] > 0) == (K > ro.first_flip_index(scn))
+    assert (terms["mass_floor"] > 0) == (dry_margin_kg is not None)
     fd = ro.finite_diff_grad(raw, scn, model, scn.weights, h=1e-6,
                              dtype=np.longdouble)
     assert fd.n_rollouts == 4 * scn.K
