@@ -33,7 +33,6 @@ from .dynamics import (
     angle_of_attack,
     rhs,
     rk4_step,
-    thrust_force_and_moment,
 )
 from .optimizer import (
     AdamState,

@@ -13,12 +13,16 @@ model (:func:`standin_coeffs`), sampled on a uniform angle-of-attack grid.
 Both models give the exact state Jacobian of their vector form, for a
 batch of states at once, to the gradient engine.
 
-``forces`` takes one state of shape (8,) or a batch of lanes (..., 8).  A
-float64 state runs on Python floats and returns them; the surrogate then
-costs one BLAS product and one tanh per layer, its biases folded into the
-weights.  Extended precision and batches take one vector form, which gives
-exactly zero force in every lane whose speed is below ``SPEED_FLOOR``.
-``forces_jac`` has only the vector form, with the same floor.
+Each model's ``forces`` states its force law once, for one state of shape
+(8,) and for a batch of lanes (..., 8); the input chooses only how the law
+is evaluated.  A float64 state reads its fields as Python floats, takes
+``math`` trigonometry, returns zero force at once below ``SPEED_FLOOR`` and
+returns Python floats; the surrogate's network then costs one BLAS product
+and one tanh per layer, its biases folded into the weights.  Extended
+precision and batches read one vector per field, take numpy trigonometry
+and the fixed-order einsum network, and give exactly zero force in every
+lane whose speed is below the floor.  ``forces_jac`` has only the vector
+form, with the same floor.
 """
 
 from __future__ import annotations
@@ -100,30 +104,22 @@ class SimplifiedAero:
             raise ValueError("l_cp_frac must be in (0, 1)")
 
     def forces(self, state, scn) -> AeroForces:
-        if state.dtype == np.float64 and state.ndim == 1:
-            u = float(state[IX_U])
-            v = float(state[IX_V])
-            speed = math.hypot(u, v)
-            if speed < SPEED_FLOOR:
-                return AeroForces(0.0, 0.0, 0.0)
-            c = scn.q_coef * self.C_D
-            th = float(state[IX_TH])
-            lever = self.l_cp_frac - scn.l_cg_frac
-            return AeroForces(
-                -c * speed * u,
-                -c * speed * v,
-                lever * c * speed * (v * math.cos(th) - u * math.sin(th)),
-            )
-        # vector form: extended precision and batches of lanes
-        u, v, th = state[..., IX_U], state[..., IX_V], state[..., IX_TH]
-        speed = np.hypot(u, v)
+        single = state.dtype == np.float64 and state.ndim == 1
+        if single:
+            u, v, th = float(state[IX_U]), float(state[IX_V]), float(state[IX_TH])
+            ops = math
+        else:
+            u, v, th = state[..., IX_U], state[..., IX_V], state[..., IX_TH]
+            ops = np
+        speed = ops.hypot(u, v)
+        if single and speed < SPEED_FLOOR:
+            return AeroForces(0.0, 0.0, 0.0)
         c = scn.q_coef * self.C_D
         lever = self.l_cp_frac - scn.l_cg_frac
-        return AeroForces(*_floored(speed, (
-            -c * speed * u,
-            -c * speed * v,
-            lever * c * speed * (v * np.cos(th) - u * np.sin(th)),
-        )))
+        F = (-c * speed * u,
+             -c * speed * v,
+             lever * c * speed * (v * ops.cos(th) - u * ops.sin(th)))
+        return AeroForces(*(F if single else _floored(speed, F)))
 
     def forces_jac(self, states, scn):
         u, v, th = states[..., IX_U], states[..., IX_V], states[..., IX_TH]
@@ -275,38 +271,30 @@ class MlpSurrogate:
     # -- force assembly -------------------------------------------------------
 
     def forces(self, state, scn) -> AeroForces:
-        if state.dtype == np.float64 and state.ndim == 1:
-            u = float(state[IX_U])
-            v = float(state[IX_V])
+        single = state.dtype == np.float64 and state.ndim == 1
+        if single:
+            u, v, th = float(state[IX_U]), float(state[IX_V]), float(state[IX_TH])
             speed = math.hypot(u, v)
             if speed < SPEED_FLOOR:
                 return AeroForces(0.0, 0.0, 0.0)
-            th = float(state[IX_TH])
             cth = math.cos(th)
             sth = math.sin(th)
             C_L, C_D, C_M = self.coeffs_from_encoding(
                 ((v * cth - u * sth) / speed,
                  (u * cth + v * sth) / speed)).tolist()
-            s = scn.q_coef
-            # drag along -v_hat, lift along the +90 deg rotation of v_hat
-            return AeroForces(
-                s * speed * (-C_D * u - C_L * v),
-                s * speed * (-C_D * v + C_L * u),
-                s * speed * speed * C_M,
-            )
-        # vector form: extended precision and batches of lanes; a lane at
-        # rest divides by zero here and is zeroed by the speed floor
-        u, v = state[..., IX_U], state[..., IX_V]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sin_a, cos_a, speed = wind_axes(state)
-        C = self._network(np.stack((sin_a, cos_a), axis=-1))
-        C_L, C_D, C_M = C[..., 0], C[..., 1], C[..., 2]
+        else:
+            # a lane at rest divides by zero here and is zeroed by the floor
+            u, v = state[..., IX_U], state[..., IX_V]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sin_a, cos_a, speed = wind_axes(state)
+            C = self._network(np.stack((sin_a, cos_a), axis=-1))
+            C_L, C_D, C_M = C[..., 0], C[..., 1], C[..., 2]
         s = scn.q_coef
-        return AeroForces(*_floored(speed, (
-            s * speed * (-C_D * u - C_L * v),
-            s * speed * (-C_D * v + C_L * u),
-            s * speed * speed * C_M,
-        )))
+        # drag along -v_hat, lift along the +90 deg rotation of v_hat
+        F = (s * speed * (-C_D * u - C_L * v),
+             s * speed * (-C_D * v + C_L * u),
+             s * speed * speed * C_M)
+        return AeroForces(*(F if single else _floored(speed, F)))
 
     def forces_jac(self, states, scn):
         # alpha depends on the state through the encoding only: its tangent

@@ -130,12 +130,12 @@ def build_aero_model(cfg: sc.ScenarioConfig):
                                     seed=cfg.seed)
 
 
-def _write_manifest(out_dir: Path, subcommand: str, resolved_args: dict,
+def _write_manifest(out_dir: Path, args, resolved_args: dict,
                     cfg: sc.ScenarioConfig | None, seed: int,
                     input_paths: list[str], outputs: list[str]) -> None:
     doc = {
-        "subcommand": subcommand,
-        "command": sys.argv,
+        "subcommand": args.cmd,
+        "command": args.command,
         "tool_version": __version__,
         "seed": seed,
         "resolved_args": resolved_args,
@@ -158,7 +158,8 @@ def replay_manifest(manifest_path, out_dir) -> int:
         return 2
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ns_args = dict(doc["resolved_args"])
+    ns_args = dict(doc["resolved_args"], cmd=doc["subcommand"],
+                   command=doc.get("command"))
     if doc["scenario_snapshot"] is not None:
         snap = out_dir / "_scenario_replay.json"
         _write_json(snap, doc["scenario_snapshot"])
@@ -290,7 +291,7 @@ def cmd_optimize(args) -> int:
     inputs = [args.scenario] if args.scenario not in sc.PRESET_NAMES else []
     if cfg.aero.weights_path:
         inputs.append(cfg.aero.weights_path)
-    _write_manifest(out, "optimize", resolved, cfg, cfg.seed, inputs,
+    _write_manifest(out, args, resolved, cfg, cfg.seed, inputs,
                     outputs + ["manifest.json"])
     finite = all(math.isfinite(v) for v in
                  summary["terminal"]["position_error_m"] +
@@ -341,7 +342,7 @@ def cmd_simulate(args) -> int:
     resolved = {"scenario": args.scenario, "out": str(out),
                 "controls": args.controls, "no_aero": bool(args.no_aero),
                 "seed": cfg.seed, "steps": None, "engine": None, "k": None}
-    _write_manifest(out, "simulate", resolved, cfg, cfg.seed,
+    _write_manifest(out, args, resolved, cfg, cfg.seed,
                     [args.controls], outputs + ["manifest.json"])
     return 0
 
@@ -370,7 +371,7 @@ def cmd_train_aero(args) -> int:
               "n_samples": args.samples, "seed": seed}
     _write_json(out_dir / "fit_report.json", report)
     resolved = {"samples": args.samples, "seed": seed, "out": str(out_path)}
-    _write_manifest(out_dir, "train-aero", resolved, None, seed, [],
+    _write_manifest(out_dir, args, resolved, None, seed, [],
                     [out_path.name, "dataset.csv", "fit_report.json",
                      "manifest.json"])
     worst = max(report["max_abs_err"].values())
@@ -433,9 +434,9 @@ def cmd_check_grad(args) -> int:
            "pass": ok}
     _write_json(out / "check_grad.json", doc)
     resolved = {"scenario": args.scenario, "out": str(out), "seed": cfg.seed,
-                "engine": report.engine, "k": cfg.K, "steps": None,
+                "engine": report.engine, "k": cfg.K,
                 "corrupt": bool(args.corrupt)}
-    _write_manifest(out, "check-grad", resolved, cfg, cfg.seed, [],
+    _write_manifest(out, args, resolved, cfg, cfg.seed, [],
                     ["check_grad.json", "manifest.json"])
     if ok:
         print(f"gradient check passed: worst relative error {worst_rel:.3e}")
@@ -458,12 +459,26 @@ def _read_table(path) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
+def _run_scenario(run_dir: Path) -> sc.ScenarioConfig:
+    """The scenario snapshot that the run in ``run_dir`` recorded."""
+    path = run_dir / "manifest.json"
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return sc.scenario_from_dict(json.load(fh)["scenario_snapshot"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise sc.ScenarioError(
+            f"cannot read the run's scenario from {path}: {exc}") from exc
+
+
 def cmd_plot(args) -> int:
     run_dir = Path(args.run_dir)
     traj_path = run_dir / "trajectory.csv"
     if not traj_path.is_file():
         log.error("no trajectory.csv in %s", run_dir)
         return 2
+    cfg = _run_scenario(run_dir)
+    L_ref = cfg.refs.L_ref
+    l_cg = cfg.vehicle.l_cg_frac
     try:
         tab = _read_table(traj_path)
         needed = [c for c in TRAJECTORY_HEADER.split(",")]
@@ -471,13 +486,12 @@ def cmd_plot(args) -> int:
         if missing:
             log.error("trajectory.csv missing columns: %s", ", ".join(missing))
             return 2
-        L_ref = float(args.L_ref)
         t = tab["t_s"]
         theta_rad = np.radians(tab["theta_deg"])
         delta_d_rad = np.radians(tab["delta_d_deg"])
         speed = np.hypot(tab["u_mps"], tab["v_mps"])
         # engine pitch torque about the cg, from the logged lagged gimbal
-        torque = -tab["thrust_N"] * np.sin(delta_d_rad) * (args.arm_frac * L_ref)
+        torque = -tab["thrust_N"] * np.sin(delta_d_rad) * ((1.0 - l_cg) * L_ref)
         k_red = tab["omega_radps"] * L_ref / (2.0 * np.maximum(speed, 1e-6))
 
         plots.write_panel_grid(run_dir / "controls_velocity.svg", [
@@ -493,7 +507,7 @@ def cmd_plot(args) -> int:
         ])
         plots.write_pose_plot(run_dir / "trajectory_pose.svg",
                               tab["x_m"] / L_ref, tab["y_m"] / L_ref,
-                              theta_rad, args.cg_frac,
+                              theta_rad, l_cg,
                               "Attitude and trajectory evolution")
         plots.write_panel_grid(run_dir / "state_panel.svg", [
             ("Engine torque", "t [s]", "M_T [MN m]",
@@ -511,7 +525,7 @@ def cmd_plot(args) -> int:
         ], ncols=2)
         flip_y = plots.flip_altitude_over_L(
             tab["y_m"] / L_ref, tab["theta_deg"],
-            tab["theta_deg"][0], 90.0)
+            math.degrees(cfg.bc.theta0), math.degrees(cfg.bc.theta_f))
     except plots.PlotError as exc:
         log.error("%s", exc)
         return 2
@@ -570,21 +584,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10,
                    help="step count for the check (dt kept fixed)")
     p.add_argument("--engine", choices=("bptt", "adjoint"), default=None)
-    p.add_argument("--steps", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check_grad)
 
     p = sub.add_parser("plot", help="emit SVG plots from a run directory")
-    p.add_argument("run_dir", help="directory containing trajectory.csv")
-    p.add_argument("--L-ref", dest="L_ref", type=float, default=50.0)
-    p.add_argument("--cg-frac", dest="cg_frac", type=float, default=0.60)
-    p.add_argument("--arm-frac", dest="arm_frac", type=float, default=0.40)
+    p.add_argument("run_dir",
+                   help="run directory with trajectory.csv and manifest.json")
     p.set_defaults(func=cmd_plot)
     return ap
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.command = argv
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")

@@ -81,18 +81,6 @@ class AeroModel(Protocol):
         ...
 
 
-def thrust_force_and_moment(T, delta_d, theta, scn) -> tuple[tuple, float]:
-    """Thrust force vector and gimbal moment about the cg.
-
-    The engine sits on the body axis at the base, a lever arm of
-    (1 - l_cg_frac) vehicle lengths from the cg.
-    """
-    psi = theta + delta_d
-    F = (T * np.cos(psi), T * np.sin(psi))
-    M = -T * np.sin(delta_d) * scn.l_arm
-    return F, M
-
-
 def angle_of_attack(state: np.ndarray) -> float:
     """Angle between the velocity vector and the body axis, in [0, 2*pi).
 
@@ -147,11 +135,6 @@ def rhs(state: np.ndarray, ctrl: tuple, aero: AeroForces, scn) -> np.ndarray:
     T, delta = ctrl
     return np.array(_derivative(state, aero, T, delta, -T / scn.c_ex,
                                 np.cos, np.sin, scn), dtype=state.dtype)
-
-
-def eval_rhs(state: np.ndarray, T, delta, scn, aero_model: AeroModel) -> np.ndarray:
-    """RHS with the aero model evaluated at this state."""
-    return rhs(state, (T, delta), aero_model.forces(state, scn), scn)
 
 
 def rhs_and_jacobians(states: np.ndarray, T, scn, aero_model: AeroModel):

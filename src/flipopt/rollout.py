@@ -48,6 +48,7 @@ from .dynamics import (
     IX_V,
     IX_X,
     IX_Y,
+    SPEED_FLOOR,
     STATE_DIM,
     STATE_FIELDS,
     AeroModel,
@@ -152,34 +153,6 @@ class GradientReport:
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.grad_u_T, self.grad_u_delta])
-
-
-class MemoryMeter:
-    """Counts live auxiliary floats; engines report the peak.
-
-    The engine counts the checkpoints, the segment record (four states per
-    step), the partials of the block of stages being linearized (20 per
-    stage), the current forward state ``x`` and the cotangent ``lam``.
-    The O(K) arrays of control size (the control gradients and the squash
-    and smoothness gradients) are not counted, so the adjoint's measured
-    allocation still grows with K: its ``tracemalloc`` peak on case2 is
-    about 52 KB at K = 180 and 66 KB at K = 360, while the difference
-    between the two policies' peaks matches 8 bytes per counted float.
-    The aero model's temporaries for one block are not counted either; they
-    are the same under both policies.
-    """
-
-    def __init__(self) -> None:
-        self.current = 0
-        self.peak = 0
-
-    def alloc(self, n: int) -> None:
-        self.current += n
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def free(self, n: int) -> None:
-        self.current -= n
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +283,8 @@ def rollout_controls(seq: ControlSequence, scn, aero: AeroModel) -> Trajectory:
                                             scn.dt, scn, aero)
             _check_finite(x, k + 1)
             states[k + 1] = x
-    alpha = np.empty(K)
-    defined = np.empty(K, dtype=bool)
-    for k in range(K):
-        x = states[k]
-        speed = np.hypot(x[IX_U], x[IX_V])
-        defined[k] = bool(speed >= 1e-12)
-        alpha[k] = angle_of_attack(x)
+    alpha = np.array([angle_of_attack(x) for x in states[:K]])
+    defined = np.hypot(states[:K, IX_U], states[:K, IX_V]) >= SPEED_FLOOR
     return Trajectory(states=states, thrust=seq.thrust.copy(),
                       delta_cmd=seq.delta.copy(), aero=aero_log, alpha=alpha,
                       alpha_defined=defined, dt=float(scn.dt))
@@ -417,9 +385,17 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     them step by step on floats.  A stage's partials do not depend on the
     block that computes them, so every ``seg_len`` gives the same bits.
 
-    The peak auxiliary memory is n_seg - 1 checkpoints, 4 seg_len recorded
-    states, one block's partials, the state ``x`` and the cotangent
-    ``lam``.  With ``seg_len = K`` nothing is recomputed; otherwise the
+    ``peak_aux_floats`` is read from the arrays the sweep keeps: n_seg - 1
+    checkpoints, the segment record of 4 seg_len states, the state ``x``,
+    the cotangent ``lam`` and the partials of one block of up to
+    ``BLOCK_STEPS`` steps, 20 per stage.  The O(K) arrays of control size
+    (the control gradients and the squash and smoothness gradients) are
+    not counted, so the adjoint's measured allocation still grows with K:
+    its ``tracemalloc`` peak on case2 is about 52 KB at K = 180 and 66 KB
+    at K = 360, while the difference between the two policies' peaks
+    matches 8 bytes per counted float.  The aero model's temporaries for
+    one block are not counted either; they are the same under both
+    policies.  With ``seg_len = K`` nothing is recomputed; otherwise the
     recompute costs up to one extra forward pass.
     """
     w = w or scn.weights
@@ -427,12 +403,10 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     seq = reparameterize(raw, scn)
     K = scn.K
     n_seg = -(-K // seg_len)
-    meter = MemoryMeter()
     ckpt = np.empty((n_seg - 1, STATE_DIM))
     # rows 4i to 4i + 3: the start state and stage states of the segment's
     # step i
     rec = np.empty((4 * seg_len, STATE_DIM))
-    meter.alloc(ckpt.size + rec.size + STATE_DIM)
 
     def advance(x, k):
         """Step k from x, recorded in its segment's rows."""
@@ -456,7 +430,6 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     total, terms = acc.finish(x, smoothness_penalty(seq, scn))
 
     lam = _terminal_cotangent(x, scn, w)
-    meter.alloc(STATE_DIM)
     _add_path_cotangent(lam, x, K, acc.k_flip, scn, w)
 
     gT = np.zeros(K)
@@ -473,15 +446,11 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
             lanes = rec[4 * (b - s):4 * (b - s + n)]
             T = np.repeat(seq.thrust[b:b + n], 4)  # one thrust per stage
             partials = rhs_and_jacobians(lanes, T, scn, aero).tolist()
-            meter.alloc(20 * len(lanes))
             for k in reversed(range(b, b + n)):
                 i = 4 * (k - b)
                 lam, g_c = _step_vjp(partials[i:i + 4], scn.dt, lam)
                 gT[k], gd[k] = g_c
                 _add_path_cotangent(lam, lanes[i], k, acc.k_flip, scn, w)
-            meter.free(20 * len(lanes))
-
-    meter.free(ckpt.size + rec.size + 2 * STATE_DIM)
 
     gu_T, gu_d = _controls_to_raw_grad(raw, seq, gT, gd, scn, w)
     for name, g in (("u_T", gu_T), ("u_delta", gu_d)):
@@ -491,7 +460,9 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
                 f"non-finite gradient component {name}[{bad[0]}]")
     return GradientReport(
         grad_u_T=gu_T, grad_u_delta=gu_d, engine=engine,
-        wall_time_s=time.perf_counter() - t0, peak_aux_floats=meter.peak,
+        wall_time_s=time.perf_counter() - t0,
+        peak_aux_floats=(ckpt.size + rec.size + 2 * STATE_DIM
+                         + 80 * min(BLOCK_STEPS, seg_len)),
         loss=_breakdown(total, terms))
 
 

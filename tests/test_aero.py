@@ -204,19 +204,22 @@ def test_folded_forward_matches_layerwise_reference(hidden, surrogate):
                                    _layerwise(model, z), rtol=1e-14, atol=1e-14)
 
 
-def test_single_state_forces_are_floats_matching_one_lane(case2_scn,
+@pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
+def test_single_state_forces_are_floats_matching_one_lane(model_name, case2_scn,
+                                                           simplified,
                                                            surrogate):
+    model = {"simplified": simplified, "surrogate": surrogate}[model_name]
     rng = np.random.default_rng(5)
     X = case2_scn.x0 + rng.normal(0.0, 0.05, (40, 8))
     for x in X:
-        F = surrogate.forces(x, case2_scn)
+        F = model.forces(x, case2_scn)
         assert all(type(f) is float for f in F)
-        lane = np.array(surrogate.forces(x[None], case2_scn))[:, 0]
+        lane = np.array(model.forces(x[None], case2_scn))[:, 0]
         np.testing.assert_allclose(F, lane, rtol=1e-13)
     still = state(u=0.5 * dyn.SPEED_FLOOR, v=-0.5 * dyn.SPEED_FLOOR)
-    F = surrogate.forces(still, case2_scn)
+    F = model.forces(still, case2_scn)
     assert F == (0.0, 0.0, 0.0) and all(type(f) is float for f in F)
-    assert np.all(np.array(surrogate.forces(still[None], case2_scn)) == 0.0)
+    assert np.all(np.array(model.forces(still[None], case2_scn)) == 0.0)
 
 
 def test_trained_fit_quality(surrogate):

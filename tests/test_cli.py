@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import flipopt.cli as cli
+import flipopt.plots as plots
+import flipopt.scenario as sc
 
 # short runs keep the CLI suite fast; full-budget runs live in acceptance
 FAST = ["--k", "12", "--steps", "40"]
@@ -254,9 +256,32 @@ def test_plot_missing_trajectory_exits_2(tmp_path):
     assert cli.main(["plot", str(tmp_path)]) == 2
 
 
-def test_plot_empty_trajectory_exits_2(tmp_path):
+def test_plot_empty_trajectory_exits_2(tmp_path, case1_cfg, caplog):
     (tmp_path / "trajectory.csv").write_text(cli.TRAJECTORY_HEADER + "\n")
+    cli._write_json(tmp_path / "manifest.json",
+                    {"scenario_snapshot": sc.scenario_to_dict(case1_cfg)})
     assert cli.main(["plot", str(tmp_path)]) == 2
+    assert "no data rows" in caplog.text
+
+
+def test_plot_takes_the_runs_scenario(opt_run, tmp_path, caplog):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "trajectory.csv").write_bytes((opt_run / "trajectory.csv").read_bytes())
+    assert cli.main(["plot", str(run)]) == 2  # no manifest
+    assert "manifest.json" in caplog.text
+    manifest = json.loads((opt_run / "manifest.json").read_text())
+    snap = manifest["scenario_snapshot"]
+    snap["refs"]["L_ref_m"] = 40.0
+    snap["vehicle"]["l_cg_frac"] = 0.5
+    cli._write_json(run / "manifest.json", manifest)
+    assert cli.main(["plot", str(run)]) == 0
+    tab = cli._read_table(run / "trajectory.csv")
+    plots.write_pose_plot(tmp_path / "pose.svg", tab["x_m"] / 40.0,
+                          tab["y_m"] / 40.0, np.radians(tab["theta_deg"]),
+                          0.5, "Attitude and trajectory evolution")
+    assert ((run / "trajectory_pose.svg").read_bytes()
+            == (tmp_path / "pose.svg").read_bytes())
 
 
 def test_manifest_replay_reproduces_outputs(opt_run, tmp_path):
@@ -265,6 +290,24 @@ def test_manifest_replay_reproduces_outputs(opt_run, tmp_path):
     assert rc == 0
     for name in ("trajectory.csv", "controls.csv", "loss_history.csv"):
         assert (replay_dir / name).read_bytes() == (opt_run / name).read_bytes()
+
+
+def test_manifest_records_the_parsed_command(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host-process", "--whatever"])
+    argv = ["check-grad", "--scenario", "case1", "--k", "4",
+            "--out", str(tmp_path / "cg")]
+    assert cli.main(argv) == 0
+    path = tmp_path / "cg" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["command"] == argv
+    # manifests written while check-grad took --steps carry it as null
+    manifest["resolved_args"]["steps"] = None
+    cli._write_json(path, manifest)
+    assert cli.replay_manifest(path, tmp_path / "replay") == 0
+    replayed = json.loads((tmp_path / "replay" / "manifest.json").read_text())
+    assert replayed["command"] == argv
+    assert ((tmp_path / "replay" / "check_grad.json").read_bytes()
+            == (tmp_path / "cg" / "check_grad.json").read_bytes())
 
 
 def test_replay_of_removed_subcommand_exits_2(tmp_path, caplog):

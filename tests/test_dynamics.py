@@ -18,8 +18,16 @@ def state(x=0.0, y=0.0, u=0.0, v=0.0, theta=0.0, omega=0.0, m=5.0, delta_d=0.0):
 # Thrust geometry
 # ---------------------------------------------------------------------------
 
+def thrust_from_rhs(s, T, scn):
+    """Thrust force and moment about the cg, read back from the RHS with
+    zero aero forces."""
+    d = dyn.rhs(s, (T, 0.0), fo.AeroForces(0.0, 0.0, 0.0), scn)
+    m = s[dyn.IX_M]
+    return (m * d[dyn.IX_U], m * (d[dyn.IX_V] + scn.g)), d[dyn.IX_OM] * scn.J_z
+
+
 def test_undeflected_engine_gives_zero_moment(case1_scn):
-    F, M = fo.thrust_force_and_moment(0.02, 0.0, 1.0, case1_scn)
+    F, M = thrust_from_rhs(state(theta=1.0), 0.02, case1_scn)
     assert M == 0.0
     # parallel to the body axis
     assert F[0] == pytest.approx(0.02 * math.cos(1.0))
@@ -34,7 +42,8 @@ def test_moment_arm_is_base_to_cg(case1_scn):
 
 def test_full_gimbal_moment_magnitude_and_sign(case1_scn):
     T_nd = 2.3e6 / case1_scn.refs.force_scale
-    _, M = fo.thrust_force_and_moment(T_nd, math.radians(10.0), 2.0, case1_scn)
+    s = state(theta=2.0, delta_d=math.radians(10.0))
+    _, M = thrust_from_rhs(s, T_nd, case1_scn)
     M_dim = M * case1_scn.refs.moment_scale
     assert abs(M_dim) == pytest.approx(2.3e6 * math.sin(math.radians(10.0)) * 20.0,
                                        rel=1e-12)
@@ -125,17 +134,19 @@ def test_rhs_is_deterministic(case1_scn):
 # ---------------------------------------------------------------------------
 
 def _numeric_jacobians(s, T, delta, scn, model, h=1e-7):
+    def f(s, T, delta):
+        return dyn.rhs(s, (T, delta), model.forces(s, scn), scn)
+
     J = np.zeros((8, 8))
     for j in range(8):
         sp, sm = s.copy(), s.copy()
         sp[j] += h
         sm[j] -= h
-        J[:, j] = (dyn.eval_rhs(sp, T, delta, scn, model)
-                   - dyn.eval_rhs(sm, T, delta, scn, model)) / (2 * h)
+        J[:, j] = (f(sp, T, delta) - f(sm, T, delta)) / (2 * h)
     B = np.zeros((8, 2))
     for j, dc in enumerate([(h, 0.0), (0.0, h)]):
-        fp = dyn.eval_rhs(s, T + dc[0], delta + dc[1], scn, model)
-        fm = dyn.eval_rhs(s, T - dc[0], delta - dc[1], scn, model)
+        fp = f(s, T + dc[0], delta + dc[1])
+        fm = f(s, T - dc[0], delta - dc[1])
         B[:, j] = (fp - fm) / (2 * h)
     return J, B
 

@@ -451,7 +451,7 @@ def test_fd_rollout_count_and_richardson(case1_cfg, simplified):
 def test_memory_meter_contract(case2_cfg, surrogate):
     """BPTT memory grows with K; the adjoint engine's stays nearly flat."""
     peaks = {}
-    for K in (90, 180):
+    for K in (90, 180, 360):
         scn = fo.nondimensionalize(truncate(case2_cfg, K))
         raw = fo.init_raw_params(scn)
         peaks[("bptt", K)] = ro.grad_bptt(raw, scn, surrogate,
@@ -461,6 +461,10 @@ def test_memory_meter_contract(case2_cfg, surrogate):
     assert peaks[("bptt", 180)] / peaks[("bptt", 90)] > 1.8
     assert peaks[("adjoint", 180)] / peaks[("adjoint", 90)] <= 1.25
     assert peaks[("adjoint", 90)] < peaks[("bptt", 90)]
+    # the checkpoints, the segment record, x, lam and one block's partials
+    assert peaks == {("bptt", 90): 3216, ("adjoint", 90): 640,
+                     ("bptt", 180): 6096, ("adjoint", 180): 768,
+                     ("bptt", 360): 11856, ("adjoint", 360): 1000}
 
 
 @pytest.mark.parametrize("K", [180, 360])
