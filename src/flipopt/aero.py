@@ -262,9 +262,11 @@ class MlpSurrogate:
         on the batch size; a BLAS product's do."""
         *hidden, (W_out, b_out) = self.layers
         for W, b in hidden:
-            z = np.tanh(np.einsum(_MATVEC, z, W) + b)
+            z = np.einsum(_MATVEC, z, W)
+            np.tanh(z + b, out=z)  # in place, as dz below: fewer live arrays
             if dz is not None:
-                dz = (1.0 - z * z) * np.einsum(_MATVEC, dz, W)
+                dz = np.einsum(_MATVEC, dz, W)
+                dz *= 1.0 - z * z
         C = np.einsum(_MATVEC, z, W_out) + b_out
         return C if dz is None else (C, np.einsum(_MATVEC, dz, W_out))
 

@@ -303,34 +303,48 @@ def cmd_optimize(args) -> int:
 
 
 def _read_controls_csv(path, refs: sc.ReferenceQuantities) -> ControlSequence:
-    thrust, delta = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        try:
-            i_T = cols.index("thrust_N")
-            i_d = cols.index("delta_deg")
-        except ValueError as exc:
-            raise sc.ScenarioError(
-                f"controls file {path} missing column: {exc}") from exc
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            thrust.append(float(parts[i_T]) / refs.force_scale)
-            delta.append(math.radians(float(parts[i_d])))
-    return ControlSequence(thrust=np.array(thrust), delta=np.array(delta))
+    """The thrust and gimbal columns of a controls CSV, nondimensional; a
+    fault raises a ScenarioError that names the file, line and column."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header, *lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise sc.ScenarioError(f"cannot read controls file {path}: {exc}") from None
+    names = ("thrust_N", "delta_deg")
+    cols = header.strip().split(",")
+    if not set(names) <= set(cols):
+        raise sc.ScenarioError(f"controls file {path} missing column: "
+                               f"expected {', '.join(names)} in {header!r}")
+    values = []
+    for line_no, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        for name in names:
+            i = cols.index(name)
+            cell = parts[i] if i < len(parts) else ""
+            try:
+                values.append(float(cell))
+            except ValueError:
+                values.append(math.nan)  # reported as not finite below
+            if not math.isfinite(values[-1]):
+                raise sc.ScenarioError(
+                    f"controls file {path}, line {line_no}, column {name!r}: "
+                    f"expected a finite number, got {cell.strip()!r}")
+    return ControlSequence(
+        thrust=np.array([T / refs.force_scale for T in values[0::2]]),
+        delta=np.array([math.radians(d) for d in values[1::2]]))
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    scn = sc.nondimensionalize(cfg)
     seq = _read_controls_csv(args.controls, cfg.refs)
     if seq.K != cfg.K:
         log.error("controls file has %d rows but scenario K = %d", seq.K, cfg.K)
         return 2
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    scn = sc.nondimensionalize(cfg)
     aero = aero_mod.NoAero() if args.no_aero else build_aero_model(cfg)
     t0 = time.perf_counter()
     traj = ro.rollout_controls(seq, scn, aero)

@@ -138,23 +138,13 @@ def rhs(state: np.ndarray, ctrl: tuple, aero: AeroForces, scn) -> np.ndarray:
 
 
 def rhs_and_jacobians(states: np.ndarray, T, scn, aero_model: AeroModel):
-    """The nonzero partials of d f/d state and d f/d ctrl for each lane of a
-    batch of states (B, 8), with ``T`` one thrust per lane.
-
-    Returns ``p`` of shape (B, 20): row j holds lane j's 20 entries of
-    J = d f/d state and B = d f/d (T, delta) that are not structurally zero
-    or one, in this order:
-
-        J[u, (u, v, theta, m, delta_d)], J[v, (u, v, theta, m, delta_d)],
-        J[omega, (u, v, theta, delta_d)], J[delta_d, delta_d],
-        B[(u, v, omega, m), T], B[delta_d, delta]
-
-    The structural ones are J[x, u], J[y, v] and J[theta, omega].  No
-    partial depends on the gimbal command.  :func:`rhs_pullback` applies
-    J^T and B^T.  The aero model contributes the partials of
-    (F_Ax, F_Ay, M_A) with respect to (u, v, theta); everything else is
-    closed form.  Every operation is elementwise per lane, so a lane's bits
-    do not depend on the batch it is in.
+    """``[J | B]`` of shape (n, 8, 10) for a batch of states (n, 8), with
+    ``T`` one thrust per lane: J = d f/d state and B = d f/d (T, delta),
+    the structural ones included.  The aero model gives the partials of
+    (F_Ax, F_Ay, M_A) in (u, v, theta) through ``forces_jac``; the rest is
+    closed form, and nothing depends on the gimbal command.  Every
+    operation is elementwise per lane, so a lane's bits do not depend on
+    its batch.
     """
     th, m, dd = states[:, IX_TH], states[:, IX_M], states[:, IX_DD]
     psi = th + dd
@@ -164,48 +154,27 @@ def rhs_and_jacobians(states: np.ndarray, T, scn, aero_model: AeroModel):
     eta_J = scn.eta_corr / scn.J_z
     arm_J = scn.l_arm / scn.J_z
 
-    p = np.empty((20, len(states)))
-    p[15] = B_uT = np.cos(psi) * im
-    p[16] = B_vT = np.sin(psi) * im
-    p[4] = J_udd = -T * B_vT
-    p[9] = J_vdd = T * B_uT
-    p[0:2] = em * dF_dv[0]
-    p[2] = em * dF_dth[0] + J_udd
-    p[3] = -(J_vdd + em * Fx) * im        # -f_u / m
-    p[5:7] = em * dF_dv[1]
-    p[7] = em * dF_dth[1] + J_vdd
-    p[8] = (J_udd - em * Fy) * im         # -(f_v + g) / m
-    p[10:12] = eta_J * dF_dv[2]
-    p[12] = eta_J * dF_dth[2]
-    p[13] = -arm_J * T * np.cos(dd)
-    p[14] = -1.0 / scn.T_d
-    p[17] = -arm_J * np.sin(dd)
-    p[18] = -1.0 / scn.c_ex
-    p[19] = 1.0 / scn.T_d
-    return p.T
-
-
-def rhs_pullback(p, g) -> tuple[list, float, float]:
-    """(J^T g, (B^T g)_T, (B^T g)_delta) from one lane's partials ``p`` (a
-    row of :func:`rhs_and_jacobians`), for a cotangent ``g`` of the
-    derivative."""
-    (u_u, u_v, u_th, u_m, u_dd, v_u, v_v, v_th, v_m, v_dd,
-     om_u, om_v, om_th, om_dd, dd_dd, T_u, T_v, T_om, T_m, dl_dd) = p
-    gu = g[IX_U]
-    gv = g[IX_V]
-    gom = g[IX_OM]
-    gdd = g[IX_DD]
-    g_state = [
-        0.0,
-        0.0,
-        g[IX_X] + u_u * gu + v_u * gv + om_u * gom,
-        g[IX_Y] + u_v * gu + v_v * gv + om_v * gom,
-        u_th * gu + v_th * gv + om_th * gom,
-        g[IX_TH],
-        u_m * gu + v_m * gv,
-        u_dd * gu + v_dd * gv + om_dd * gom + dd_dd * gdd,
-    ]
-    return g_state, T_u * gu + T_v * gv + T_om * gom + T_m * g[IX_M], dl_dd * gdd
+    JB = np.zeros((len(states), STATE_DIM, STATE_DIM + 2))
+    J, B_T, B_delta = JB[..., :STATE_DIM], JB[..., STATE_DIM], JB[..., -1]
+    J[:, IX_X, IX_U] = J[:, IX_Y, IX_V] = J[:, IX_TH, IX_OM] = 1.0
+    B_T[:, IX_U] = B_uT = np.cos(psi) * im
+    B_T[:, IX_V] = B_vT = np.sin(psi) * im
+    J[:, IX_U, IX_DD] = J_udd = -T * B_vT
+    J[:, IX_V, IX_DD] = J_vdd = T * B_uT
+    J[:, IX_U, IX_U:IX_V + 1] = (em * dF_dv[0]).T
+    J[:, IX_U, IX_TH] = em * dF_dth[0] + J_udd
+    J[:, IX_U, IX_M] = -(J_vdd + em * Fx) * im        # -f_u / m
+    J[:, IX_V, IX_U:IX_V + 1] = (em * dF_dv[1]).T
+    J[:, IX_V, IX_TH] = em * dF_dth[1] + J_vdd
+    J[:, IX_V, IX_M] = (J_udd - em * Fy) * im         # -(f_v + g) / m
+    J[:, IX_OM, IX_U:IX_V + 1] = (eta_J * dF_dv[2]).T
+    J[:, IX_OM, IX_TH] = eta_J * dF_dth[2]
+    J[:, IX_OM, IX_DD] = -arm_J * T * np.cos(dd)
+    J[:, IX_DD, IX_DD] = -1.0 / scn.T_d
+    B_T[:, IX_OM] = -arm_J * np.sin(dd)
+    B_T[:, IX_M] = -1.0 / scn.c_ex
+    B_delta[:, IX_DD] = 1.0 / scn.T_d
+    return JB
 
 
 # ---------------------------------------------------------------------------

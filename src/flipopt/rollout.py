@@ -5,18 +5,20 @@ from the scenario's initial state.  The loss combines terminal residuals
 with path penalties (control smoothness, dry-mass floor, pitch error after
 the flip deadline).  Gradients come from one engine and one oracle:
 
-* :func:`_grad` - reverse accumulation through every RK4 step with the
-  exact transposed stage recursion, along the very stage states that the
-  forward pass produced.  Segments of ``seg_len`` steps are recorded,
-  linearized in blocks of 4 steps and swept newest first; each earlier
-  segment is recorded again from its checkpoint: checkpointed reverse
-  mode (Griewank & Walther, *Evaluating Derivatives*, 2008).  Two storage
+* :func:`_grad` - reverse accumulation through every RK4 step, along the
+  very stage states that the forward pass produced.  Segments of
+  ``seg_len`` steps are recorded, turned into dense step Jacobians
+  ``[Phi_k | G_k]`` by batched ``matmul`` and swept newest first with
+  lam_k = Phi_k^T lam_{k+1} + path terms; each earlier segment is
+  recorded again from its checkpoint: checkpointed reverse mode
+  (Griewank & Walther, *Evaluating Derivatives*, 2008).  Two storage
   policies are exposed under the engine names of the config and the CLI.
-  :func:`grad_bptt` records the whole horizon as one segment (memory
-  linear in K, nothing recomputed); :func:`grad_adjoint` keeps a fixed
-  budget of checkpoints (memory grows only with the K/24-step segment, at
-  the price of one extra forward recompute).  Both run the same code, so
-  their gradients agree to the last bit; only the memory counters differ.
+  :func:`grad_bptt` records and linearizes the whole horizon at once
+  (memory linear in K, nothing recomputed); :func:`grad_adjoint` keeps a
+  fixed budget of checkpoints and linearizes 4 steps at a time (memory
+  grows only with the K/24-step segment, at the price of one extra
+  forward recompute).  Both run the same code, so their gradients agree
+  to the last bit; only the memory counters differ.
 * :func:`finite_diff_grad` - central differences on the raw parameters,
   the independent validation oracle.  Its 4K perturbed rollouts advance
   together as the lanes of one state batch, each starting from the
@@ -54,12 +56,11 @@ from .dynamics import (
     AeroModel,
     angle_of_attack,
     rhs_and_jacobians,
-    rhs_pullback,
     rk4_advance,
 )
 
 ADJOINT_TARGET_SEGMENTS = 24  # checkpoint budget; segment length scales with K
-BLOCK_STEPS = 4  # steps whose stages are linearized in one vector call
+BLOCK_STEPS = 4  # adjoint steps per linearization call: flat dense memory in K
 
 LOSS_TERM_NAMES = ("terminal_position", "terminal_velocity", "terminal_pitch",
                    "terminal_omega", "smoothness", "mass_floor", "flip_deadline")
@@ -308,21 +309,15 @@ def loss(traj: Trajectory, w: LossWeights, scn) -> LossBreakdown:
 # Reverse sweep building blocks
 # ---------------------------------------------------------------------------
 
-def _terminal_cotangent(x_final: np.ndarray, scn, w: LossWeights) -> list:
-    x, y, u, v, th, om, _, _ = x_final.tolist()
-    return [
-        2.0 * w.w_r * (x - scn.r_f[0]),
-        2.0 * w.w_r * (y - scn.r_f[1]),
-        2.0 * w.w_v * (u - scn.v_f[0]),
-        2.0 * w.w_v * (v - scn.v_f[1]),
-        2.0 * w.w_theta * (th - scn.theta_f),
-        2.0 * w.w_omega * (om - scn.omega_f),
-        0.0,
-        0.0,
-    ]
+def _terminal_cotangent(x_final: np.ndarray, scn, w: LossWeights) -> np.ndarray:
+    weight = np.array([w.w_r, w.w_r, w.w_v, w.w_v, w.w_theta, w.w_omega])
+    target = [*scn.r_f, *scn.v_f, scn.theta_f, scn.omega_f]
+    lam = np.zeros(STATE_DIM)
+    lam[:6] = 2.0 * weight * (x_final[:6] - target)
+    return lam
 
 
-def _add_path_cotangent(lam: list, x: np.ndarray, k: int, k_flip: int,
+def _add_path_cotangent(lam: np.ndarray, x: np.ndarray, k: int, k_flip: int,
                         scn, w: LossWeights) -> None:
     m = float(x[IX_M])
     if m < scn.m_dry:
@@ -331,40 +326,31 @@ def _add_path_cotangent(lam: list, x: np.ndarray, k: int, k_flip: int,
         lam[IX_TH] += 2.0 * w.w_flip * (float(x[IX_TH]) - scn.theta_f)
 
 
-def _step_vjp(partials, dt, lam: list):
-    """Pull the cotangent of the step result back through one RK4 step.
-
-    ``partials`` holds the :func:`rhs_and_jacobians` partials of the step's
-    four stage states, in stage order.  Runs the transposed stage recursion
-    on floats, applying each stage's Jacobians through
-    :func:`rhs_pullback`.  Returns (cotangent w.r.t. the step start state,
-    cotangent w.r.t. (T, delta)).
+def _step_jacobians(lanes: np.ndarray, T: np.ndarray, scn,
+                    aero: AeroModel) -> np.ndarray:
+    """``[Phi_k | G_k]`` = d x_{k+1} / d (x_k, T_k, delta_k), shape
+    (n, 8, 10), for n steps whose start and stage states are ``lanes``
+    (4, n, 8), with one thrust per step in ``T``.  With S_i = [J_i | B_i]
+    from one :func:`rhs_and_jacobians` call, stage i's slope has the
+    derivative d_1 = S_1, d_i = S_i + h_i J_i d_{i-1}, and the step
+    [I | 0] + dt/6 (d_1 + 2 d_2 + 2 d_3 + d_4).  Batched ``matmul`` gives
+    a matrix the same bits in any batch (``einsum``'s differ from it).
     """
-    h2 = 0.5 * dt
-    # stage i's derivative cotangent is w_i lam plus h_i times the pullback
-    # of stage i + 1, with RK4 weights w = dt (1/6, 1/3, 1/3, 1/6)
-    c6 = dt / 6.0
-    c3 = dt / 3.0
-    g_a = [0.0] * STATE_DIM
-    g_T = g_d = 0.0
-    pulled = []
-    for p, c, h in zip(reversed(partials), (c6, c3, c3, c6), (0.0, dt, h2, h2)):
-        g_a, gT, gd = rhs_pullback(p, [c * g + h * a for g, a in zip(lam, g_a)])
-        pulled.append(g_a)
-        g_T += gT
-        g_d += gd
-    g_x = [g + a4 + a3 + a2 + a1 for g, a4, a3, a2, a1 in zip(lam, *pulled)]
-    return g_x, (g_T, g_d)
-
-
-def _controls_to_raw_grad(raw: RawControlParams, seq: ControlSequence,
-                          gT: np.ndarray, gd: np.ndarray, scn, w: LossWeights):
-    """Add the smoothness term and chain through the squash mapping."""
-    sT, sd = smoothness_grads(seq, scn)
-    gT = gT + w.w_smooth * sT
-    gd = gd + w.w_smooth * sd
-    dT_du, dd_du = reparameterize_grads(raw, scn)
-    return gT * dT_du, gd * dd_du
+    S = rhs_and_jacobians(lanes.reshape(-1, STATE_DIM), np.tile(T, 4), scn,
+                          aero).reshape(4, len(T), STATE_DIM, STATE_DIM + 2)
+    M = S[0].copy()  # d_1 + 2 d_2 + 2 d_3 + d_4, accumulated in place
+    d = S[0].copy()
+    tmp = np.empty_like(d)
+    h2 = 0.5 * scn.dt
+    for i, h, c in ((1, h2, 2.0), (2, h2, 2.0), (3, scn.dt, 1.0)):
+        np.matmul(S[i, :, :, :STATE_DIM], d, out=tmp)
+        tmp *= h
+        np.add(S[i], tmp, out=d)
+        M += np.multiply(c, d, out=tmp)
+    M *= scn.dt / 6.0
+    for r in range(STATE_DIM):
+        M[:, r, r] += 1.0
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -372,31 +358,32 @@ def _controls_to_raw_grad(raw: RawControlParams, seq: ControlSequence,
 # ---------------------------------------------------------------------------
 
 def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
-          seg_len: int, engine: str) -> GradientReport:
+          seg_len: int, block: int, engine: str) -> GradientReport:
     """Exact gradient by one reverse sweep over checkpoint segments.
 
     The forward pass keeps the start state of every ``seg_len``-step
     segment but the last as a checkpoint, and records each step's start
     and three stage states, as :func:`rk4_advance` returns them, for the
     segment it is in.  The reverse sweep takes the segments newest first,
-    recording each earlier one again from its checkpoint.  It linearizes
-    the stages of up to ``BLOCK_STEPS`` steps in one
-    :func:`rhs_and_jacobians` call, then pulls the cotangent back through
-    them step by step on floats.  A stage's partials do not depend on the
-    block that computes them, so every ``seg_len`` gives the same bits.
+    recording each earlier one again from its checkpoint.  It turns
+    ``block`` steps at a time into their :func:`_step_jacobians` M_k and
+    runs lam_k = Phi_k^T lam_{k+1} + path terms, with the control
+    gradient G_k^T lam_{k+1}, as ``lam @ M_k``.  M_k does not depend on
+    the block, so every (seg_len, block) gives the same bits.  ``bptt`` is
+    (K, K): one call linearizes the whole record.  ``adjoint`` is
+    (ceil(K / 24), ``BLOCK_STEPS``): it recomputes up to one forward pass,
+    and 4-step blocks keep its dense arrays from growing with K.
 
-    ``peak_aux_floats`` is read from the arrays the sweep keeps: n_seg - 1
-    checkpoints, the segment record of 4 seg_len states, the state ``x``,
-    the cotangent ``lam`` and the partials of one block of up to
-    ``BLOCK_STEPS`` steps, 20 per stage.  The O(K) arrays of control size
-    (the control gradients and the squash and smoothness gradients) are
-    not counted, so the adjoint's measured allocation still grows with K:
-    its ``tracemalloc`` peak on case2 is about 52 KB at K = 180 and 66 KB
-    at K = 360, while the difference between the two policies' peaks
-    matches 8 bytes per counted float.  The aero model's temporaries for
-    one block are not counted either; they are the same under both
-    policies.  With ``seg_len = K`` nothing is recomputed; otherwise the
-    recompute costs up to one extra forward pass.
+    ``peak_aux_floats`` counts what the sweep holds while it composes a
+    block: n_seg - 1 checkpoints, the record of 4 seg_len states, ``x``,
+    ``lam``, and 560 floats per step of the block (four stage ``[J | B]``,
+    then ``M``, ``d`` and a product buffer).  The O(K) control-sized
+    arrays are not counted: on case2 the adjoint's traced peak still grows
+    from 41 KB at K = 180 to 56 KB at K = 360, while the two policies'
+    peaks differ by 8 bytes per counted float to within 2 % on the drag
+    model, the surrogate and ``NoAero``.  Their ``forces_jac``
+    temporaries are freed before the dense arrays exist and are smaller:
+    about 9, 36 and 134 floats per stage, against 140.
     """
     w = w or scn.weights
     t0 = time.perf_counter()
@@ -404,17 +391,14 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     K = scn.K
     n_seg = -(-K // seg_len)
     ckpt = np.empty((n_seg - 1, STATE_DIM))
-    # rows 4i to 4i + 3: the start state and stage states of the segment's
-    # step i
-    rec = np.empty((4 * seg_len, STATE_DIM))
+    # rec[:, i]: the start state and stage states of the segment's step i
+    rec = np.empty((4, seg_len, STATE_DIM))
 
     def advance(x, k):
-        """Step k from x, recorded in its segment's rows."""
+        """Step k from x, recorded in its segment's record."""
         nxt, stages, _ = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt,
                                      scn, aero)
-        i = 4 * (k % seg_len)
-        rec[i] = x
-        rec[i + 1:i + 4] = stages
+        rec[:, k % seg_len] = (x, *stages)
         return nxt
 
     acc = _PathAccumulator(scn, w)
@@ -432,8 +416,7 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     lam = _terminal_cotangent(x, scn, w)
     _add_path_cotangent(lam, x, K, acc.k_flip, scn, w)
 
-    gT = np.zeros(K)
-    gd = np.zeros(K)
+    g = np.empty((2, K))  # d loss / d (T_k, delta_k)
     for j in range(n_seg - 1, -1, -1):
         s = j * seg_len
         e = min(s + seg_len, K)
@@ -441,35 +424,37 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
             x = ckpt[j]
             for k in range(s, e):
                 x = advance(x, k)
-        for b in reversed(range(s, e, BLOCK_STEPS)):
-            n = min(BLOCK_STEPS, e - b)
-            lanes = rec[4 * (b - s):4 * (b - s + n)]
-            T = np.repeat(seq.thrust[b:b + n], 4)  # one thrust per stage
-            partials = rhs_and_jacobians(lanes, T, scn, aero).tolist()
+        for b in reversed(range(s, e, block)):
+            n = min(block, e - b)
+            lanes = rec[:, b - s:b - s + n]
+            M = _step_jacobians(lanes, seq.thrust[b:b + n], scn, aero)
             for k in reversed(range(b, b + n)):
-                i = 4 * (k - b)
-                lam, g_c = _step_vjp(partials[i:i + 4], scn.dt, lam)
-                gT[k], gd[k] = g_c
-                _add_path_cotangent(lam, lanes[i], k, acc.k_flip, scn, w)
+                lam = lam @ M[k - b]
+                g[:, k] = lam[STATE_DIM:]
+                lam = lam[:STATE_DIM]
+                _add_path_cotangent(lam, lanes[0, k - b], k, acc.k_flip,
+                                    scn, w)
 
-    gu_T, gu_d = _controls_to_raw_grad(raw, seq, gT, gd, scn, w)
-    for name, g in (("u_T", gu_T), ("u_delta", gu_d)):
-        bad = np.flatnonzero(~np.isfinite(g))
+    # the smoothness term, then the chain rule through the squash mapping
+    gu = ((g + w.w_smooth * np.array(smoothness_grads(seq, scn)))
+          * reparameterize_grads(raw, scn))
+    for name, gi in zip(("u_T", "u_delta"), gu):
+        bad = np.flatnonzero(~np.isfinite(gi))
         if bad.size:
             raise FloatingPointError(
                 f"non-finite gradient component {name}[{bad[0]}]")
     return GradientReport(
-        grad_u_T=gu_T, grad_u_delta=gu_d, engine=engine,
+        grad_u_T=gu[0], grad_u_delta=gu[1], engine=engine,
         wall_time_s=time.perf_counter() - t0,
-        peak_aux_floats=(ckpt.size + rec.size + 2 * STATE_DIM
-                         + 80 * min(BLOCK_STEPS, seg_len)),
+        peak_aux_floats=(ckpt.size + rec.size + 2 * STATE_DIM + 7 * STATE_DIM
+                         * (STATE_DIM + 2) * min(block, seg_len)),
         loss=_breakdown(total, terms))
 
 
 def grad_bptt(raw: RawControlParams, scn, aero: AeroModel,
               w: LossWeights | None = None) -> GradientReport:
     """Exact gradient recording every step's stages (memory linear in K)."""
-    return _grad(raw, scn, aero, w, scn.K, "bptt")
+    return _grad(raw, scn, aero, w, scn.K, scn.K, "bptt")
 
 
 def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
@@ -478,7 +463,7 @@ def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
     (memory grows with K only through the segment length); the same bits
     as :func:`grad_bptt`."""
     return _grad(raw, scn, aero, w, -(-scn.K // ADJOINT_TARGET_SEGMENTS),
-                 "adjoint")
+                 BLOCK_STEPS, "adjoint")
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,43 @@ def test_simulate_length_mismatch_exits_2(opt_run, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("case, edit, where", [
+    pytest.param("missing", None, None, id="missing"),
+    pytest.param("directory", None, None, id="directory"),
+    pytest.param("not-utf8", None, None, id="not-utf8"),
+    pytest.param("edit", lambda r: r[:2] + ["abc", r[3]],
+                 "line 3, column 'thrust_N'", id="text-cell"),
+    pytest.param("edit", lambda r: r[:3], "line 3, column 'delta_deg'",
+                 id="short-row"),
+    pytest.param("edit", lambda r: r[:3] + ["nan"],
+                 "line 3, column 'delta_deg'", id="nan"),
+    pytest.param("edit", lambda r: r[:2] + ["-inf", r[3]],
+                 "line 3, column 'thrust_N'", id="inf"),
+])
+def test_simulate_rejects_bad_controls_with_exit_2(case, edit, where, opt_run,
+                                                   tmp_path, caplog):
+    """Every unreadable controls file exits 2 with a message that names it,
+    and the line and column of a bad cell, before the run directory is
+    made."""
+    lines = (opt_run / "controls.csv").read_text().splitlines()
+    ctrl = tmp_path / "controls.csv"
+    if case == "directory":
+        ctrl.mkdir()
+    elif case == "not-utf8":
+        ctrl.write_bytes("\n".join(lines).encode() + b"\n# caf\xe9\n")
+    elif case == "edit":
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        ctrl.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "sim"
+    rc = cli.main(["simulate", "--scenario", "case1", "--k", "12",
+                   "--controls", str(ctrl), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert str(ctrl) in caplog.text
+    if where is not None:
+        assert where in caplog.text
+
+
 def test_simulate_no_aero_projectile(tmp_path, case1_cfg):
     """Min throttle, zero gimbal, no aero: rocket in a fixed direction.
 

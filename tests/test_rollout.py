@@ -292,14 +292,8 @@ def _dense_step_vjp(X, T, scn, model, lam):
     """Reference step VJP: the transposed RK4 recursion on dense J and B of
     the step's four stage states ``X``, each linearized on its own."""
     def jac(a):
-        p = dyn.rhs_and_jacobians(a[None], np.array([T]), scn, model)[0]
-        J = np.zeros((8, 8))
-        B = np.zeros((8, 2))
-        for i in range(8):
-            e = np.zeros(8)
-            e[i] = 1.0
-            J[i], B[i, 0], B[i, 1] = dyn.rhs_pullback(p, e)
-        return J, B
+        JB = dyn.rhs_and_jacobians(a[None], np.array([T]), scn, model)[0]
+        return JB[:, :8], JB[:, 8:]
 
     dt = scn.dt
     (J1, B1), (J2, B2), (J3, B3), (J4, B4) = map(jac, X)
@@ -329,11 +323,36 @@ def test_step_vjp_matches_dense_recursion(model_name, case1_scn, simplified,
         T, delta = seq.thrust[k], seq.delta[k]
         _, stages, _ = dyn.rk4_advance(states[k], T, delta, scn.dt, scn, model)
         X = np.array([states[k], *stages])
-        partials = dyn.rhs_and_jacobians(X, np.full(4, T), scn, model).tolist()
-        g_x, g_c = ro._step_vjp(partials, scn.dt, list(lam))
+        M = ro._step_jacobians(X[:, None], np.array([T]), scn, model)[0]
         ref_x, ref_c = _dense_step_vjp(X, T, scn, model, lam)
-        np.testing.assert_allclose(g_x, ref_x, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(g_c, ref_c, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(lam @ M, np.concatenate([ref_x, ref_c]),
+                                   rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
+def test_step_jacobians_do_not_depend_on_the_batch(model_name, case1_scn,
+                                                   case2_scn, simplified,
+                                                   surrogate):
+    """Step k's [Phi | G] has the same bits alone, in its 4-step block and
+    in the whole horizon's batch; the two storage policies rely on it."""
+    scn, model = {"simplified": (case1_scn, simplified),
+                  "surrogate": (case2_scn, surrogate)}[model_name]
+    seq = fo.reparameterize(random_raw(scn, 5), scn)
+    states = ro.rollout_controls(seq, scn, model).states
+    lanes = np.empty((4, scn.K, 8))
+    for k in range(scn.K):
+        _, stages, _ = dyn.rk4_advance(states[k], seq.thrust[k], seq.delta[k],
+                                       scn.dt, scn, model)
+        lanes[:, k] = (states[k], *stages)
+    whole = ro._step_jacobians(lanes, seq.thrust, scn, model)
+    for b in range(0, scn.K, 4):
+        block = ro._step_jacobians(lanes[:, b:b + 4], seq.thrust[b:b + 4],
+                                   scn, model)
+        assert np.array_equal(block, whole[b:b + 4])
+        for k in range(b, min(b + 4, scn.K)):
+            alone = ro._step_jacobians(lanes[:, k:k + 1], seq.thrust[k:k + 1],
+                                       scn, model)
+            assert np.array_equal(alone[0], whole[k])
 
 
 class _RecordingAero:
@@ -354,8 +373,9 @@ class _RecordingAero:
 def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
                                                         surrogate,
                                                         monkeypatch):
-    """One forces_jac call per block of up to 4 steps within a segment, on
-    states that are bit for bit the stage states of the rollout."""
+    """One forces_jac call for the whole bptt record and per block of up to
+    4 steps within an adjoint segment, on states that are bit for bit the
+    stage states of the rollout."""
     scn = fo.nondimensionalize(truncate(case2_cfg, K))
     raw = random_raw(scn, 23)
     produced = set()
@@ -372,8 +392,12 @@ def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
 
     proxy = _RecordingAero(surrogate)
     getattr(ro, f"grad_{engine}")(raw, scn, proxy, scn.weights)
-    seg_len = K if engine == "bptt" else -(-K // ro.ADJOINT_TARGET_SEGMENTS)
-    n_blocks = sum(-(-min(seg_len, K - s) // 4) for s in range(0, K, seg_len))
+    if engine == "bptt":
+        n_blocks = 1
+    else:
+        seg_len = -(-K // ro.ADJOINT_TARGET_SEGMENTS)
+        n_blocks = sum(-(-min(seg_len, K - s) // 4)
+                       for s in range(0, K, seg_len))
     assert len(proxy.jac_batches) == n_blocks
     seen = [row.tobytes()
             for X in proxy.jac_batches for row in np.atleast_2d(X)]
@@ -461,10 +485,11 @@ def test_memory_meter_contract(case2_cfg, surrogate):
     assert peaks[("bptt", 180)] / peaks[("bptt", 90)] > 1.8
     assert peaks[("adjoint", 180)] / peaks[("adjoint", 90)] <= 1.25
     assert peaks[("adjoint", 90)] < peaks[("bptt", 90)]
-    # the checkpoints, the segment record, x, lam and one block's partials
-    assert peaks == {("bptt", 90): 3216, ("adjoint", 90): 640,
-                     ("bptt", 180): 6096, ("adjoint", 180): 768,
-                     ("bptt", 360): 11856, ("adjoint", 360): 1000}
+    # the checkpoints, the segment record, x, lam and one block's stage
+    # Jacobians and composition arrays
+    assert peaks == {("bptt", 90): 53296, ("adjoint", 90): 2560,
+                     ("bptt", 180): 106576, ("adjoint", 180): 2688,
+                     ("bptt", 360): 213136, ("adjoint", 360): 2920}
 
 
 @pytest.mark.parametrize("K", [180, 360])
