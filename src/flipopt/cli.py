@@ -186,8 +186,6 @@ def replay_manifest(manifest_path, out_dir) -> int:
 def _trajectory_rows(traj_nd: ro.Trajectory, refs: sc.ReferenceQuantities):
     si = sc.redimensionalize(traj_nd, refs)
     K = traj_nd.K
-    alpha_deg = np.degrees(traj_nd.alpha)
-    final_alpha = math.degrees(angle_of_attack(traj_nd.states[K]))
     rows = []
     for k in range(K + 1):
         s = si.states[k]
@@ -195,7 +193,7 @@ def _trajectory_rows(traj_nd: ro.Trajectory, refs: sc.ReferenceQuantities):
         rows.append((
             k, k * si.dt, s[0], s[1], math.degrees(s[4]), s[2], s[3], s[5],
             s[6], math.degrees(s[7]),
-            alpha_deg[kk] if k < K else final_alpha,
+            math.degrees(angle_of_attack(traj_nd.states[k])),
             si.thrust[kk], math.degrees(si.delta_cmd[kk]),
         ))
     return rows
@@ -302,38 +300,54 @@ def cmd_optimize(args) -> int:
     return 0 if finite else 3
 
 
-def _read_controls_csv(path, refs: sc.ReferenceQuantities) -> ControlSequence:
-    """The thrust and gimbal columns of a controls CSV, nondimensional; a
-    fault raises a ScenarioError that names the file, line and column."""
+def _read_csv(path, names, what: str) -> dict[str, np.ndarray]:
+    """The columns ``names`` of a CSV file with a header line, as float
+    arrays; a fault raises a ScenarioError that names ``what`` file, and
+    the line and column of a bad cell."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header, *lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise sc.ScenarioError(f"cannot read controls file {path}: {exc}") from None
-    names = ("thrust_N", "delta_deg")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        header, *lines = data.decode("utf-8").split("\n")
+    except OSError as exc:
+        raise sc.ScenarioError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        line_no = data.count(b"\n", 0, start) + 1
+        col_no = data.count(b",", start, exc.start) + 1
+        raise sc.ScenarioError(f"{what} {path}, line {line_no}, column "
+                               f"{col_no}: not UTF-8 text") from None
     cols = header.strip().split(",")
     if not set(names) <= set(cols):
-        raise sc.ScenarioError(f"controls file {path} missing column: "
+        raise sc.ScenarioError(f"{what} {path} missing column: "
                                f"expected {', '.join(names)} in {header!r}")
-    values = []
+    rows = []
     for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
+        row = []
         for name in names:
             i = cols.index(name)
             cell = parts[i] if i < len(parts) else ""
             try:
-                values.append(float(cell))
+                row.append(float(cell))
             except ValueError:
-                values.append(math.nan)  # reported as not finite below
-            if not math.isfinite(values[-1]):
+                row.append(math.nan)  # reported as not finite below
+            if not math.isfinite(row[-1]):
                 raise sc.ScenarioError(
-                    f"controls file {path}, line {line_no}, column {name!r}: "
+                    f"{what} {path}, line {line_no}, column {name!r}: "
                     f"expected a finite number, got {cell.strip()!r}")
-    return ControlSequence(
-        thrust=np.array([T / refs.force_scale for T in values[0::2]]),
-        delta=np.array([math.radians(d) for d in values[1::2]]))
+        rows.append(row)
+    if not rows:
+        raise sc.ScenarioError(f"{what} {path} has no data rows")
+    return dict(zip(names, np.array(rows).T))
+
+
+def _read_controls_csv(path, refs: sc.ReferenceQuantities) -> ControlSequence:
+    """The thrust and gimbal columns of a controls CSV, nondimensional."""
+    tab = _read_csv(path, ("thrust_N", "delta_deg"), "controls file")
+    return ControlSequence(thrust=tab["thrust_N"] / refs.force_scale,
+                           delta=np.radians(tab["delta_deg"]))
 
 
 def cmd_simulate(args) -> int:
@@ -404,23 +418,23 @@ def _random_raw(scn, seed: int) -> RawControlParams:
 
 
 def grad_check(engine_report: ro.GradientReport, fd: ro.GradientReport):
-    """Worst-offender comparison of an engine gradient against the oracle."""
-    g = engine_report.stacked()
+    """Worst-offender comparison of an engine gradient against the oracle.
+
+    Entries whose oracle value clears ``GRAD_FD_FLOOR`` are held to the
+    relative tolerance, the rest to the absolute one.  A non-finite entry
+    on either side makes its error NaN or inf, which fails both.
+    """
     r = fd.stacked()
-    worst_rel, worst_abs, worst_idx = 0.0, 0.0, -1
-    ok = True
-    for i, (a, b) in enumerate(zip(g, r)):
-        if abs(b) > GRAD_FD_FLOOR:
-            rel = abs(a - b) / abs(b)
-            if rel > worst_rel:
-                worst_rel, worst_idx = rel, i
-            if rel >= GRAD_REL_TOL:
-                ok = False
-        else:
-            err = abs(a - b)
-            worst_abs = max(worst_abs, err)
-            if err >= GRAD_ABS_TOL:
-                ok = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.abs(engine_report.stacked() - r)
+        rel_side = np.abs(r) > GRAD_FD_FLOOR
+        rel = np.divide(err, np.abs(r), out=np.zeros_like(err), where=rel_side)
+    ok = bool(np.where(rel_side, rel < GRAD_REL_TOL, err < GRAD_ABS_TOL).all())
+    worst_idx = int(np.argmax(rel))  # the first NaN, if there is one
+    worst_rel = float(rel[worst_idx])
+    if worst_rel == 0.0:
+        worst_idx = -1
+    worst_abs = float(np.max(err, where=~rel_side, initial=0.0))
     return ok, worst_rel, worst_abs, worst_idx
 
 
@@ -463,16 +477,6 @@ def cmd_check_grad(args) -> int:
     return 1
 
 
-def _read_table(path) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.split(",") for line in fh if line.strip()]
-    if not rows:
-        raise plots.PlotError(f"{path} has no data rows")
-    data = np.array(rows, dtype=float)
-    return {name: data[:, i] for i, name in enumerate(header)}
-
-
 def _run_scenario(run_dir: Path) -> sc.ScenarioConfig:
     """The scenario snapshot that the run in ``run_dir`` recorded."""
     path = run_dir / "manifest.json"
@@ -493,13 +497,8 @@ def cmd_plot(args) -> int:
     cfg = _run_scenario(run_dir)
     L_ref = cfg.refs.L_ref
     l_cg = cfg.vehicle.l_cg_frac
+    tab = _read_csv(traj_path, TRAJECTORY_HEADER.split(","), "trajectory file")
     try:
-        tab = _read_table(traj_path)
-        needed = [c for c in TRAJECTORY_HEADER.split(",")]
-        missing = [c for c in needed if c not in tab]
-        if missing:
-            log.error("trajectory.csv missing columns: %s", ", ".join(missing))
-            return 2
         t = tab["t_s"]
         theta_rad = np.radians(tab["theta_deg"])
         delta_d_rad = np.radians(tab["delta_d_deg"])
@@ -620,7 +619,7 @@ def main(argv=None) -> int:
     except sc.ScenarioError as exc:
         log.error("%s", exc)
         return 2
-    except opt_mod.NumericalAbort as exc:
+    except (opt_mod.NumericalAbort, FloatingPointError) as exc:
         log.error("numerical abort: %s", exc)
         return 3
     except ro.RolloutError as exc:

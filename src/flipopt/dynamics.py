@@ -85,7 +85,7 @@ def angle_of_attack(state: np.ndarray) -> float:
     """Angle between the velocity vector and the body axis, in [0, 2*pi).
 
     Returns 0 by convention when the speed is below SPEED_FLOOR (the aero
-    forces vanish there anyway); rollout records flag such steps.
+    forces vanish there anyway).
     """
     u, v = state[IX_U], state[IX_V]
     if np.hypot(u, v) < SPEED_FLOOR:
@@ -198,10 +198,9 @@ def rk4_advance(state: np.ndarray, T, delta, dt, scn, aero_model: AeroModel):
     (B, 8), with ``T`` and ``delta`` scalars or one value per lane.
     Control is held constant over the step (zero-order hold); the aero
     model is re-evaluated at each stage state.  Returns
-    (next_state, (a2, a3, a4), F1) where a2..a4 are the interior stage
-    states (the first stage state is ``state`` itself) and F1 is the aero
-    force at ``state``.  Bit-identical across repeated calls with the same
-    inputs.
+    (next_state, (a2, a3, a4)) where a2..a4 are the interior stage states
+    (the first stage state is ``state`` itself).  Bit-identical across
+    repeated calls with the same inputs.
 
     A float64 state runs on Python floats with ``math`` trigonometry.
     Extended precision and batches run on numpy, one array per state
@@ -216,11 +215,9 @@ def rk4_advance(state: np.ndarray, T, delta, dt, scn, aero_model: AeroModel):
             return _rk4_kernel(state, state.tolist(), float, math, np.array, T,
                                delta, dt, scn, aero_model)
         except (ValueError, ZeroDivisionError):
-            nxt, stages, F1 = rk4_advance(state[None], T, delta, dt, scn,
-                                          aero_model)
-            # F1 holds one-lane vectors, or scalars from an aero-free model
-            return (nxt[0], tuple(a[0] for a in stages),
-                    AeroForces(*(np.ravel(f)[0] for f in F1)))
+            nxt, stages = rk4_advance(state[None], T, delta, dt, scn,
+                                      aero_model)
+            return nxt[0], tuple(a[0] for a in stages)
     return _rk4_kernel(state, list(state.T), state.dtype.type, np, _lanes, T,
                        delta, dt, scn, aero_model)
 
@@ -243,8 +240,8 @@ def _rk4_kernel(state, x, num, ops, pack, T, delta, dt, scn, aero_model):
     delta = num(delta)
     h2 = 0.5 * dt
 
-    F1 = aero_model.forces(state, scn)
-    k = _derivative(x, F1, T, delta, mdot, cos, sin, scn)
+    k = _derivative(x, aero_model.forces(state, scn), T, delta, mdot, cos,
+                    sin, scn)
     ks = [k]
     stages = []
     for h in (h2, h2, dt):
@@ -256,7 +253,7 @@ def _rk4_kernel(state, x, num, ops, pack, T, delta, dt, scn, aero_model):
     h6 = dt / 6.0
     nxt = [xi + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
            for xi, k1, k2, k3, k4 in zip(x, *ks)]
-    return pack(nxt), tuple(stages), F1
+    return pack(nxt), tuple(stages)
 
 
 def rk4_step(state: np.ndarray, ctrl: tuple, aero_model: AeroModel, dt,
@@ -265,7 +262,7 @@ def rk4_step(state: np.ndarray, ctrl: tuple, aero_model: AeroModel, dt,
     if dt <= 0:
         raise ValueError("dt must be positive")
     T, delta = ctrl
-    nxt, stages, _ = rk4_advance(state, T, delta, dt, scn, aero_model)
+    nxt, stages = rk4_advance(state, T, delta, dt, scn, aero_model)
     if not np.isfinite(nxt).all():
         for i, a in enumerate(stages):
             if not np.isfinite(a).all():

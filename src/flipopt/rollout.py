@@ -12,13 +12,13 @@ the flip deadline).  Gradients come from one engine and one oracle:
   lam_k = Phi_k^T lam_{k+1} + path terms; each earlier segment is
   recorded again from its checkpoint: checkpointed reverse mode
   (Griewank & Walther, *Evaluating Derivatives*, 2008).  Two storage
-  policies are exposed under the engine names of the config and the CLI.
-  :func:`grad_bptt` records and linearizes the whole horizon at once
-  (memory linear in K, nothing recomputed); :func:`grad_adjoint` keeps a
-  fixed budget of checkpoints and linearizes 4 steps at a time (memory
-  grows only with the K/24-step segment, at the price of one extra
-  forward recompute).  Both run the same code, so their gradients agree
-  to the last bit; only the memory counters differ.
+  policies, which differ only in ``seg_len``, are exposed under the
+  engine names of the config and the CLI.  :func:`grad_bptt` records and
+  linearizes the whole horizon at once (memory linear in K, nothing
+  recomputed); :func:`grad_adjoint` keeps a checkpoint every 4 steps and
+  linearizes one 4-step segment at a time (8 floats per checkpoint, at
+  the price of one extra forward recompute).  Both run the same code, so
+  their gradients agree to the last bit; only the memory counters differ.
 * :func:`finite_diff_grad` - central differences on the raw parameters,
   the independent validation oracle.  Its 4K perturbed rollouts advance
   together as the lanes of one state batch, each starting from the
@@ -50,17 +50,14 @@ from .dynamics import (
     IX_V,
     IX_X,
     IX_Y,
-    SPEED_FLOOR,
     STATE_DIM,
     STATE_FIELDS,
     AeroModel,
-    angle_of_attack,
     rhs_and_jacobians,
     rk4_advance,
 )
 
-ADJOINT_TARGET_SEGMENTS = 24  # checkpoint budget; segment length scales with K
-BLOCK_STEPS = 4  # adjoint steps per linearization call: flat dense memory in K
+ADJOINT_SEG_LEN = 4  # adjoint steps per checkpoint and linearization call
 
 LOSS_TERM_NAMES = ("terminal_position", "terminal_velocity", "terminal_pitch",
                    "terminal_omega", "smoothness", "mass_floor", "flip_deadline")
@@ -105,28 +102,21 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Record of one rollout: states, controls, and aero logs.
+    """Record of one rollout: its states and the controls that drove them.
 
-    ``states`` has K+1 rows in the dynamics module's layout; control and
-    aero logs have one row per step.  ``alpha_defined`` flags steps whose
-    speed was above the floor (angle of attack is 0 by convention below).
+    ``states`` has K+1 rows in the dynamics module's layout; the controls
+    have one entry per step.  Anything else, such as the angle of attack,
+    follows from a state.
     """
 
     states: np.ndarray        # (K+1, 8)
     thrust: np.ndarray        # (K,)
     delta_cmd: np.ndarray     # (K,)
-    aero: np.ndarray          # (K, 3): F_Ax, F_Ay, M_A
-    alpha: np.ndarray         # (K,) rad in [0, 2*pi)
-    alpha_defined: np.ndarray  # (K,) bool
     dt: float
 
     @property
     def K(self) -> int:
         return self.thrust.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.states.shape[0]) * self.dt
 
     def controls(self) -> ControlSequence:
         return ControlSequence(thrust=self.thrust, delta=self.delta_cmd)
@@ -274,21 +264,17 @@ def rollout_controls(seq: ControlSequence, scn, aero: AeroModel) -> Trajectory:
         raise ValueError(f"control sequence length {seq.K} != scenario K {scn.K}")
     K = scn.K
     states = np.empty((K + 1, STATE_DIM))
-    aero_log = np.empty((K, 3))  # row k: the first RK4 stage's aero force
     states[0] = x = scn.x0
     # divergence is detected explicitly per step; intermediate overflow is
     # expected on the way to the RolloutError
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            x, _, aero_log[k] = rk4_advance(x, seq.thrust[k], seq.delta[k],
-                                            scn.dt, scn, aero)
+            x = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt, scn,
+                            aero)[0]
             _check_finite(x, k + 1)
             states[k + 1] = x
-    alpha = np.array([angle_of_attack(x) for x in states[:K]])
-    defined = np.hypot(states[:K, IX_U], states[:K, IX_V]) >= SPEED_FLOOR
     return Trajectory(states=states, thrust=seq.thrust.copy(),
-                      delta_cmd=seq.delta.copy(), aero=aero_log, alpha=alpha,
-                      alpha_defined=defined, dt=float(scn.dt))
+                      delta_cmd=seq.delta.copy(), dt=float(scn.dt))
 
 
 def loss(traj: Trajectory, w: LossWeights, scn) -> LossBreakdown:
@@ -358,30 +344,30 @@ def _step_jacobians(lanes: np.ndarray, T: np.ndarray, scn,
 # ---------------------------------------------------------------------------
 
 def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
-          seg_len: int, block: int, engine: str) -> GradientReport:
+          seg_len: int, engine: str) -> GradientReport:
     """Exact gradient by one reverse sweep over checkpoint segments.
 
     The forward pass keeps the start state of every ``seg_len``-step
     segment but the last as a checkpoint, and records each step's start
     and three stage states, as :func:`rk4_advance` returns them, for the
     segment it is in.  The reverse sweep takes the segments newest first,
-    recording each earlier one again from its checkpoint.  It turns
-    ``block`` steps at a time into their :func:`_step_jacobians` M_k and
-    runs lam_k = Phi_k^T lam_{k+1} + path terms, with the control
-    gradient G_k^T lam_{k+1}, as ``lam @ M_k``.  M_k does not depend on
-    the block, so every (seg_len, block) gives the same bits.  ``bptt`` is
-    (K, K): one call linearizes the whole record.  ``adjoint`` is
-    (ceil(K / 24), ``BLOCK_STEPS``): it recomputes up to one forward pass,
-    and 4-step blocks keep its dense arrays from growing with K.
+    recording each earlier one again from its checkpoint.  One
+    :func:`_step_jacobians` call turns a segment's record into its M_k,
+    and the sweep runs lam_k = Phi_k^T lam_{k+1} + path terms, with the
+    control gradient G_k^T lam_{k+1}, as ``lam @ M_k``.  M_k does not
+    depend on the batch, so every ``seg_len`` gives the same bits.
+    ``bptt`` takes seg_len = K: one call linearizes the whole record.
+    ``adjoint`` takes ``ADJOINT_SEG_LEN``: it recomputes up to one forward
+    pass, and only its checkpoints grow with K.
 
     ``peak_aux_floats`` counts what the sweep holds while it composes a
-    block: n_seg - 1 checkpoints, the record of 4 seg_len states, ``x``,
-    ``lam``, and 560 floats per step of the block (four stage ``[J | B]``,
-    then ``M``, ``d`` and a product buffer).  The O(K) control-sized
-    arrays are not counted: on case2 the adjoint's traced peak still grows
-    from 41 KB at K = 180 to 56 KB at K = 360, while the two policies'
-    peaks differ by 8 bytes per counted float to within 2 % on the drag
-    model, the surrogate and ``NoAero``.  Their ``forces_jac``
+    segment: n_seg - 1 checkpoints, the record of 4 seg_len states, ``x``,
+    ``lam``, and 560 floats per step of the segment (four stage
+    ``[J | B]``, then ``M``, ``d`` and a product buffer).  The O(K)
+    control-sized arrays are not counted: on case2 the adjoint's traced
+    peak grows from 40 KB at K = 180 to 57 KB at K = 360, while the two
+    policies' peaks differ by 8 bytes per counted float to within 2 % on
+    the drag model, the surrogate and ``NoAero``.  Their ``forces_jac``
     temporaries are freed before the dense arrays exist and are smaller:
     about 9, 36 and 134 floats per stage, against 140.
     """
@@ -396,8 +382,8 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
 
     def advance(x, k):
         """Step k from x, recorded in its segment's record."""
-        nxt, stages, _ = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt,
-                                     scn, aero)
+        nxt, stages = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt,
+                                  scn, aero)
         rec[:, k % seg_len] = (x, *stages)
         return nxt
 
@@ -424,16 +410,12 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
             x = ckpt[j]
             for k in range(s, e):
                 x = advance(x, k)
-        for b in reversed(range(s, e, block)):
-            n = min(block, e - b)
-            lanes = rec[:, b - s:b - s + n]
-            M = _step_jacobians(lanes, seq.thrust[b:b + n], scn, aero)
-            for k in reversed(range(b, b + n)):
-                lam = lam @ M[k - b]
-                g[:, k] = lam[STATE_DIM:]
-                lam = lam[:STATE_DIM]
-                _add_path_cotangent(lam, lanes[0, k - b], k, acc.k_flip,
-                                    scn, w)
+        M = _step_jacobians(rec[:, :e - s], seq.thrust[s:e], scn, aero)
+        for k in reversed(range(s, e)):
+            lam = lam @ M[k - s]
+            g[:, k] = lam[STATE_DIM:]
+            lam = lam[:STATE_DIM]
+            _add_path_cotangent(lam, rec[0, k - s], k, acc.k_flip, scn, w)
 
     # the smoothness term, then the chain rule through the squash mapping
     gu = ((g + w.w_smooth * np.array(smoothness_grads(seq, scn)))
@@ -447,23 +429,22 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
         grad_u_T=gu[0], grad_u_delta=gu[1], engine=engine,
         wall_time_s=time.perf_counter() - t0,
         peak_aux_floats=(ckpt.size + rec.size + 2 * STATE_DIM + 7 * STATE_DIM
-                         * (STATE_DIM + 2) * min(block, seg_len)),
+                         * (STATE_DIM + 2) * seg_len),
         loss=_breakdown(total, terms))
 
 
 def grad_bptt(raw: RawControlParams, scn, aero: AeroModel,
               w: LossWeights | None = None) -> GradientReport:
     """Exact gradient recording every step's stages (memory linear in K)."""
-    return _grad(raw, scn, aero, w, scn.K, scn.K, "bptt")
+    return _grad(raw, scn, aero, w, scn.K, "bptt")
 
 
 def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
                  w: LossWeights | None = None) -> GradientReport:
-    """Exact gradient from at most ADJOINT_TARGET_SEGMENTS checkpoints
-    (memory grows with K only through the segment length); the same bits
-    as :func:`grad_bptt`."""
-    return _grad(raw, scn, aero, w, -(-scn.K // ADJOINT_TARGET_SEGMENTS),
-                 BLOCK_STEPS, "adjoint")
+    """Exact gradient from a checkpoint every ``ADJOINT_SEG_LEN`` steps
+    (memory grows with K only through the 8-float checkpoints); the same
+    bits as :func:`grad_bptt`."""
+    return _grad(raw, scn, aero, w, ADJOINT_SEG_LEN, "adjoint")
 
 
 # ---------------------------------------------------------------------------

@@ -489,17 +489,13 @@ def redimensionalize(traj: Trajectory, refs: ReferenceQuantities) -> Trajectory:
     """Exact inverse of the rollout's nondimensional scaling, field by field.
 
     Produces a trajectory in SI units (positions m, velocities m/s, angular
-    rate rad/s, mass kg, forces N, moments N m, time s).
+    rate rad/s, mass kg, thrust N, time s).
     """
     scales = state_scales(refs)
-    aero = traj.aero.copy()
-    aero[:, 0:2] *= refs.force_scale
-    aero[:, 2] *= refs.moment_scale
     return replace(
         traj,
         states=traj.states * scales,
         thrust=traj.thrust * refs.force_scale,
-        aero=aero,
         dt=traj.dt * refs.t_ref,
     )
 
@@ -508,13 +504,9 @@ def nondimensionalize_trajectory(traj: Trajectory,
                                  refs: ReferenceQuantities) -> Trajectory:
     """Inverse of :func:`redimensionalize` (SI trajectory back to nondim)."""
     scales = state_scales(refs)
-    aero = traj.aero.copy()
-    aero[:, 0:2] /= refs.force_scale
-    aero[:, 2] /= refs.moment_scale
     return replace(
         traj,
         states=traj.states / scales,
         thrust=traj.thrust / refs.force_scale,
-        aero=aero,
         dt=traj.dt / refs.t_ref,
     )

@@ -10,7 +10,9 @@ import pytest
 
 import flipopt.cli as cli
 import flipopt.plots as plots
+import flipopt.rollout as ro
 import flipopt.scenario as sc
+from flipopt.dynamics import angle_of_attack
 
 # short runs keep the CLI suite fast; full-budget runs live in acceptance
 FAST = ["--k", "12", "--steps", "40"]
@@ -213,6 +215,27 @@ def test_simulate_no_aero_projectile(tmp_path, case1_cfg):
     assert rows["theta_deg"][-1] == pytest.approx(170.0, rel=1e-12)
 
 
+def test_simulate_logs_alpha_of_every_state(tmp_path, case1_cfg):
+    """alpha_deg is the angle of attack of each row's state, in [0, 360),
+    on every row, the last state's included."""
+    K = case1_cfg.K
+    ctrl = tmp_path / "controls.csv"
+    cli._write_csv(ctrl, cli.CONTROLS_HEADER,
+                   [(k, 0.0, 1.2e6, 8.0 * math.sin(0.1 * k)) for k in range(K)])
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--scenario", "case1", "--controls",
+                     str(ctrl), "--out", str(out)]) == 0
+    states = ro.rollout_controls(
+        cli._read_controls_csv(ctrl, case1_cfg.refs),
+        sc.nondimensionalize(case1_cfg), cli.build_aero_model(case1_cfg)).states
+    alpha_deg = cli._read_csv(out / "trajectory.csv", ("alpha_deg",),
+                              "trajectory file")["alpha_deg"]
+    assert len(alpha_deg) == K + 1
+    assert ((0.0 <= alpha_deg) & (alpha_deg < 360.0)).all()
+    assert alpha_deg.tolist() == [math.degrees(angle_of_attack(x))
+                                  for x in states]
+
+
 def test_train_aero_deterministic_and_reported(tmp_path):
     out1 = tmp_path / "a" / "weights.json"
     out2 = tmp_path / "b" / "weights.json"
@@ -279,6 +302,62 @@ def test_check_grad_passes_and_detects_corruption(tmp_path):
     assert rc == 1
 
 
+def test_check_grad_non_finite_gradient_exits_3(tmp_path, caplog):
+    """A loss weight that the schema accepts but that overflows the
+    gradient is a numerical abort, as in optimize."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"loss_weights": {"w_r": 1e308}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["check-grad", "--scenario", str(bad), "--k", "4",
+                       "--out", str(tmp_path / "cg")])
+    assert rc == 3
+    assert "non-finite gradient" in caplog.text
+
+
+def _report(g):
+    g = np.asarray(g, dtype=float)
+    half = len(g) // 2
+    return ro.GradientReport(grad_u_T=g[:half], grad_u_delta=g[half:],
+                             engine="test", wall_time_s=0.0)
+
+
+def _grad_check_loop(g, r):
+    """grad_check's rule entry by entry: the reference for finite inputs."""
+    worst_rel, worst_abs, worst_idx, ok = 0.0, 0.0, -1, True
+    for i, (a, b) in enumerate(zip(g, r)):
+        if abs(b) > cli.GRAD_FD_FLOOR:
+            rel = abs(a - b) / abs(b)
+            if rel > worst_rel:
+                worst_rel, worst_idx = rel, i
+            ok = ok and rel < cli.GRAD_REL_TOL
+        else:
+            worst_abs = max(worst_abs, abs(a - b))
+            ok = ok and abs(a - b) < cli.GRAD_ABS_TOL
+    return ok, worst_rel, worst_abs, worst_idx
+
+
+@pytest.mark.parametrize("index", [1, 2], ids=["relative", "absolute"])
+@pytest.mark.parametrize("side, value", [("engine", math.nan),
+                                         ("oracle", math.nan),
+                                         ("oracle", math.inf)],
+                         ids=["engine-nan", "oracle-nan", "oracle-inf"])
+def test_grad_check_fails_on_non_finite_entries(side, value, index):
+    """Finite gradients get the entry-by-entry rule's verdict, worst errors
+    and worst index; one non-finite entry on either side fails the check
+    (an infinite engine entry already did)."""
+    rng = np.random.default_rng(index)
+    fd = np.array([1.0, -2.0, 1e-9, 0.0] * 4)
+    for _ in range(50):
+        p = [0.5, 0.48, 0.02]  # about half the cases pass
+        g = fd * (1.0 + rng.choice([0.0, 1e-7, 1e-4], fd.size, p=p)) \
+            + rng.choice([0.0, 5e-9, 5e-8], fd.size, p=p)
+        assert (cli.grad_check(_report(g), _report(fd))
+                == _grad_check_loop(g, fd))
+    g = fd.copy()
+    (g if side == "engine" else fd)[index] = value
+    assert cli.grad_check(_report(g), _report(fd))[0] is False
+
+
 def test_plot_emits_svgs(opt_run):
     rc = cli.main(["plot", str(opt_run)])
     assert rc == 0
@@ -301,6 +380,35 @@ def test_plot_empty_trajectory_exits_2(tmp_path, case1_cfg, caplog):
     assert "no data rows" in caplog.text
 
 
+@pytest.mark.parametrize("edit, where", [
+    pytest.param(lambda r: r[:2] + ["abc"] + r[3:], "line 3, column 'x_m'",
+                 id="text-cell"),
+    pytest.param(lambda r: r[:5], "line 3, column 'u_mps'", id="ragged-row"),
+    pytest.param(lambda r: r[:4] + ["nan"] + r[5:],
+                 "line 3, column 'theta_deg'", id="nan"),
+    pytest.param(None, "line 3, column 3: not UTF-8", id="not-utf8"),
+])
+def test_plot_rejects_bad_trajectory_with_exit_2(edit, where, opt_run,
+                                                 tmp_path, caplog):
+    """A malformed trajectory.csv exits 2 with a message that names the
+    file, and the line and column of the bad cell."""
+    (tmp_path / "manifest.json").write_bytes(
+        (opt_run / "manifest.json").read_bytes())
+    lines = (opt_run / "trajectory.csv").read_bytes().split(b"\n")
+    cells = lines[2].split(b",")
+    if edit is None:
+        cells[2] = b"caf\xe9"
+    else:
+        cells = [c.encode() for c in edit([c.decode() for c in cells])]
+    lines[2] = b",".join(cells)
+    traj = tmp_path / "trajectory.csv"
+    traj.write_bytes(b"\n".join(lines))
+    assert cli.main(["plot", str(tmp_path)]) == 2
+    assert str(traj) in caplog.text
+    assert where in caplog.text
+    assert not (tmp_path / "controls_velocity.svg").exists()
+
+
 def test_plot_takes_the_runs_scenario(opt_run, tmp_path, caplog):
     run = tmp_path / "run"
     run.mkdir()
@@ -313,7 +421,8 @@ def test_plot_takes_the_runs_scenario(opt_run, tmp_path, caplog):
     snap["vehicle"]["l_cg_frac"] = 0.5
     cli._write_json(run / "manifest.json", manifest)
     assert cli.main(["plot", str(run)]) == 0
-    tab = cli._read_table(run / "trajectory.csv")
+    tab = cli._read_csv(run / "trajectory.csv", ("x_m", "y_m", "theta_deg"),
+                        "trajectory file")
     plots.write_pose_plot(tmp_path / "pose.svg", tab["x_m"] / 40.0,
                           tab["y_m"] / 40.0, np.radians(tab["theta_deg"]),
                           0.5, "Attitude and trajectory evolution")

@@ -283,13 +283,12 @@ def test_rk4_advance_matches_vector_form_bit_for_bit(model_name, dtype,
     for _ in range(6):
         T = dtype(rng.uniform(scn.T_min, scn.T_max))
         delta = dtype(rng.uniform(-scn.delta_max, scn.delta_max))
-        nxt, stages, F1 = dyn.rk4_advance(x, T, delta, scn.dt, scn, model)
+        nxt, stages = dyn.rk4_advance(x, T, delta, scn.dt, scn, model)
         ref, ref_stages = _vector_rk4(x, T, delta, scn.dt, scn, model)
         assert nxt.dtype == dtype
         assert np.array_equal(nxt, ref)
         for a, b in zip(stages, ref_stages):
             assert a.dtype == dtype and np.array_equal(a, b)
-        assert tuple(F1) == tuple(model.forces(x, scn))
         x = nxt
 
 
@@ -358,11 +357,9 @@ def test_rk4_advance_batch_matches_single_states(model_name, dtype, case1_scn,
     X[2, dyn.IX_U] = X[2, dyn.IX_V] = 0.0      # a lane at rest
     T = rng.uniform(scn.T_min, scn.T_max, B).astype(dtype)
     delta = rng.uniform(-scn.delta_max, scn.delta_max, B).astype(dtype)
-    nxt, stages, F1 = dyn.rk4_advance(X, T, delta, scn.dt, scn, model)
-    F1 = np.broadcast_to(np.array(F1).T, (B, 3))
+    nxt, stages = dyn.rk4_advance(X, T, delta, scn.dt, scn, model)
     assert nxt.shape == (B, 8) and nxt.dtype == dtype
     assert all(a.shape == (B, 8) and a.dtype == dtype for a in stages)
-    assert np.all(F1[2] == 0.0)
 
     # A float64 single state runs on Python floats: math.hypot rounds
     # differently from np.hypot, and the surrogate's BLAS matrix-vector
@@ -378,12 +375,11 @@ def test_rk4_advance_batch_matches_single_states(model_name, dtype, case1_scn,
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
     for j in range(B):
-        ref, ref_stages, ref_F1 = dyn.rk4_advance(X[j], T[j], delta[j], scn.dt,
-                                                  scn, model)
+        ref, ref_stages = dyn.rk4_advance(X[j], T[j], delta[j], scn.dt, scn,
+                                          model)
         same(nxt[j], ref)
         for a, b in zip(stages, ref_stages):
             same(a[j], b)
-        same(F1[j], np.array(ref_F1, dtype=dtype))
 
 
 def test_rk4_rejects_nonpositive_dt(case1_scn):

@@ -36,8 +36,6 @@ def test_rollout_replay_is_bit_identical(short_scn, simplified):
     a = ro.rollout(raw, short_scn, simplified)
     b = ro.rollout(raw, short_scn, simplified)
     assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.aero, b.aero)
-    assert np.array_equal(a.alpha, b.alpha)
 
 
 def test_states_replay_through_rk4_step(short_scn, simplified):
@@ -118,13 +116,6 @@ def test_infinite_pitch_raises_rollout_error(model_name, short_scn, simplified,
     assert err.value.step == 1
 
 
-def test_alpha_log_and_flags(short_scn, simplified):
-    traj = ro.rollout(fo.init_raw_params(short_scn), short_scn, simplified)
-    assert traj.alpha.shape == (short_scn.K,)
-    assert traj.alpha_defined.all()
-    assert ((0.0 <= traj.alpha) & (traj.alpha < 2 * math.pi)).all()
-
-
 # ---------------------------------------------------------------------------
 # Loss
 # ---------------------------------------------------------------------------
@@ -139,9 +130,7 @@ def _make_traj_hitting_targets(scn, K=4):
     x[:, 5] = scn.omega_f
     x[:, 6] = scn.m_wet
     return ro.Trajectory(states=x, thrust=np.full(K, 0.02),
-                         delta_cmd=np.zeros(K), aero=np.zeros((K, 3)),
-                         alpha=np.zeros(K), alpha_defined=np.ones(K, bool),
-                         dt=float(scn.dt))
+                         delta_cmd=np.zeros(K), dt=float(scn.dt))
 
 
 def test_loss_zero_on_exact_targets(case1_scn):
@@ -321,7 +310,7 @@ def test_step_vjp_matches_dense_recursion(model_name, case1_scn, simplified,
     for k in (0, 30, 60, 89):
         lam = rng.normal(size=8)
         T, delta = seq.thrust[k], seq.delta[k]
-        _, stages, _ = dyn.rk4_advance(states[k], T, delta, scn.dt, scn, model)
+        _, stages = dyn.rk4_advance(states[k], T, delta, scn.dt, scn, model)
         X = np.array([states[k], *stages])
         M = ro._step_jacobians(X[:, None], np.array([T]), scn, model)[0]
         ref_x, ref_c = _dense_step_vjp(X, T, scn, model, lam)
@@ -333,16 +322,16 @@ def test_step_vjp_matches_dense_recursion(model_name, case1_scn, simplified,
 def test_step_jacobians_do_not_depend_on_the_batch(model_name, case1_scn,
                                                    case2_scn, simplified,
                                                    surrogate):
-    """Step k's [Phi | G] has the same bits alone, in its 4-step block and
-    in the whole horizon's batch; the two storage policies rely on it."""
+    """Step k's [Phi | G] has the same bits alone, in its 4-step segment
+    and in the whole horizon's batch; the two storage policies rely on it."""
     scn, model = {"simplified": (case1_scn, simplified),
                   "surrogate": (case2_scn, surrogate)}[model_name]
     seq = fo.reparameterize(random_raw(scn, 5), scn)
     states = ro.rollout_controls(seq, scn, model).states
     lanes = np.empty((4, scn.K, 8))
     for k in range(scn.K):
-        _, stages, _ = dyn.rk4_advance(states[k], seq.thrust[k], seq.delta[k],
-                                       scn.dt, scn, model)
+        _, stages = dyn.rk4_advance(states[k], seq.thrust[k], seq.delta[k],
+                                    scn.dt, scn, model)
         lanes[:, k] = (states[k], *stages)
     whole = ro._step_jacobians(lanes, seq.thrust, scn, model)
     for b in range(0, scn.K, 4):
@@ -373,9 +362,9 @@ class _RecordingAero:
 def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
                                                         surrogate,
                                                         monkeypatch):
-    """One forces_jac call for the whole bptt record and per block of up to
-    4 steps within an adjoint segment, on states that are bit for bit the
-    stage states of the rollout."""
+    """One forces_jac call for the whole bptt record and per 4-step adjoint
+    segment, on states that are bit for bit the stage states of the
+    rollout."""
     scn = fo.nondimensionalize(truncate(case2_cfg, K))
     raw = random_raw(scn, 23)
     produced = set()
@@ -392,13 +381,7 @@ def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
 
     proxy = _RecordingAero(surrogate)
     getattr(ro, f"grad_{engine}")(raw, scn, proxy, scn.weights)
-    if engine == "bptt":
-        n_blocks = 1
-    else:
-        seg_len = -(-K // ro.ADJOINT_TARGET_SEGMENTS)
-        n_blocks = sum(-(-min(seg_len, K - s) // 4)
-                       for s in range(0, K, seg_len))
-    assert len(proxy.jac_batches) == n_blocks
+    assert len(proxy.jac_batches) == (1 if engine == "bptt" else -(-K // 4))
     seen = [row.tobytes()
             for X in proxy.jac_batches for row in np.atleast_2d(X)]
     assert len(seen) == 4 * K
@@ -473,7 +456,8 @@ def test_fd_rollout_count_and_richardson(case1_cfg, simplified):
 
 
 def test_memory_meter_contract(case2_cfg, surrogate):
-    """BPTT memory grows with K; the adjoint engine's stays nearly flat."""
+    """BPTT memory grows with K; the adjoint engine's only by 8 floats per
+    checkpoint."""
     peaks = {}
     for K in (90, 180, 360):
         scn = fo.nondimensionalize(truncate(case2_cfg, K))
@@ -485,11 +469,11 @@ def test_memory_meter_contract(case2_cfg, surrogate):
     assert peaks[("bptt", 180)] / peaks[("bptt", 90)] > 1.8
     assert peaks[("adjoint", 180)] / peaks[("adjoint", 90)] <= 1.25
     assert peaks[("adjoint", 90)] < peaks[("bptt", 90)]
-    # the checkpoints, the segment record, x, lam and one block's stage
+    # the checkpoints, the segment record, x, lam and one segment's stage
     # Jacobians and composition arrays
     assert peaks == {("bptt", 90): 53296, ("adjoint", 90): 2560,
-                     ("bptt", 180): 106576, ("adjoint", 180): 2688,
-                     ("bptt", 360): 213136, ("adjoint", 360): 2920}
+                     ("bptt", 180): 106576, ("adjoint", 180): 2736,
+                     ("bptt", 360): 213136, ("adjoint", 360): 3096}
 
 
 @pytest.mark.parametrize("K", [180, 360])

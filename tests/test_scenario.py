@@ -156,9 +156,7 @@ def _toy_trajectory(scn) -> ro.Trajectory:
     states[:, 6] = np.abs(states[:, 6]) + 4.0
     return ro.Trajectory(
         states=states, thrust=np.abs(rng.normal(size=K)),
-        delta_cmd=rng.normal(size=K) * 0.1,
-        aero=rng.normal(size=(K, 3)), alpha=np.abs(rng.normal(size=K)),
-        alpha_defined=np.ones(K, dtype=bool), dt=float(scn.dt))
+        delta_cmd=rng.normal(size=K) * 0.1, dt=float(scn.dt))
 
 
 def test_redimensionalize_round_trip(case1_scn):
@@ -167,7 +165,6 @@ def test_redimensionalize_round_trip(case1_scn):
     back = sc.nondimensionalize_trajectory(si, case1_scn.refs)
     np.testing.assert_allclose(back.states, traj.states, rtol=1e-12)
     np.testing.assert_allclose(back.thrust, traj.thrust, rtol=1e-12)
-    np.testing.assert_allclose(back.aero, traj.aero, rtol=1e-12)
     assert back.dt == pytest.approx(traj.dt, rel=1e-12)
 
 
