@@ -13,16 +13,16 @@ model (:func:`standin_coeffs`), sampled on a uniform angle-of-attack grid.
 Both models give the exact state Jacobian of their vector form, for a
 batch of states at once, to the gradient engine.
 
-Each model's ``forces`` states its force law once, for one state of shape
-(8,) and for a batch of lanes (..., 8); the input chooses only how the law
-is evaluated.  A float64 state reads its fields as Python floats, takes
-``math`` trigonometry, returns zero force at once below ``SPEED_FLOOR`` and
-returns Python floats; the surrogate's network then costs one BLAS product
-and one tanh per layer, its biases folded into the weights.  Extended
-precision and batches read one vector per field, take numpy trigonometry
-and the fixed-order einsum network, and give exactly zero force in every
-lane whose speed is below the floor.  ``forces_jac`` has only the vector
-form, with the same floor.
+Each model's ``forces`` states its force law once, for one state and for
+a batch of lanes in the state layout of :mod:`flipopt.dynamics`; the
+input chooses only how the law is evaluated.  A float64 state reads its
+fields as Python floats, takes ``math`` trigonometry, returns zero force
+at once below ``SPEED_FLOOR`` and returns Python floats; the surrogate's
+network then costs one BLAS product and one tanh per layer, its biases
+folded into the weights.  Otherwise each field is one numpy value or lane
+vector, with numpy trigonometry, the fixed-order einsum network and
+exactly zero force in every lane whose speed is below the floor.
+``forces_jac`` has only the vector form, with the same floor.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .dynamics import (
     IX_V,
     SPEED_FLOOR,
     AeroForces,
+    field_values,
     wind_axes,
 )
 from .optimizer import AdamState, adam_step
@@ -75,8 +76,8 @@ class NoAero:
         return AeroForces(0.0, 0.0, 0.0)
 
     def forces_jac(self, states, scn):
-        zero = np.zeros((3, len(states)))
-        return zero, np.zeros((3, 2, len(states))), zero
+        zero = np.zeros((3, states.shape[1]))
+        return zero, np.zeros((3, 2, states.shape[1])), zero
 
 
 # ---------------------------------------------------------------------------
@@ -104,25 +105,20 @@ class SimplifiedAero:
             raise ValueError("l_cp_frac must be in (0, 1)")
 
     def forces(self, state, scn) -> AeroForces:
-        single = state.dtype == np.float64 and state.ndim == 1
-        if single:
-            u, v, th = float(state[IX_U]), float(state[IX_V]), float(state[IX_TH])
-            ops = math
-        else:
-            u, v, th = state[..., IX_U], state[..., IX_V], state[..., IX_TH]
-            ops = np
+        x, ops = field_values(state)
+        u, v, th = x[IX_U], x[IX_V], x[IX_TH]
         speed = ops.hypot(u, v)
-        if single and speed < SPEED_FLOOR:
+        if ops is math and speed < SPEED_FLOOR:
             return AeroForces(0.0, 0.0, 0.0)
         c = scn.q_coef * self.C_D
         lever = self.l_cp_frac - scn.l_cg_frac
         F = (-c * speed * u,
              -c * speed * v,
              lever * c * speed * (v * ops.cos(th) - u * ops.sin(th)))
-        return AeroForces(*(F if single else _floored(speed, F)))
+        return AeroForces(*(F if ops is math else _floored(speed, F)))
 
     def forces_jac(self, states, scn):
-        u, v, th = states[..., IX_U], states[..., IX_V], states[..., IX_TH]
+        u, v, th = states[IX_U], states[IX_V], states[IX_TH]
         speed = np.hypot(u, v)
         c = scn.q_coef * self.C_D
         d = (self.l_cp_frac - scn.l_cg_frac) * c
@@ -273,9 +269,9 @@ class MlpSurrogate:
     # -- force assembly -------------------------------------------------------
 
     def forces(self, state, scn) -> AeroForces:
-        single = state.dtype == np.float64 and state.ndim == 1
-        if single:
-            u, v, th = float(state[IX_U]), float(state[IX_V]), float(state[IX_TH])
+        x, ops = field_values(state)
+        u, v, th = x[IX_U], x[IX_V], x[IX_TH]
+        if ops is math:
             speed = math.hypot(u, v)
             if speed < SPEED_FLOOR:
                 return AeroForces(0.0, 0.0, 0.0)
@@ -286,7 +282,6 @@ class MlpSurrogate:
                  (u * cth + v * sth) / speed)).tolist()
         else:
             # a lane at rest divides by zero here and is zeroed by the floor
-            u, v = state[..., IX_U], state[..., IX_V]
             with np.errstate(divide="ignore", invalid="ignore"):
                 sin_a, cos_a, speed = wind_axes(state)
             C = self._network(np.stack((sin_a, cos_a), axis=-1))
@@ -296,13 +291,13 @@ class MlpSurrogate:
         F = (s * speed * (-C_D * u - C_L * v),
              s * speed * (-C_D * v + C_L * u),
              s * speed * speed * C_M)
-        return AeroForces(*(F if single else _floored(speed, F)))
+        return AeroForces(*(F if ops is math else _floored(speed, F)))
 
     def forces_jac(self, states, scn):
         # alpha depends on the state through the encoding only: its tangent
         # along alpha is (cos a, -sin a), d alpha / d(u, v) = (-v, u) / speed^2
         # and d alpha / d theta = -1
-        u, v = states[..., IX_U], states[..., IX_V]
+        u, v = states[IX_U], states[IX_V]
         with np.errstate(divide="ignore", invalid="ignore"):
             sin_a, cos_a, speed = wind_axes(states)
             iu = u / speed

@@ -469,10 +469,14 @@ def cmd_check_grad(args) -> int:
     if ok:
         print(f"gradient check passed: worst relative error {worst_rel:.3e}")
         return 0
-    g = report.stacked()
-    r = fd.stacked()
-    print(f"gradient check FAILED at index {worst_idx}: engine "
-          f"{g[worst_idx]!r} vs finite differences {r[worst_idx]!r} "
+    g, r = report.stacked(), fd.stacked()
+    # name the entry furthest outside its own tolerance, a NaN first
+    with np.errstate(all="ignore"):
+        tol = np.where(np.abs(r) > GRAD_FD_FLOOR, GRAD_REL_TOL * np.abs(r),
+                       GRAD_ABS_TOL)
+        i = int(np.argmax(np.abs(g - r) / tol))
+    print(f"gradient check FAILED at index {i}: engine {float(g[i])!r} vs "
+          f"finite differences {float(r[i])!r} "
           f"(rel {worst_rel:.3e}, abs {worst_abs:.3e})")
     return 1
 

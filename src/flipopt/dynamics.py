@@ -24,6 +24,9 @@ body axis:  F_T = T (cos(theta + delta_d), sin(theta + delta_d)) and
 M_T = -T sin(delta_d) l_arm.  Positive gimbal therefore pitches the nose
 down, which is the sense needed to flip from 170 deg toward 90 deg.
 
+A state's fields are its first axis: one state is (8,) and B lanes are
+(8, B), so ``x[IX_M]`` reads a scalar or a lane vector the same way.
+
 All functions are pure and dtype-generic: feeding long-double states
 through produces long-double results, which the finite-difference
 gradient oracle relies on.
@@ -67,18 +70,27 @@ class AeroModel(Protocol):
     """Anything that can produce aero forces and their state Jacobian."""
 
     def forces(self, state: np.ndarray, scn: "NondimScenario") -> AeroForces:
-        """(F_Ax, F_Ay, M_A) at one state (8,) or lanes (..., 8); a float64
-        state may give Python floats or numpy scalars, the RK4 kernel takes
-        both."""
+        """(F_Ax, F_Ay, M_A) at one state or a batch of lanes, in the state
+        layout of this module; a float64 state may give Python floats or
+        numpy scalars, the RK4 kernel takes both."""
 
     def forces_jac(
         self, states: np.ndarray, scn: "NondimScenario"
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For a batch of B states (B, 8), return (F, dF_dv, dF_dtheta) with
+        """For a batch of B states (8, B), return (F, dF_dv, dF_dtheta) with
         F = (F_Ax, F_Ay, M_A) of shape (3, B), its partials with respect to
         (u, v) of shape (3, 2, B) and with respect to theta of shape (3, B),
         all exactly zero in every lane whose speed is below SPEED_FLOOR."""
         ...
+
+
+def field_values(state: np.ndarray):
+    """A state's fields and the module whose trigonometry they take: Python
+    floats and ``math`` for one float64 state, far cheaper than numpy
+    scalars; otherwise the array, whose rows are the fields, and ``np``."""
+    if state.dtype == np.float64 and state.ndim == 1:
+        return state.tolist(), math
+    return state, np
 
 
 def angle_of_attack(state: np.ndarray) -> float:
@@ -103,7 +115,7 @@ def wind_axes(state: np.ndarray):
     speed, which is what the surrogate consumes; they are smooth in the
     state wherever speed > 0.
     """
-    u, v, th = state[..., IX_U], state[..., IX_V], state[..., IX_TH]
+    u, v, th = state[IX_U], state[IX_V], state[IX_TH]
     speed = np.hypot(u, v)
     cth = np.cos(th)
     sth = np.sin(th)
@@ -133,12 +145,12 @@ def _derivative(s, F, T, delta, mdot, cos, sin, scn) -> tuple:
 def rhs(state: np.ndarray, ctrl: tuple, aero: AeroForces, scn) -> np.ndarray:
     """State derivative given control (T, delta) and aero forces."""
     T, delta = ctrl
-    return np.array(_derivative(state, aero, T, delta, -T / scn.c_ex,
-                                np.cos, np.sin, scn), dtype=state.dtype)
+    f = _derivative(state, aero, T, delta, -T / scn.c_ex, np.cos, np.sin, scn)
+    return np.array(np.broadcast_arrays(*f), dtype=state.dtype)
 
 
 def rhs_and_jacobians(states: np.ndarray, T, scn, aero_model: AeroModel):
-    """``[J | B]`` of shape (n, 8, 10) for a batch of states (n, 8), with
+    """``[J | B]`` of shape (n, 8, 10) for a batch of states (8, n), with
     ``T`` one thrust per lane: J = d f/d state and B = d f/d (T, delta),
     the structural ones included.  The aero model gives the partials of
     (F_Ax, F_Ay, M_A) in (u, v, theta) through ``forces_jac``; the rest is
@@ -146,7 +158,7 @@ def rhs_and_jacobians(states: np.ndarray, T, scn, aero_model: AeroModel):
     operation is elementwise per lane, so a lane's bits do not depend on
     its batch.
     """
-    th, m, dd = states[:, IX_TH], states[:, IX_M], states[:, IX_DD]
+    th, m, dd = states[IX_TH], states[IX_M], states[IX_DD]
     psi = th + dd
     (Fx, Fy, _), dF_dv, dF_dth = aero_model.forces_jac(states, scn)
     im = 1.0 / m
@@ -154,7 +166,7 @@ def rhs_and_jacobians(states: np.ndarray, T, scn, aero_model: AeroModel):
     eta_J = scn.eta_corr / scn.J_z
     arm_J = scn.l_arm / scn.J_z
 
-    JB = np.zeros((len(states), STATE_DIM, STATE_DIM + 2))
+    JB = np.zeros((len(th), STATE_DIM, STATE_DIM + 2))
     J, B_T, B_delta = JB[..., :STATE_DIM], JB[..., STATE_DIM], JB[..., -1]
     J[:, IX_X, IX_U] = J[:, IX_Y, IX_V] = J[:, IX_TH, IX_OM] = 1.0
     B_T[:, IX_U] = B_uT = np.cos(psi) * im
@@ -195,46 +207,38 @@ def rk4_advance(state: np.ndarray, T, delta, dt, scn, aero_model: AeroModel):
     """One RK4 step of the vehicle dynamics, returning the stage states.
 
     ``state`` is one state of shape (8,) or a batch of B lanes of shape
-    (B, 8), with ``T`` and ``delta`` scalars or one value per lane.
+    (8, B), with ``T`` and ``delta`` scalars or one value per lane.
     Control is held constant over the step (zero-order hold); the aero
     model is re-evaluated at each stage state.  Returns
     (next_state, (a2, a3, a4)) where a2..a4 are the interior stage states
     (the first stage state is ``state`` itself).  Bit-identical across
     repeated calls with the same inputs.
 
-    A float64 state runs on Python floats with ``math`` trigonometry.
-    Extended precision and batches run on numpy, one array per state
-    field; lanes never mix, and in extended precision each lane is
+    The step runs on :func:`field_values`: Python floats for one float64
+    state.  Lanes never mix, and in extended precision each lane is
     bit-identical to a single-state call on it.  Python floats raise where
     numpy returns inf or nan (the cosine of an infinite angle, a zero
     mass); such a step is taken again as a one-lane batch, so a diverging
     state still yields the non-finite result that the callers detect.
     """
-    if state.dtype == np.float64 and state.ndim == 1:
-        try:
-            return _rk4_kernel(state, state.tolist(), float, math, np.array, T,
-                               delta, dt, scn, aero_model)
-        except (ValueError, ZeroDivisionError):
-            nxt, stages = rk4_advance(state[None], T, delta, dt, scn,
-                                      aero_model)
-            return nxt[0], tuple(a[0] for a in stages)
-    return _rk4_kernel(state, list(state.T), state.dtype.type, np, _lanes, T,
-                       delta, dt, scn, aero_model)
+    x, ops = field_values(state)
+    try:
+        return _rk4_kernel(state, x, ops, T, delta, dt, scn, aero_model)
+    except (ValueError, ZeroDivisionError):
+        if ops is np:
+            raise
+        nxt, stages = rk4_advance(state[:, None], T, delta, dt, scn,
+                                  aero_model)
+        return nxt[:, 0], tuple(a[:, 0] for a in stages)
 
 
-def _lanes(fields: list) -> np.ndarray:
-    """A state or batch from its fields' values, stored field-major so that
-    each field's lane vector is contiguous."""
-    return np.array(fields).T
-
-
-def _rk4_kernel(state, x, num, ops, pack, T, delta, dt, scn, aero_model):
-    """RK4 on the fields ``x`` of ``state`` (scalars of type ``num``, or
-    one lane vector per field), with the trigonometry of module ``ops``;
-    ``pack`` builds an array from field values.  The operation order is
-    the vector form's, k1 + 2 k2 + 2 k3 + k4, so every result is
-    bit-identical to it.  Stage arrays are built only for the aero model."""
+def _rk4_kernel(state, x, ops, T, delta, dt, scn, aero_model):
+    """RK4 on the fields ``x`` of ``state`` with the trigonometry of module
+    ``ops``.  The operation order is the vector form's, k1 + 2 k2 + 2 k3
+    + k4, so every result is bit-identical to it.  Stage arrays are built
+    only for the aero model."""
     cos, sin = ops.cos, ops.sin
+    num = float if ops is math else state.dtype.type
     mdot = num(-T / scn.c_ex)
     T = num(T)
     delta = num(delta)
@@ -246,14 +250,14 @@ def _rk4_kernel(state, x, num, ops, pack, T, delta, dt, scn, aero_model):
     stages = []
     for h in (h2, h2, dt):
         a = [xi + h * ki for xi, ki in zip(x, k)]
-        A = pack(a)
+        A = np.array(a)
         k = _derivative(a, aero_model.forces(A, scn), T, delta, mdot, cos, sin, scn)
         ks.append(k)
         stages.append(A)
     h6 = dt / 6.0
     nxt = [xi + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
            for xi, k1, k2, k3, k4 in zip(x, *ks)]
-    return pack(nxt), tuple(stages)
+    return np.array(nxt), tuple(stages)
 
 
 def rk4_step(state: np.ndarray, ctrl: tuple, aero_model: AeroModel, dt,

@@ -142,10 +142,6 @@ def optimize(scn, aero: AeroModel, raw0: RawControlParams | None = None,
                 snapshot=_snapshot(i, params, history),
             ) from exc
         breakdown = report.loss
-        if not math.isfinite(breakdown.total):
-            raise NumericalAbort(
-                f"non-finite loss at step {i}",
-                snapshot=_snapshot(i, params, history))
         history.append(breakdown)
         if breakdown.total < best_total:
             best_total = breakdown.total

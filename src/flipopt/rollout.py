@@ -185,7 +185,7 @@ class _PathAccumulator:
     The gradient engine and the finite-difference oracle feed states
     through this accumulator, so every route sums the loss terms in an
     identical floating-point order.  With ``lanes`` it keeps one mass
-    floor and one flip sum per lane: a batch of p states (p, 8) updates
+    floor and one flip sum per lane: a batch of p states (8, p) updates
     lanes 0 to p - 1, and :meth:`seed` starts later lanes from lane 0's
     sums.  The oracle uses both to let a perturbed rollout take over the
     base rollout's prefix (see :func:`finite_diff_grad`).
@@ -200,7 +200,6 @@ class _PathAccumulator:
         self.flip_acc = np.zeros(shape, dtype)
 
     def add(self, x: np.ndarray, k: int) -> None:
-        x = x.T
         m = x[IX_M]
         m_dry = self.scn.m_dry
         p = slice(len(m)) if m.ndim else ()  # the lanes that x holds
@@ -217,35 +216,39 @@ class _PathAccumulator:
         self.mass_acc[lanes] = self.mass_acc[0]
         self.flip_acc[lanes] = self.flip_acc[0]
 
-    def finish(self, x_final: np.ndarray, smoothness):
-        """Total and terms, given the smoothness penalty of the controls
-        (one value per lane for a batch)."""
+    def finish(self, x: np.ndarray, smoothness):
+        """Total and terms at the final state ``x``, given the smoothness
+        penalty of the controls (one value per lane for a batch); a term
+        that overflows is inf."""
         scn, w = self.scn, self.w
-        x = x_final.T
         dr = (x[IX_X] - scn.r_f[0], x[IX_Y] - scn.r_f[1])
         dv = (x[IX_U] - scn.v_f[0], x[IX_V] - scn.v_f[1])
         dth = x[IX_TH] - scn.theta_f
         dom = x[IX_OM] - scn.omega_f
-        terms = (
-            w.w_r * (dr[0] * dr[0] + dr[1] * dr[1]),
-            w.w_v * (dv[0] * dv[0] + dv[1] * dv[1]),
-            w.w_theta * dth * dth,
-            w.w_omega * dom * dom,
-            w.w_smooth * smoothness,
-            w.w_mass * self.mass_acc,
-            w.w_flip * self.flip_acc,
-        )
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (
+                w.w_r * (dr[0] * dr[0] + dr[1] * dr[1]),
+                w.w_v * (dv[0] * dv[0] + dv[1] * dv[1]),
+                w.w_theta * dth * dth,
+                w.w_omega * dom * dom,
+                w.w_smooth * smoothness,
+                w.w_mass * self.mass_acc,
+                w.w_flip * self.flip_acc,
+            )
+            total = terms[0]
+            for t in terms[1:]:
+                total = total + t
         return total, terms
 
 
 def _breakdown(total, terms) -> LossBreakdown:
-    return LossBreakdown(
-        total=float(total),
-        terms={name: float(t) for name, t in zip(LOSS_TERM_NAMES, terms)},
-    )
+    """The loss as floats; raises FloatingPointError naming the first
+    non-finite term, or the total if only the sum overflows."""
+    named = {name: float(t) for name, t in zip(LOSS_TERM_NAMES, terms)}
+    for name, t in (*named.items(), ("total", float(total))):
+        if not np.isfinite(t):
+            raise FloatingPointError(f"non-finite loss: {name} is {t}")
+    return LossBreakdown(total=float(total), terms=named)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +289,8 @@ def loss(traj: Trajectory, w: LossWeights, scn) -> LossBreakdown:
     acc = _PathAccumulator(scn, w)
     for k in range(traj.states.shape[0]):
         acc.add(traj.states[k], k)
-    total, terms = acc.finish(traj.states[-1],
-                              smoothness_penalty(traj.controls(), scn))
-    return _breakdown(total, terms)
+    return _breakdown(*acc.finish(traj.states[-1],
+                                  smoothness_penalty(traj.controls(), scn)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,7 @@ def _step_jacobians(lanes: np.ndarray, T: np.ndarray, scn,
     [I | 0] + dt/6 (d_1 + 2 d_2 + 2 d_3 + d_4).  Batched ``matmul`` gives
     a matrix the same bits in any batch (``einsum``'s differ from it).
     """
-    S = rhs_and_jacobians(lanes.reshape(-1, STATE_DIM), np.tile(T, 4), scn,
+    S = rhs_and_jacobians(lanes.reshape(-1, STATE_DIM).T, np.tile(T, 4), scn,
                           aero).reshape(4, len(T), STATE_DIM, STATE_DIM + 2)
     M = S[0].copy()  # d_1 + 2 d_2 + 2 d_3 + d_4, accumulated in place
     d = S[0].copy()
@@ -397,7 +399,7 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
             x = advance(x, k)
             _check_finite(x, k + 1)
     acc.add(x, K)
-    total, terms = acc.finish(x, smoothness_penalty(seq, scn))
+    breakdown = _breakdown(*acc.finish(x, smoothness_penalty(seq, scn)))
 
     lam = _terminal_cotangent(x, scn, w)
     _add_path_cotangent(lam, x, K, acc.k_flip, scn, w)
@@ -430,7 +432,7 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
         wall_time_s=time.perf_counter() - t0,
         peak_aux_floats=(ckpt.size + rec.size + 2 * STATE_DIM + 7 * STATE_DIM
                          * (STATE_DIM + 2) * seg_len),
-        loss=_breakdown(total, terms))
+        loss=breakdown)
 
 
 def grad_bptt(raw: RawControlParams, scn, aero: AeroModel,
@@ -499,22 +501,20 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
         smoothness[j + 1] = smoothness_penalty(ControlSequence(*lane), scn)
 
     acc = _PathAccumulator(scn, w, dtype=dtype, lanes=n + 1)
-    # field-major, so that each field's lane prefix is contiguous
-    xt = np.tile(scn.x0.astype(dtype)[:, None], n + 1)
+    x = np.tile(scn.x0.astype(dtype)[:, None], n + 1)
     for k in range(K):
         p = 4 * k + 5  # the base lane and the lanes that have left it
         new = slice(p - 4, p)
-        xt[:, new] = xt[:, :1]
+        x[:, new] = x[:, :1]
         acc.seed(new)
-        x = xt[:, :p].T
-        acc.add(x, k)
+        acc.add(x[:, :p], k)
         T = np.full(p, base.thrust[k])
         T[p - 4:p - 2] = plus.thrust[k], minus.thrust[k]
         delta = np.full(p, base.delta[k])
         delta[p - 2:] = plus.delta[k], minus.delta[k]
-        xt[:, :p] = rk4_advance(x, T, delta, scn.dt, scn, aero)[0].T
-    acc.add(xt.T, K)
-    total, _ = acc.finish(xt.T, smoothness)
+        x[:, :p] = rk4_advance(x[:, :p], T, delta, scn.dt, scn, aero)[0]
+    acc.add(x, K)
+    total, _ = acc.finish(x, smoothness)
     # rows: u_T + h, u_T - h, u_delta + h, u_delta - h
     lp_lm = total[1:].reshape(K, 4).T
     g = ((lp_lm[0::2] - lp_lm[1::2]) / (2.0 * dtype(h))).astype(np.float64)

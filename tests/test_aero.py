@@ -214,12 +214,12 @@ def test_single_state_forces_are_floats_matching_one_lane(model_name, case2_scn,
     for x in X:
         F = model.forces(x, case2_scn)
         assert all(type(f) is float for f in F)
-        lane = np.array(model.forces(x[None], case2_scn))[:, 0]
+        lane = np.array(model.forces(x[:, None], case2_scn))[:, 0]
         np.testing.assert_allclose(F, lane, rtol=1e-13)
     still = state(u=0.5 * dyn.SPEED_FLOOR, v=-0.5 * dyn.SPEED_FLOOR)
     F = model.forces(still, case2_scn)
     assert F == (0.0, 0.0, 0.0) and all(type(f) is float for f in F)
-    assert np.all(np.array(model.forces(still[None], case2_scn)) == 0.0)
+    assert np.all(np.array(model.forces(still[:, None], case2_scn)) == 0.0)
 
 
 def test_trained_fit_quality(surrogate):
@@ -284,14 +284,14 @@ def test_mlp_alpha_derivative_matches_fd(case2_scn, surrogate):
     h = 1e-6
     alpha = rng.uniform(0.0, 2.0 * math.pi, 100)
     gamma = rng.uniform(0.0, 2.0 * math.pi, 100)   # flight-path angle
-    X = np.zeros((100, 8))
-    X[:, dyn.IX_U] = 0.3 * np.cos(gamma)
-    X[:, dyn.IX_V] = 0.3 * np.sin(gamma)
-    X[:, dyn.IX_TH] = gamma - alpha
+    X = np.zeros((8, 100))
+    X[dyn.IX_U] = 0.3 * np.cos(gamma)
+    X[dyn.IX_V] = 0.3 * np.sin(gamma)
+    X[dyn.IX_TH] = gamma - alpha
     _, _, dF_dth = surrogate.forces_jac(X, case2_scn)
     Xp, Xm = X.copy(), X.copy()
-    Xp[:, dyn.IX_TH] += h
-    Xm[:, dyn.IX_TH] -= h
+    Xp[dyn.IX_TH] += h
+    Xm[dyn.IX_TH] -= h
     fd = (np.array(surrogate.forces(Xp, case2_scn))
           - np.array(surrogate.forces(Xm, case2_scn))) / (2.0 * h)
     np.testing.assert_allclose(dF_dth, fd, rtol=1e-6, atol=1e-9)
@@ -302,8 +302,8 @@ def test_float64_lanes_do_not_depend_on_batch_size(model_name, case2_scn,
                                                    simplified, surrogate):
     model = {"simplified": simplified, "surrogate": surrogate}[model_name]
     rng = np.random.default_rng(21)
-    X = case2_scn.x0 + rng.normal(0.0, 0.05, (50, 8))
-    X[7, dyn.IX_U] = X[7, dyn.IX_V] = 0.0      # a lane at rest
+    X = (case2_scn.x0 + rng.normal(0.0, 0.05, (50, 8))).T
+    X[dyn.IX_U, 7] = X[dyn.IX_V, 7] = 0.0      # a lane at rest
 
     def evaluate(states):
         return (np.array(model.forces(states, case2_scn)),
@@ -311,8 +311,10 @@ def test_float64_lanes_do_not_depend_on_batch_size(model_name, case2_scn,
 
     batch = evaluate(X)
     assert all(np.all(a[..., 7] == 0.0) for a in batch)
+    # forces_jac restates the force law: its F is forces' vector form
+    assert np.array_equal(batch[1], batch[0])
     for j in range(50):
-        for a, b in zip(batch, evaluate(X[j:j + 1])):
+        for a, b in zip(batch, evaluate(X[:, j:j + 1])):
             assert np.array_equal(a[..., j], b[..., 0])
 
 

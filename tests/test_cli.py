@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -311,7 +312,46 @@ def test_check_grad_non_finite_gradient_exits_3(tmp_path, caplog):
         rc = cli.main(["check-grad", "--scenario", str(bad), "--k", "4",
                        "--out", str(tmp_path / "cg")])
     assert rc == 3
-    assert "non-finite gradient" in caplog.text
+    assert "non-finite loss: terminal_position is inf" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["check-grad", "optimize", "simulate"])
+def test_non_finite_loss_exits_3_without_numpy_warnings(command, tmp_path,
+                                                        opt_run, caplog):
+    """An overflowing loss term stops every command at the loss: exit 3,
+    no warning from numpy, and no summary with an infinite total."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"loss_weights": {"w_r": 1e308}}))
+    extra = {"check-grad": ["--k", "4"],
+             "optimize": ["--k", "4", "--steps", "3"],
+             "simulate": ["--k", "12", "--controls",
+                          str(opt_run / "controls.csv")]}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([command, "--scenario", str(bad),
+                       "--out", str(tmp_path / "out"), *extra])
+    assert rc == 3
+    assert "non-finite loss: terminal_position is inf" in caplog.text
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("engine", [[1.0, 2.0, 3e-8, 5.0],
+                                    [1.0 + 1e-6, 2.0, 3e-8, 5.0]],
+                         ids=["relative-exact", "relative-passing"])
+def test_check_grad_failure_names_the_entry_outside_its_tolerance(
+        engine, tmp_path, monkeypatch, capsys):
+    """Entry 2 misses the absolute tolerance threefold while every relative
+    entry passes, so the message names entry 2 and shows its values."""
+    fd = _report([1.0, 2.0, 0.0, 5.0])
+    monkeypatch.setattr(cli.opt_mod, "_engine_fn",
+                        lambda name: lambda *args: _report(engine))
+    monkeypatch.setattr(ro, "finite_diff_grad", lambda *args, **kwargs: fd)
+    rc = cli.main(["check-grad", "--scenario", "case1", "--k", "2",
+                   "--out", str(tmp_path / "cg")])
+    assert rc == 1
+    assert ("FAILED at index 2: engine 3e-08 vs finite differences 0.0"
+            in capsys.readouterr().out)
 
 
 def _report(g):

@@ -129,6 +129,21 @@ def test_rhs_is_deterministic(case1_scn):
     assert np.array_equal(a, b)
 
 
+def test_rhs_of_a_batch_matches_each_lane(case1_scn, simplified):
+    # lanes are columns; scalar controls apply to every lane, and in long
+    # double a lane is bit-identical to the state on its own
+    rng = np.random.default_rng(8)
+    X = (case1_scn.x0 + rng.normal(0.0, 0.05, (6, 8))).T.astype(np.longdouble)
+    ctrl = (0.02, 0.1)
+    batch = fo.rhs(X, ctrl, simplified.forces(X, case1_scn), case1_scn)
+    assert batch.shape == (8, 6) and batch.dtype == np.longdouble
+    for j in range(6):
+        x = X[:, j]
+        assert np.array_equal(
+            batch[:, j], fo.rhs(x, ctrl, simplified.forces(x, case1_scn),
+                                case1_scn))
+
+
 # ---------------------------------------------------------------------------
 # Jacobians against finite differences
 # ---------------------------------------------------------------------------
@@ -166,7 +181,7 @@ def test_rhs_jacobians_match_finite_differences(model_name, case1_scn,
         delta = rng.uniform(-0.17, 0.17)
         cases.append((s, T, delta))
     # the five states linearized as the lanes of one batch
-    X = np.array([c[0] for c in cases])
+    X = np.stack([c[0] for c in cases], axis=1)
     thrusts = np.array([c[1] for c in cases])
     JB = dyn.rhs_and_jacobians(X, thrusts, case1_scn, model)
     assert JB.shape == (5, 8, 10)
@@ -353,13 +368,13 @@ def test_rk4_advance_batch_matches_single_states(model_name, dtype, case1_scn,
              "surrogate": surrogate}[model_name]
     rng = np.random.default_rng(5)
     B = 6
-    X = (scn.x0 + rng.normal(0.0, 0.05, (B, 8))).astype(dtype)
-    X[2, dyn.IX_U] = X[2, dyn.IX_V] = 0.0      # a lane at rest
+    X = (scn.x0 + rng.normal(0.0, 0.05, (B, 8))).T.astype(dtype)
+    X[dyn.IX_U, 2] = X[dyn.IX_V, 2] = 0.0      # a lane at rest
     T = rng.uniform(scn.T_min, scn.T_max, B).astype(dtype)
     delta = rng.uniform(-scn.delta_max, scn.delta_max, B).astype(dtype)
     nxt, stages = dyn.rk4_advance(X, T, delta, scn.dt, scn, model)
-    assert nxt.shape == (B, 8) and nxt.dtype == dtype
-    assert all(a.shape == (B, 8) and a.dtype == dtype for a in stages)
+    assert nxt.shape == (8, B) and nxt.dtype == dtype
+    assert all(a.shape == (8, B) and a.dtype == dtype for a in stages)
 
     # A float64 single state runs on Python floats: math.hypot rounds
     # differently from np.hypot, and the surrogate's BLAS matrix-vector
@@ -375,11 +390,11 @@ def test_rk4_advance_batch_matches_single_states(model_name, dtype, case1_scn,
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
     for j in range(B):
-        ref, ref_stages = dyn.rk4_advance(X[j], T[j], delta[j], scn.dt, scn,
+        ref, ref_stages = dyn.rk4_advance(X[:, j], T[j], delta[j], scn.dt, scn,
                                           model)
-        same(nxt[j], ref)
+        same(nxt[:, j], ref)
         for a, b in zip(stages, ref_stages):
-            same(a[j], b)
+            same(a[:, j], b)
 
 
 def test_rk4_rejects_nonpositive_dt(case1_scn):

@@ -281,7 +281,7 @@ def _dense_step_vjp(X, T, scn, model, lam):
     """Reference step VJP: the transposed RK4 recursion on dense J and B of
     the step's four stage states ``X``, each linearized on its own."""
     def jac(a):
-        JB = dyn.rhs_and_jacobians(a[None], np.array([T]), scn, model)[0]
+        JB = dyn.rhs_and_jacobians(a[:, None], np.array([T]), scn, model)[0]
         return JB[:, :8], JB[:, 8:]
 
     dt = scn.dt
@@ -382,8 +382,7 @@ def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
     proxy = _RecordingAero(surrogate)
     getattr(ro, f"grad_{engine}")(raw, scn, proxy, scn.weights)
     assert len(proxy.jac_batches) == (1 if engine == "bptt" else -(-K // 4))
-    seen = [row.tobytes()
-            for X in proxy.jac_batches for row in np.atleast_2d(X)]
+    seen = [lane.tobytes() for X in proxy.jac_batches for lane in X.T]
     assert len(seen) == 4 * K
     assert set(seen) <= produced
 
