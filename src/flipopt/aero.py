@@ -70,8 +70,6 @@ class TrainingError(RuntimeError):
 class NoAero:
     """Aero model that contributes nothing; used by oracles and --no-aero."""
 
-    kind = "none"
-
     def forces(self, state, scn) -> AeroForces:
         return AeroForces(0.0, 0.0, 0.0)
 
@@ -95,8 +93,6 @@ class SimplifiedAero:
 
     C_D: float
     l_cp_frac: float = 0.55
-
-    kind = "simplified"
 
     def __post_init__(self):
         if self.C_D < 0.0:
@@ -215,8 +211,6 @@ class MlpSurrogate:
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     meta: dict = field(default_factory=dict)
     folded: tuple = field(init=False, repr=False, compare=False)
-
-    kind = "surrogate"
 
     def __post_init__(self):
         if self.layers[0][0].shape[1] != 2:

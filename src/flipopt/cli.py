@@ -161,13 +161,16 @@ def replay_manifest(manifest_path, out_dir) -> int:
     ns_args = dict(doc["resolved_args"], cmd=doc["subcommand"],
                    command=doc.get("command"))
     if doc["scenario_snapshot"] is not None:
+        # snapshots written while opt.grad_clip existed hold it as null,
+        # no clipping, which every run now does; a set clip stays unknown
+        opt = doc["scenario_snapshot"].get("opt", {})
+        if "grad_clip" in opt and opt["grad_clip"] is None:
+            del opt["grad_clip"]
         snap = out_dir / "_scenario_replay.json"
         _write_json(snap, doc["scenario_snapshot"])
         ns_args["scenario"] = str(snap)
         # the snapshot already carries every override
-        for key in ("steps", "engine", "k"):
-            if key in ns_args:
-                ns_args[key] = None
+        ns_args.update(steps=None, engine=None, k=None)
     if "out" in ns_args:
         if doc["subcommand"] == "train-aero":
             # train-aero --out names the weights file, not a directory:
@@ -284,8 +287,7 @@ def cmd_optimize(args) -> int:
                               "n_steps": cfg.opt.n_steps})
     outputs = _write_traj_and_summary(out, traj, scn, summary)
     outputs += ["controls.csv", "loss_history.csv"]
-    resolved = {"scenario": args.scenario, "out": str(out), "seed": cfg.seed,
-                "steps": None, "engine": None, "k": None}
+    resolved = {"scenario": args.scenario, "out": str(out), "seed": cfg.seed}
     inputs = [args.scenario] if args.scenario not in sc.PRESET_NAMES else []
     if cfg.aero.weights_path:
         inputs.append(cfg.aero.weights_path)
@@ -369,7 +371,7 @@ def cmd_simulate(args) -> int:
     outputs = _write_traj_and_summary(out, traj, scn, summary)
     resolved = {"scenario": args.scenario, "out": str(out),
                 "controls": args.controls, "no_aero": bool(args.no_aero),
-                "seed": cfg.seed, "steps": None, "engine": None, "k": None}
+                "seed": cfg.seed}
     _write_manifest(out, args, resolved, cfg, cfg.seed,
                     [args.controls], outputs + ["manifest.json"])
     return 0
@@ -462,7 +464,6 @@ def cmd_check_grad(args) -> int:
            "pass": ok}
     _write_json(out / "check_grad.json", doc)
     resolved = {"scenario": args.scenario, "out": str(out), "seed": cfg.seed,
-                "engine": report.engine, "k": cfg.K,
                 "corrupt": bool(args.corrupt)}
     _write_manifest(out, args, resolved, cfg, cfg.seed, [],
                     ["check_grad.json", "manifest.json"])

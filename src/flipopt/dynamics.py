@@ -52,10 +52,9 @@ SPEED_FLOOR = 1e-12  # below this nondim speed, aero forces and AoA vanish
 class IntegrationError(RuntimeError):
     """Raised when an RK4 stage or result goes non-finite."""
 
-    def __init__(self, msg: str, stage: int | None = None, step: int | None = None):
+    def __init__(self, msg: str, stage: int | None = None):
         super().__init__(msg)
         self.stage = stage
-        self.step = step
 
 
 class AeroForces(NamedTuple):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class OptimizerConfig:
     n_steps: int = 5000
     grad_engine: str = "bptt"      # "bptt" | "adjoint"
     log_every: int = 250
-    grad_clip: float | None = None  # optional inf-norm clip for long horizons
 
 
 @dataclass
@@ -68,7 +67,6 @@ class OptimizationResult:
     loss_history: list[ro.LossBreakdown]
     lr_history: np.ndarray
     trajectory: ro.Trajectory
-    final_loss: ro.LossBreakdown
     wall_time_s: float
     engine: str
     max_update_ratio: float = 0.0   # max |dp| / lr observed across the run
@@ -149,8 +147,6 @@ def optimize(scn, aero: AeroModel, raw0: RawControlParams | None = None,
             best_step = i
 
         grads = np.stack([report.grad_u_T, report.grad_u_delta])
-        if cfg.grad_clip is not None:
-            np.clip(grads, -cfg.grad_clip, cfg.grad_clip, out=grads)
         lr = cosine_lr(i, cfg)
         lr_history[i] = lr
         new_params, state = adam_step(params, grads, state, lr, cfg)
@@ -165,11 +161,9 @@ def optimize(scn, aero: AeroModel, raw0: RawControlParams | None = None,
             log.info("step %5d  lr %.3e  loss %.6e", i, lr, breakdown.total)
 
     best_raw = RawControlParams(best_params[0], best_params[1])
-    traj = ro.rollout(best_raw, scn, aero)
-    final = ro.loss(traj, scn.weights, scn)
     return OptimizationResult(
         best_raw=best_raw, best_step=best_step, loss_history=history,
-        lr_history=lr_history, trajectory=traj, final_loss=final,
+        lr_history=lr_history, trajectory=ro.rollout(best_raw, scn, aero),
         wall_time_s=time.perf_counter() - t0, engine=cfg.grad_engine,
         max_update_ratio=max_ratio)
 

@@ -29,7 +29,6 @@ the flip deadline).  Gradients come from one engine and one oracle:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +136,7 @@ class GradientReport:
     grad_u_T: np.ndarray
     grad_u_delta: np.ndarray
     engine: str               # "bptt" | "adjoint" | "finite_diff"
-    wall_time_s: float
-    peak_aux_floats: int = 0  # peak auxiliary state storage, in float slots
+    peak_aux_floats: int = 0  # engines' peak auxiliary storage, in floats
     n_rollouts: int = 0       # forward rollouts consumed (finite differences)
     loss: LossBreakdown | None = None  # None from the finite-difference oracle
 
@@ -241,14 +239,20 @@ class _PathAccumulator:
         return total, terms
 
 
+def _check_loss(total, terms) -> None:
+    """Raise FloatingPointError naming the first term that is non-finite
+    in any lane, or the total if only the sum overflows."""
+    for name, t in zip((*LOSS_TERM_NAMES, "total"), (*terms, total)):
+        bad = np.asarray(t)[~np.isfinite(t)]
+        if bad.size:
+            raise FloatingPointError(f"non-finite loss: {name} is {bad[0]}")
+
+
 def _breakdown(total, terms) -> LossBreakdown:
-    """The loss as floats; raises FloatingPointError naming the first
-    non-finite term, or the total if only the sum overflows."""
-    named = {name: float(t) for name, t in zip(LOSS_TERM_NAMES, terms)}
-    for name, t in (*named.items(), ("total", float(total))):
-        if not np.isfinite(t):
-            raise FloatingPointError(f"non-finite loss: {name} is {t}")
-    return LossBreakdown(total=float(total), terms=named)
+    """The loss as floats; raises as :func:`_check_loss` does."""
+    _check_loss(total, terms)
+    return LossBreakdown(total=float(total), terms={
+        name: float(t) for name, t in zip(LOSS_TERM_NAMES, terms)})
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +378,6 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     about 9, 36 and 134 floats per stage, against 140.
     """
     w = w or scn.weights
-    t0 = time.perf_counter()
     seq = reparameterize(raw, scn)
     K = scn.K
     n_seg = -(-K // seg_len)
@@ -429,7 +432,6 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
                 f"non-finite gradient component {name}[{bad[0]}]")
     return GradientReport(
         grad_u_T=gu[0], grad_u_delta=gu[1], engine=engine,
-        wall_time_s=time.perf_counter() - t0,
         peak_aux_floats=(ckpt.size + rec.size + 2 * STATE_DIM + 7 * STATE_DIM
                          * (STATE_DIM + 2) * seg_len),
         loss=breakdown)
@@ -469,11 +471,8 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     running every lane from the start.  Lanes never mix, and in extended
     precision each lane's loss is bit-identical to a rollout of its
     perturbed controls on its own.  The base lane's loss is not reported,
-    so the report's ``loss`` is None.  ``peak_aux_floats`` counts the lane
-    states, the RK4 step's stage states, stage derivatives and result,
-    the lane controls and loss sums, and the control sequences, for all
-    4K + 1 lanes at the last step; the aero model's temporaries are not
-    counted.
+    so the report's ``loss`` is None.  A loss term that is not finite in
+    some lane raises FloatingPointError, as it does for the engines.
 
     ``dtype=np.longdouble`` runs the rollouts in extended precision, which
     drops the cancellation floor of the difference quotient by ~5 orders
@@ -484,7 +483,6 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     if h <= 0:
         raise ValueError("h must be positive")
     dtype = dtype or np.float64
-    t0 = time.perf_counter()
     K = scn.K
     n = 4 * K
     u_T = raw.u_T.astype(dtype)
@@ -514,16 +512,10 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
         delta[p - 2:] = plus.delta[k], minus.delta[k]
         x[:, :p] = rk4_advance(x[:, :p], T, delta, scn.dt, scn, aero)[0]
     acc.add(x, K)
-    total, _ = acc.finish(x, smoothness)
+    total, terms = acc.finish(x, smoothness)
+    _check_loss(total, terms)
     # rows: u_T + h, u_T - h, u_delta + h, u_delta - h
     lp_lm = total[1:].reshape(K, 4).T
     g = ((lp_lm[0::2] - lp_lm[1::2]) / (2.0 * dtype(h))).astype(np.float64)
-
-    # the three control sequences, and per lane the state, the RK4 step's
-    # three stage states, four stage derivatives and result, the lane's
-    # thrust, gimbal and mass rate, its two loss sums and its smoothness
-    peak_aux = 6 * K + (n + 1) * (9 * STATE_DIM + 6)
-    return GradientReport(
-        grad_u_T=g[0], grad_u_delta=g[1], engine="finite_diff",
-        wall_time_s=time.perf_counter() - t0,
-        peak_aux_floats=peak_aux, n_rollouts=n)
+    return GradientReport(grad_u_T=g[0], grad_u_delta=g[1],
+                          engine="finite_diff", n_rollouts=n)

@@ -60,11 +60,6 @@ class ReferenceQuantities:
         return self.m_ref * self.v_ref**2 / self.L_ref
 
     @property
-    def moment_scale(self) -> float:
-        """Moment scale [N m]."""
-        return self.force_scale * self.L_ref
-
-    @property
     def inertia_scale(self) -> float:
         """Moment-of-inertia scale [kg m^2]."""
         return self.m_ref * self.L_ref**2
@@ -174,7 +169,6 @@ class NondimScenario:
     omega_f: float
     weights: LossWeights
     opt: OptimizerConfig
-    seed: int
 
     def __post_init__(self) -> None:
         self.x0.setflags(write=False)
@@ -341,7 +335,6 @@ _SCHEMA = (
     _Key("opt", "n_steps", "n_steps", _Integer("[1, inf)")),
     _Key("opt", "grad_engine", "grad_engine", _String("bptt", "adjoint")),
     _Key("opt", "log_every", "log_every", _Integer("[0, inf)")),   # 0: silent
-    _Key("opt", "grad_clip", "grad_clip", _Nullable(_Number("(0, inf)"))),
     _Key("", "seed", "seed", _Integer("[0, inf)")),   # numpy takes seeds >= 0
 )
 
@@ -471,18 +464,7 @@ def nondimensionalize(cfg: ScenarioConfig) -> NondimScenario:
         omega_f=b.omega_f * t_ref,
         weights=cfg.loss_weights,
         opt=cfg.opt,
-        seed=cfg.seed,
     )
-
-
-_STATE_SCALE_KEYS = ("L", "L", "V", "V", "1", "W", "M", "1")
-
-
-def state_scales(refs: ReferenceQuantities) -> np.ndarray:
-    """Per-field multipliers turning a nondim state vector into SI units."""
-    lut = {"L": refs.L_ref, "V": refs.v_ref, "1": 1.0,
-           "W": 1.0 / refs.t_ref, "M": refs.m_ref}
-    return np.array([lut[k] for k in _STATE_SCALE_KEYS])
 
 
 def redimensionalize(traj: Trajectory, refs: ReferenceQuantities) -> Trajectory:
@@ -491,22 +473,12 @@ def redimensionalize(traj: Trajectory, refs: ReferenceQuantities) -> Trajectory:
     Produces a trajectory in SI units (positions m, velocities m/s, angular
     rate rad/s, mass kg, thrust N, time s).
     """
-    scales = state_scales(refs)
+    L, V = refs.L_ref, refs.v_ref
+    # x, y, u, v, theta, omega, m, delta_d
+    scales = np.array([L, L, V, V, 1.0, 1.0 / refs.t_ref, refs.m_ref, 1.0])
     return replace(
         traj,
         states=traj.states * scales,
         thrust=traj.thrust * refs.force_scale,
         dt=traj.dt * refs.t_ref,
-    )
-
-
-def nondimensionalize_trajectory(traj: Trajectory,
-                                 refs: ReferenceQuantities) -> Trajectory:
-    """Inverse of :func:`redimensionalize` (SI trajectory back to nondim)."""
-    scales = state_scales(refs)
-    return replace(
-        traj,
-        states=traj.states / scales,
-        thrust=traj.thrust / refs.force_scale,
-        dt=traj.dt / refs.t_ref,
     )

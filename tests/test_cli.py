@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +105,23 @@ def test_malformed_scenario_value_exits_2(tmp_path, data, field):
                    str(tmp_path / "out"))
     assert proc.returncode == 2
     assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", [-1.0, None], ids=["negative", "null"])
+def test_removed_grad_clip_is_an_unknown_key(tmp_path, value):
+    """opt.grad_clip is gone: set to anything, null included, it is an
+    unknown key, and the CLI exits 2 naming it."""
+    data = {"opt": {"grad_clip": value}}
+    with pytest.raises(sc.ScenarioError,
+                       match=r"unknown scenario key 'opt\.grad_clip'"):
+        sc.scenario_from_dict(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    proc = run_cli("optimize", "--scenario", str(bad), "--out",
+                   str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "unknown scenario key 'opt.grad_clip'" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -358,7 +374,7 @@ def _report(g):
     g = np.asarray(g, dtype=float)
     half = len(g) // 2
     return ro.GradientReport(grad_u_T=g[:half], grad_u_delta=g[half:],
-                             engine="test", wall_time_s=0.0)
+                             engine="test")
 
 
 def _grad_check_loop(g, r):
@@ -494,6 +510,50 @@ def test_manifest_records_the_parsed_command(tmp_path, monkeypatch):
     assert replayed["command"] == argv
     assert ((tmp_path / "replay" / "check_grad.json").read_bytes()
             == (tmp_path / "cg" / "check_grad.json").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["optimize", "simulate", "check-grad"])
+def test_manifest_leaves_folded_overrides_out(command, opt_run, tmp_path):
+    """The scenario snapshot carries --steps, --engine and --k, so
+    resolved_args leaves them out, and the run still replays byte for
+    byte (summary.json holds a wall time)."""
+    extra = {"optimize": ["--k", "6", "--steps", "5", "--engine", "adjoint"],
+             "simulate": ["--k", "12", "--controls",
+                          str(opt_run / "controls.csv")],
+             "check-grad": ["--k", "4", "--engine", "adjoint"]}[command]
+    out = tmp_path / "run"
+    assert cli.main([command, "--scenario", "case1", "--out", str(out),
+                     *extra]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not {"steps", "engine", "k"} & manifest["resolved_args"].keys()
+    replay = tmp_path / "replay"
+    assert cli.replay_manifest(out / "manifest.json", replay) == 0
+    replayed = json.loads((replay / "manifest.json").read_text())
+    assert replayed["scenario_snapshot"] == manifest["scenario_snapshot"]
+    for name in manifest["outputs"]:
+        if name not in ("manifest.json", "summary.json"):
+            assert (replay / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_manifest_from_before_the_grad_clip_removal_replays(tmp_path):
+    """Older manifests record opt.grad_clip as null and --steps, --engine
+    and --k in resolved_args; they replay to the same bytes.  A clip that
+    was set cannot be reproduced, so its replay fails naming the key."""
+    run = tmp_path / "cg"
+    assert cli.main(["check-grad", "--scenario", "case1", "--k", "4",
+                     "--out", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["scenario_snapshot"]["opt"]["grad_clip"] = None
+    manifest["resolved_args"].update(steps=None, engine="bptt", k=4)
+    old = tmp_path / "old.json"
+    cli._write_json(old, manifest)
+    assert cli.replay_manifest(old, tmp_path / "replay") == 0
+    assert ((tmp_path / "replay" / "check_grad.json").read_bytes()
+            == (run / "check_grad.json").read_bytes())
+    manifest["scenario_snapshot"]["opt"]["grad_clip"] = 0.5
+    cli._write_json(old, manifest)
+    with pytest.raises(sc.ScenarioError, match=r"'opt\.grad_clip'"):
+        cli.replay_manifest(old, tmp_path / "replay-clipped")
 
 
 def test_replay_of_removed_subcommand_exits_2(tmp_path, caplog):

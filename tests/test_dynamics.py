@@ -44,7 +44,7 @@ def test_full_gimbal_moment_magnitude_and_sign(case1_scn):
     T_nd = 2.3e6 / case1_scn.refs.force_scale
     s = state(theta=2.0, delta_d=math.radians(10.0))
     _, M = thrust_from_rhs(s, T_nd, case1_scn)
-    M_dim = M * case1_scn.refs.moment_scale
+    M_dim = M * case1_scn.refs.force_scale * case1_scn.refs.L_ref
     assert abs(M_dim) == pytest.approx(2.3e6 * math.sin(math.radians(10.0)) * 20.0,
                                        rel=1e-12)
     assert M < 0.0  # positive gimbal pitches the nose down

@@ -119,8 +119,9 @@ def test_history_finite_and_best_not_worse(tiny_scn, simplified):
     res = fo.optimize(tiny_scn, simplified)
     assert len(res.loss_history) == 25
     assert all(math.isfinite(b.total) for b in res.loss_history)
-    assert res.final_loss.total <= res.loss_history[0].total
-    assert res.loss_history[res.best_step].total == res.final_loss.total
+    final = ro.loss(res.trajectory, tiny_scn.weights, tiny_scn)
+    assert final.total <= res.loss_history[0].total
+    assert res.loss_history[res.best_step].total == final.total
 
 
 def test_optimize_bit_reproducible(tiny_scn, simplified):
@@ -145,15 +146,6 @@ def test_engine_choice_respected(tiny_scn, simplified):
     assert res.engine == "adjoint"
     with pytest.raises(ValueError):
         om._engine_fn("simultaneous")
-
-
-def test_gradient_clipping_applies(tiny_scn, simplified):
-    scn = replace(tiny_scn, x0=tiny_scn.x0.copy(),
-                  opt=replace(tiny_scn.opt, grad_clip=1e-12, n_steps=3))
-    res = fo.optimize(scn, simplified)
-    # with an absurdly tight clip the parameters barely move
-    base = fo.init_raw_params(scn)
-    assert np.abs(res.best_raw.u_T - base.u_T).max() < 1e-2
 
 
 def test_numerical_abort_carries_snapshot(case1_cfg):

@@ -454,6 +454,16 @@ def test_fd_rollout_count_and_richardson(case1_cfg, simplified):
         ro.finite_diff_grad(raw, scn, simplified, scn.weights, h=0.0)
 
 
+def test_finite_diff_names_a_non_finite_loss_term(case1_cfg, simplified):
+    """A loss term that overflows in float64 stops the oracle before the
+    difference quotient, as it stops the engines."""
+    scn = fo.nondimensionalize(truncate(case1_cfg, 4))
+    w = replace(scn.weights, w_r=1e308)
+    with pytest.raises(FloatingPointError,
+                       match="non-finite loss: terminal_position is inf"):
+        ro.finite_diff_grad(fo.init_raw_params(scn), scn, simplified, w)
+
+
 def test_memory_meter_contract(case2_cfg, surrogate):
     """BPTT memory grows with K; the adjoint engine's only by 8 floats per
     checkpoint."""

@@ -48,8 +48,7 @@ def test_presets_reproduce_parameter_table(name, J_z, r_f):
 @pytest.mark.parametrize("cfg", [
     fo.load_scenario("case1"),
     fo.load_scenario("case2"),
-    sc.ScenarioConfig(aero=sc.AeroConfig(kind="surrogate", weights_path="w.json"),
-                      opt=fo.OptimizerConfig(grad_clip=0.5)),
+    sc.ScenarioConfig(aero=sc.AeroConfig(kind="surrogate", weights_path="w.json")),
 ], ids=["case1", "case2", "nullables-set"])
 def test_dict_round_trip_is_exact(cfg):
     doc = sc.scenario_to_dict(cfg)
@@ -107,7 +106,7 @@ def test_parse_failure_reports_line(tmp_path):
     ({"K": 0}, "K"),
     ({"aero": {"kind": "cfd"}}, "aero.kind"),
     ({"opt": {"lr_min": 0.0}}, "opt.lr_max"),
-    ({"opt": {"grad_clip": -1.0}}, "opt.grad_clip"),
+    ({"opt": {"beta1": 1.0}}, "opt.beta1"),
     ({"opt": {"eps": 0.0}}, "opt.eps"),
 ])
 def test_invariant_violations_are_named(patch, field):
@@ -162,10 +161,12 @@ def _toy_trajectory(scn) -> ro.Trajectory:
 def test_redimensionalize_round_trip(case1_scn):
     traj = _toy_trajectory(case1_scn)
     si = fo.redimensionalize(traj, case1_scn.refs)
-    back = sc.nondimensionalize_trajectory(si, case1_scn.refs)
-    np.testing.assert_allclose(back.states, traj.states, rtol=1e-12)
-    np.testing.assert_allclose(back.thrust, traj.thrust, rtol=1e-12)
-    assert back.dt == pytest.approx(traj.dt, rel=1e-12)
+    # x, y in m; u, v in m/s; theta; omega in rad/s; m in kg; delta_d
+    scales = [50.0, 50.0, 335.57, 335.57, 1.0, 335.57 / 50.0, 24000.0, 1.0]
+    np.testing.assert_allclose(si.states / scales, traj.states, rtol=1e-12)
+    np.testing.assert_allclose(si.thrust / (24000.0 * 335.57**2 / 50.0),
+                               traj.thrust, rtol=1e-12)
+    assert si.dt / (50.0 / 335.57) == pytest.approx(traj.dt, rel=1e-12)
 
 
 def test_redimensionalize_units(case1_scn):
