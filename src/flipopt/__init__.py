@@ -5,7 +5,7 @@ models (an explicit drag model and a trained MLP surrogate) and finds
 thrust/gimbal sequences by gradient descent through the full rollout.  One
 checkpointed reverse sweep gives the exact gradient under two storage
 policies (``bptt`` keeps every step's stages, ``adjoint`` a checkpoint
-every 4 steps), cross-checked against a finite-difference oracle.
+every 30 steps), cross-checked against a finite-difference oracle.
 """
 
 __version__ = "0.1.0"

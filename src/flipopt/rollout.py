@@ -15,9 +15,10 @@ the flip deadline).  Gradients come from one engine and one oracle:
   policies, which differ only in ``seg_len``, are exposed under the
   engine names of the config and the CLI.  :func:`grad_bptt` records and
   linearizes the whole horizon at once (memory linear in K, nothing
-  recomputed); :func:`grad_adjoint` keeps a checkpoint every 4 steps and
-  linearizes one 4-step segment at a time (8 floats per checkpoint, at
-  the price of one extra forward recompute).  Both run the same code, so
+  recomputed); :func:`grad_adjoint` keeps a checkpoint every
+  ``ADJOINT_SEG_LEN`` = 30 steps and linearizes one 30-step segment at a
+  time (8 floats per checkpoint, at the price of recomputing every step
+  but the last segment's).  Both run the same code, so
   their gradients agree to the last bit; only the memory counters differ.
 * :func:`finite_diff_grad` - central differences on the raw parameters,
   the independent validation oracle.  Its 4K perturbed rollouts advance
@@ -56,7 +57,9 @@ from .dynamics import (
     rk4_advance,
 )
 
-ADJOINT_SEG_LEN = 4  # adjoint steps per checkpoint and linearization call
+# adjoint steps per checkpoint and linearization call; a call's fixed cost
+# is that of linearizing about 20 steps (surrogate) to 60 (drag model)
+ADJOINT_SEG_LEN = 30
 
 LOSS_TERM_NAMES = ("terminal_position", "terminal_velocity", "terminal_pitch",
                    "terminal_omega", "smoothness", "mass_floor", "flip_deadline")
@@ -340,8 +343,8 @@ def _step_jacobians(lanes: np.ndarray, T: np.ndarray, scn,
         np.add(S[i], tmp, out=d)
         M += np.multiply(c, d, out=tmp)
     M *= scn.dt / 6.0
-    for r in range(STATE_DIM):
-        M[:, r, r] += 1.0
+    # [I | 0]: entry (r, r) of a step's flattened 8 x 10 matrix is at 11 r
+    M.reshape(len(M), -1)[:, ::STATE_DIM + 3] += 1.0
     return M
 
 
@@ -363,23 +366,27 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     control gradient G_k^T lam_{k+1}, as ``lam @ M_k``.  M_k does not
     depend on the batch, so every ``seg_len`` gives the same bits.
     ``bptt`` takes seg_len = K: one call linearizes the whole record.
-    ``adjoint`` takes ``ADJOINT_SEG_LEN``: it recomputes up to one forward
-    pass, and only its checkpoints grow with K.
+    ``adjoint`` takes ``ADJOINT_SEG_LEN``: it recomputes every step but
+    the last segment's, and only its checkpoints grow with K.  A horizon
+    shorter than ``seg_len`` is one segment of K steps.
 
     ``peak_aux_floats`` counts what the sweep holds while it composes a
     segment: n_seg - 1 checkpoints, the record of 4 seg_len states, ``x``,
     ``lam``, and 560 floats per step of the segment (four stage
     ``[J | B]``, then ``M``, ``d`` and a product buffer).  The O(K)
-    control-sized arrays are not counted: on case2 the adjoint's traced
-    peak grows from 40 KB at K = 180 to 57 KB at K = 360, while the two
-    policies' peaks differ by 8 bytes per counted float to within 2 % on
-    the drag model, the surrogate and ``NoAero``.  Their ``forces_jac``
+    control-sized arrays are not counted, nor numpy's iterator buffers
+    for the identity in :func:`_step_jacobians` (16 floats per step): on
+    case2 the adjoint's traced peak grows from 177 KB at K = 180 to
+    184 KB at K = 360, while the two policies' peaks differ by 8 bytes
+    per counted float to within 2 % at K = 180 and 360 (5 % at K = 90)
+    on the drag model, the surrogate and ``NoAero``.  Their ``forces_jac``
     temporaries are freed before the dense arrays exist and are smaller:
     about 9, 36 and 134 floats per stage, against 140.
     """
     w = w or scn.weights
     seq = reparameterize(raw, scn)
     K = scn.K
+    seg_len = min(seg_len, K)
     n_seg = -(-K // seg_len)
     ckpt = np.empty((n_seg - 1, STATE_DIM))
     # rec[:, i]: the start state and stage states of the segment's step i

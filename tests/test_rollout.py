@@ -322,7 +322,7 @@ def test_step_vjp_matches_dense_recursion(model_name, case1_scn, simplified,
 def test_step_jacobians_do_not_depend_on_the_batch(model_name, case1_scn,
                                                    case2_scn, simplified,
                                                    surrogate):
-    """Step k's [Phi | G] has the same bits alone, in its 4-step segment
+    """Step k's [Phi | G] has the same bits alone, in its adjoint segment
     and in the whole horizon's batch; the two storage policies rely on it."""
     scn, model = {"simplified": (case1_scn, simplified),
                   "surrogate": (case2_scn, surrogate)}[model_name]
@@ -334,11 +334,12 @@ def test_step_jacobians_do_not_depend_on_the_batch(model_name, case1_scn,
                                     scn.dt, scn, model)
         lanes[:, k] = (states[k], *stages)
     whole = ro._step_jacobians(lanes, seq.thrust, scn, model)
-    for b in range(0, scn.K, 4):
-        block = ro._step_jacobians(lanes[:, b:b + 4], seq.thrust[b:b + 4],
+    S = ro.ADJOINT_SEG_LEN
+    for b in range(0, scn.K, S):
+        block = ro._step_jacobians(lanes[:, b:b + S], seq.thrust[b:b + S],
                                    scn, model)
-        assert np.array_equal(block, whole[b:b + 4])
-        for k in range(b, min(b + 4, scn.K)):
+        assert np.array_equal(block, whole[b:b + S])
+        for k in range(b, min(b + S, scn.K)):
             alone = ro._step_jacobians(lanes[:, k:k + 1], seq.thrust[k:k + 1],
                                        scn, model)
             assert np.array_equal(alone[0], whole[k])
@@ -362,7 +363,7 @@ class _RecordingAero:
 def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
                                                         surrogate,
                                                         monkeypatch):
-    """One forces_jac call for the whole bptt record and per 4-step adjoint
+    """One forces_jac call for the whole bptt record and per adjoint
     segment, on states that are bit for bit the stage states of the
     rollout."""
     scn = fo.nondimensionalize(truncate(case2_cfg, K))
@@ -381,16 +382,18 @@ def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
 
     proxy = _RecordingAero(surrogate)
     getattr(ro, f"grad_{engine}")(raw, scn, proxy, scn.weights)
-    assert len(proxy.jac_batches) == (1 if engine == "bptt" else -(-K // 4))
+    assert len(proxy.jac_batches) == (
+        1 if engine == "bptt" else -(-K // ro.ADJOINT_SEG_LEN))
     seen = [lane.tobytes() for X in proxy.jac_batches for lane in X.T]
     assert len(seen) == 4 * K
     assert set(seen) <= produced
 
 
-@pytest.mark.parametrize("K", [1, 7, 30, 97])
+@pytest.mark.parametrize("K", [1, 7, 30, 31, 90, 97])
 def test_adjoint_equals_bptt_exactly(K, case2_cfg, surrogate):
     """Both storage policies give the same bits, below the checkpoint
-    budget and when K is not a multiple of the segment length."""
+    budget, with a one-step final segment (K = 31), at the presets' three
+    segments (K = 90) and when K is not a multiple of the segment length."""
     scn = fo.nondimensionalize(truncate(case2_cfg, K))
     raw = random_raw(scn, 13)
     gb = ro.grad_bptt(raw, scn, surrogate, scn.weights)
@@ -399,6 +402,8 @@ def test_adjoint_equals_bptt_exactly(K, case2_cfg, surrogate):
     assert np.array_equal(gb.grad_u_delta, ga.grad_u_delta)
     assert gb.loss == ga.loss
     assert gb.engine == "bptt" and ga.engine == "adjoint"
+    if K <= ro.ADJOINT_SEG_LEN:  # one segment of K steps under both policies
+        assert ga.peak_aux_floats == gb.peak_aux_floats
     runs = [fo.optimize(replace(scn, opt=replace(scn.opt, grad_engine=e)),
                         surrogate, raw0=raw, n_steps=5)
             for e in ("bptt", "adjoint")]
@@ -480,9 +485,9 @@ def test_memory_meter_contract(case2_cfg, surrogate):
     assert peaks[("adjoint", 90)] < peaks[("bptt", 90)]
     # the checkpoints, the segment record, x, lam and one segment's stage
     # Jacobians and composition arrays
-    assert peaks == {("bptt", 90): 53296, ("adjoint", 90): 2560,
-                     ("bptt", 180): 106576, ("adjoint", 180): 2736,
-                     ("bptt", 360): 213136, ("adjoint", 360): 3096}
+    assert peaks == {("bptt", 90): 53296, ("adjoint", 90): 17792,
+                     ("bptt", 180): 106576, ("adjoint", 180): 17816,
+                     ("bptt", 360): 213136, ("adjoint", 360): 17864}
 
 
 @pytest.mark.parametrize("K", [180, 360])
