@@ -424,20 +424,20 @@ def grad_check(engine_report: ro.GradientReport, fd: ro.GradientReport):
 
     Entries whose oracle value clears ``GRAD_FD_FLOOR`` are held to the
     relative tolerance, the rest to the absolute one.  A non-finite entry
-    on either side makes its error NaN or inf, which fails both.
+    on either side makes its error NaN or inf, which fails both.  The
+    worst index is the entry furthest outside its own tolerance, a NaN
+    first, or -1 when every error is 0.
     """
     r = fd.stacked()
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.abs(engine_report.stacked() - r)
         rel_side = np.abs(r) > GRAD_FD_FLOOR
         rel = np.divide(err, np.abs(r), out=np.zeros_like(err), where=rel_side)
+        excess = np.where(rel_side, rel / GRAD_REL_TOL, err / GRAD_ABS_TOL)
     ok = bool(np.where(rel_side, rel < GRAD_REL_TOL, err < GRAD_ABS_TOL).all())
-    worst_idx = int(np.argmax(rel))  # the first NaN, if there is one
-    worst_rel = float(rel[worst_idx])
-    if worst_rel == 0.0:
-        worst_idx = -1
+    worst_idx = int(np.argmax(excess)) if excess.any() else -1
     worst_abs = float(np.max(err, where=~rel_side, initial=0.0))
-    return ok, worst_rel, worst_abs, worst_idx
+    return ok, float(np.max(rel)), worst_abs, worst_idx
 
 
 def cmd_check_grad(args) -> int:
@@ -457,10 +457,10 @@ def cmd_check_grad(args) -> int:
         report.grad_u_T[0] += 1e-3 * max(1.0, abs(report.grad_u_T[0]))
     fd = ro.finite_diff_grad(raw, scn, aero, scn.weights, h=1e-6,
                              dtype=np.longdouble)
-    ok, worst_rel, worst_abs, worst_idx = grad_check(report, fd)
+    ok, worst_rel, worst_abs, i = grad_check(report, fd)
     doc = {"engine": report.engine, "K": cfg.K, "seed": cfg.seed,
            "worst_rel": worst_rel, "worst_abs": worst_abs,
-           "worst_index": worst_idx, "n_rollouts_fd": fd.n_rollouts,
+           "worst_index": i, "n_rollouts_fd": fd.n_rollouts,
            "pass": ok}
     _write_json(out / "check_grad.json", doc)
     resolved = {"scenario": args.scenario, "out": str(out), "seed": cfg.seed,
@@ -470,14 +470,9 @@ def cmd_check_grad(args) -> int:
     if ok:
         print(f"gradient check passed: worst relative error {worst_rel:.3e}")
         return 0
-    g, r = report.stacked(), fd.stacked()
-    # name the entry furthest outside its own tolerance, a NaN first
-    with np.errstate(all="ignore"):
-        tol = np.where(np.abs(r) > GRAD_FD_FLOOR, GRAD_REL_TOL * np.abs(r),
-                       GRAD_ABS_TOL)
-        i = int(np.argmax(np.abs(g - r) / tol))
-    print(f"gradient check FAILED at index {i}: engine {float(g[i])!r} vs "
-          f"finite differences {float(r[i])!r} "
+    print(f"gradient check FAILED at index {i}: engine "
+          f"{float(report.stacked()[i])!r} vs finite differences "
+          f"{float(fd.stacked()[i])!r} "
           f"(rel {worst_rel:.3e}, abs {worst_abs:.3e})")
     return 1
 

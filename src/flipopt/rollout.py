@@ -7,10 +7,11 @@ the flip deadline).  Gradients come from one engine and one oracle:
 
 * :func:`_grad` - reverse accumulation through every RK4 step, along the
   very stage states that the forward pass produced.  Segments of
-  ``seg_len`` steps are recorded, turned into dense step Jacobians
-  ``[Phi_k | G_k]`` by batched ``matmul`` and swept newest first with
-  lam_k = Phi_k^T lam_{k+1} + path terms; each earlier segment is
-  recorded again from its checkpoint: checkpointed reverse mode
+  ``seg_len`` steps are recorded by :func:`_advance`, the loop that
+  :func:`rollout_controls` runs over the whole horizon, turned into dense
+  step Jacobians ``[Phi_k | G_k]`` by batched ``matmul`` and swept newest
+  first with lam_k = Phi_k^T lam_{k+1} + path terms; each earlier segment
+  is recorded again from its checkpoint: checkpointed reverse mode
   (Griewank & Walther, *Evaluating Derivatives*, 2008).  Two storage
   policies, which differ only in ``seg_len``, are exposed under the
   engine names of the config and the CLI.  :func:`grad_bptt` records and
@@ -18,8 +19,8 @@ the flip deadline).  Gradients come from one engine and one oracle:
   recomputed); :func:`grad_adjoint` keeps a checkpoint every
   ``ADJOINT_SEG_LEN`` = 30 steps and linearizes one 30-step segment at a
   time (8 floats per checkpoint, at the price of recomputing every step
-  but the last segment's).  Both run the same code, so
-  their gradients agree to the last bit; only the memory counters differ.
+  but the last segment's).  Both run the same code, so their gradients
+  agree to the last bit; only the memory counters differ.
 * :func:`finite_diff_grad` - central differences on the raw parameters,
   the independent validation oracle.  Its 4K perturbed rollouts advance
   together as the lanes of one state batch, each starting from the
@@ -151,13 +152,6 @@ class GradientReport:
 # Forward simulation
 # ---------------------------------------------------------------------------
 
-def _check_finite(x: np.ndarray, k: int) -> None:
-    if not np.isfinite(x).all():
-        bad = [STATE_FIELDS[i] for i in np.flatnonzero(~np.isfinite(x))]
-        raise RolloutError(
-            f"non-finite state at step {k}: field(s) {bad}", step=k, fields=bad)
-
-
 def first_flip_index(scn) -> int:
     """Smallest state index k with t_k strictly past the flip deadline.
 
@@ -185,7 +179,8 @@ class _PathAccumulator:
 
     The gradient engine and the finite-difference oracle feed states
     through this accumulator, so every route sums the loss terms in an
-    identical floating-point order.  With ``lanes`` it keeps one mass
+    identical floating-point order; the engine's reverse sweep takes the
+    terms' derivatives from it too.  With ``lanes`` it keeps one mass
     floor and one flip sum per lane: a batch of p states (8, p) updates
     lanes 0 to p - 1, and :meth:`seed` starts later lanes from lane 0's
     sums.  The oracle uses both to let a perturbed rollout take over the
@@ -219,8 +214,9 @@ class _PathAccumulator:
 
     def finish(self, x: np.ndarray, smoothness):
         """Total and terms at the final state ``x``, given the smoothness
-        penalty of the controls (one value per lane for a batch); a term
-        that overflows is inf."""
+        penalty of the controls (one value per lane for a batch).  Raises
+        as :func:`_check_loss` does instead of returning a term that is
+        not finite."""
         scn, w = self.scn, self.w
         dr = (x[IX_X] - scn.r_f[0], x[IX_Y] - scn.r_f[1])
         dv = (x[IX_U] - scn.v_f[0], x[IX_V] - scn.v_f[1])
@@ -239,7 +235,30 @@ class _PathAccumulator:
             total = terms[0]
             for t in terms[1:]:
                 total = total + t
+        _check_loss(total, terms)
         return total, terms
+
+    def terminal_cotangent(self, x: np.ndarray) -> np.ndarray:
+        """d loss / d x_K at the final state ``x`` of one rollout, path
+        terms included."""
+        scn, w = self.scn, self.w
+        weight = np.array([w.w_r, w.w_r, w.w_v, w.w_v, w.w_theta, w.w_omega])
+        target = [*scn.r_f, *scn.v_f, scn.theta_f, scn.omega_f]
+        lam = np.zeros(STATE_DIM)
+        lam[:6] = 2.0 * weight * (x[:6] - target)
+        self.add_path_cotangent(lam, x, scn.K)
+        return lam
+
+    def add_path_cotangent(self, lam: np.ndarray, x: np.ndarray,
+                           k: int) -> None:
+        """Add to ``lam`` the derivative of state k's path terms, which
+        :meth:`add` summed, at its state ``x``."""
+        scn, w = self.scn, self.w
+        m = float(x[IX_M])
+        if m < scn.m_dry:
+            lam[IX_M] += -2.0 * w.w_mass * (scn.m_dry - m)
+        if k >= self.k_flip:
+            lam[IX_TH] += 2.0 * w.w_flip * (float(x[IX_TH]) - scn.theta_f)
 
 
 def _check_loss(total, terms) -> None:
@@ -252,10 +271,37 @@ def _check_loss(total, terms) -> None:
 
 
 def _breakdown(total, terms) -> LossBreakdown:
-    """The loss as floats; raises as :func:`_check_loss` does."""
-    _check_loss(total, terms)
+    """The loss of one rollout as floats."""
     return LossBreakdown(total=float(total), terms={
         name: float(t) for name, t in zip(LOSS_TERM_NAMES, terms)})
+
+
+def _advance(x: np.ndarray, steps: range, rec: np.ndarray,
+             seq: ControlSequence, scn, aero: AeroModel,
+             acc: _PathAccumulator | None = None) -> np.ndarray:
+    """Take ``steps`` from state ``x`` and return the state after the last.
+
+    Step k writes its start state and three stage states, as
+    :func:`rk4_advance` returns them, to ``rec[:, k % rec.shape[1]]`` and
+    feeds its start state to ``acc``.  A non-finite state raises
+    RolloutError naming the step that produced it.  Every forward pass of
+    this module but the finite-difference oracle's lanes runs this loop.
+    """
+    # divergence is detected explicitly per step; intermediate overflow is
+    # expected on the way to the RolloutError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in steps:
+            if acc is not None:
+                acc.add(x, k)
+            nxt, stages = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt,
+                                      scn, aero)
+            rec[:, k % rec.shape[1]] = (x, *stages)
+            if not np.isfinite(nxt).all():
+                bad = [STATE_FIELDS[i] for i in np.flatnonzero(~np.isfinite(nxt))]
+                raise RolloutError(f"non-finite state at step {k + 1}: "
+                                   f"field(s) {bad}", step=k + 1, fields=bad)
+            x = nxt
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +318,11 @@ def rollout_controls(seq: ControlSequence, scn, aero: AeroModel) -> Trajectory:
     """Roll out an explicit control sequence (used by forward-only replay)."""
     if seq.K != scn.K:
         raise ValueError(f"control sequence length {seq.K} != scenario K {scn.K}")
-    K = scn.K
-    states = np.empty((K + 1, STATE_DIM))
-    states[0] = x = scn.x0
-    # divergence is detected explicitly per step; intermediate overflow is
-    # expected on the way to the RolloutError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            x = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt, scn,
-                            aero)[0]
-            _check_finite(x, k + 1)
-            states[k + 1] = x
-    return Trajectory(states=states, thrust=seq.thrust.copy(),
-                      delta_cmd=seq.delta.copy(), dt=float(scn.dt))
+    rec = np.empty((4, scn.K, STATE_DIM))
+    x = _advance(scn.x0, range(scn.K), rec, seq, scn, aero)
+    return Trajectory(states=np.concatenate([rec[0], x[None]]),
+                      thrust=seq.thrust.copy(), delta_cmd=seq.delta.copy(),
+                      dt=float(scn.dt))
 
 
 def loss(traj: Trajectory, w: LossWeights, scn) -> LossBreakdown:
@@ -303,23 +341,6 @@ def loss(traj: Trajectory, w: LossWeights, scn) -> LossBreakdown:
 # ---------------------------------------------------------------------------
 # Reverse sweep building blocks
 # ---------------------------------------------------------------------------
-
-def _terminal_cotangent(x_final: np.ndarray, scn, w: LossWeights) -> np.ndarray:
-    weight = np.array([w.w_r, w.w_r, w.w_v, w.w_v, w.w_theta, w.w_omega])
-    target = [*scn.r_f, *scn.v_f, scn.theta_f, scn.omega_f]
-    lam = np.zeros(STATE_DIM)
-    lam[:6] = 2.0 * weight * (x_final[:6] - target)
-    return lam
-
-
-def _add_path_cotangent(lam: np.ndarray, x: np.ndarray, k: int, k_flip: int,
-                        scn, w: LossWeights) -> None:
-    m = float(x[IX_M])
-    if m < scn.m_dry:
-        lam[IX_M] += -2.0 * w.w_mass * (scn.m_dry - m)
-    if k >= k_flip:
-        lam[IX_TH] += 2.0 * w.w_flip * (float(x[IX_TH]) - scn.theta_f)
-
 
 def _step_jacobians(lanes: np.ndarray, T: np.ndarray, scn,
                     aero: AeroModel) -> np.ndarray:
@@ -358,9 +379,10 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
 
     The forward pass keeps the start state of every ``seg_len``-step
     segment but the last as a checkpoint, and records each step's start
-    and three stage states, as :func:`rk4_advance` returns them, for the
-    segment it is in.  The reverse sweep takes the segments newest first,
-    recording each earlier one again from its checkpoint.  One
+    and three stage states for the segment it is in: one :func:`_advance`
+    call per segment, the loop of :func:`rollout_controls`.  The reverse
+    sweep takes the segments newest first, recording each earlier one
+    again from its checkpoint with the same call.  One
     :func:`_step_jacobians` call turns a segment's record into its M_k,
     and the sweep runs lam_k = Phi_k^T lam_{k+1} + path terms, with the
     control gradient G_k^T lam_{k+1}, as ``lam @ M_k``.  M_k does not
@@ -387,47 +409,30 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     seq = reparameterize(raw, scn)
     K = scn.K
     seg_len = min(seg_len, K)
-    n_seg = -(-K // seg_len)
-    ckpt = np.empty((n_seg - 1, STATE_DIM))
-    # rec[:, i]: the start state and stage states of the segment's step i
-    rec = np.empty((4, seg_len, STATE_DIM))
-
-    def advance(x, k):
-        """Step k from x, recorded in its segment's record."""
-        nxt, stages = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt,
-                                  scn, aero)
-        rec[:, k % seg_len] = (x, *stages)
-        return nxt
+    segs = [range(s, min(s + seg_len, K)) for s in range(0, K, seg_len)]
+    ckpt = np.empty((len(segs) - 1, STATE_DIM))
+    rec = np.empty((4, seg_len, STATE_DIM))  # one segment, as _advance writes
 
     acc = _PathAccumulator(scn, w)
     x = scn.x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            if k % seg_len == 0 and k // seg_len < len(ckpt):
-                ckpt[k // seg_len] = x
-            acc.add(x, k)
-            x = advance(x, k)
-            _check_finite(x, k + 1)
+    for j, steps in enumerate(segs):
+        if j < len(ckpt):
+            ckpt[j] = x
+        x = _advance(x, steps, rec, seq, scn, aero, acc)
     acc.add(x, K)
     breakdown = _breakdown(*acc.finish(x, smoothness_penalty(seq, scn)))
 
-    lam = _terminal_cotangent(x, scn, w)
-    _add_path_cotangent(lam, x, K, acc.k_flip, scn, w)
-
+    lam = acc.terminal_cotangent(x)
     g = np.empty((2, K))  # d loss / d (T_k, delta_k)
-    for j in range(n_seg - 1, -1, -1):
-        s = j * seg_len
-        e = min(s + seg_len, K)
-        if j < n_seg - 1:
-            x = ckpt[j]
-            for k in range(s, e):
-                x = advance(x, k)
-        M = _step_jacobians(rec[:, :e - s], seq.thrust[s:e], scn, aero)
-        for k in reversed(range(s, e)):
-            lam = lam @ M[k - s]
+    for j, steps in reversed(list(enumerate(segs))):
+        if j < len(ckpt):
+            _advance(ckpt[j], steps, rec, seq, scn, aero)
+        M = _step_jacobians(rec[:, :len(steps)], seq.thrust[steps], scn, aero)
+        for k in reversed(steps):
+            lam = lam @ M[k % seg_len]
             g[:, k] = lam[STATE_DIM:]
             lam = lam[:STATE_DIM]
-            _add_path_cotangent(lam, rec[0, k - s], k, acc.k_flip, scn, w)
+            acc.add_path_cotangent(lam, rec[0, k % seg_len], k)
 
     # the smoothness term, then the chain rule through the squash mapping
     gu = ((g + w.w_smooth * np.array(smoothness_grads(seq, scn)))
@@ -519,8 +524,7 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
         delta[p - 2:] = plus.delta[k], minus.delta[k]
         x[:, :p] = rk4_advance(x[:, :p], T, delta, scn.dt, scn, aero)[0]
     acc.add(x, K)
-    total, terms = acc.finish(x, smoothness)
-    _check_loss(total, terms)
+    total = acc.finish(x, smoothness)[0]
     # rows: u_T + h, u_T - h, u_delta + h, u_delta - h
     lp_lm = total[1:].reshape(K, 4).T
     g = ((lp_lm[0::2] - lp_lm[1::2]) / (2.0 * dtype(h))).astype(np.float64)

@@ -358,7 +358,7 @@ def test_non_finite_loss_exits_3_without_numpy_warnings(command, tmp_path,
 def test_check_grad_failure_names_the_entry_outside_its_tolerance(
         engine, tmp_path, monkeypatch, capsys):
     """Entry 2 misses the absolute tolerance threefold while every relative
-    entry passes, so the message names entry 2 and shows its values."""
+    entry passes, so the message and check_grad.json name entry 2."""
     fd = _report([1.0, 2.0, 0.0, 5.0])
     monkeypatch.setattr(cli.opt_mod, "_engine_fn",
                         lambda name: lambda *args: _report(engine))
@@ -368,6 +368,8 @@ def test_check_grad_failure_names_the_entry_outside_its_tolerance(
     assert rc == 1
     assert ("FAILED at index 2: engine 3e-08 vs finite differences 0.0"
             in capsys.readouterr().out)
+    doc = json.loads((tmp_path / "cg" / "check_grad.json").read_text())
+    assert doc["worst_index"] == 2 and doc["pass"] is False
 
 
 def _report(g):
@@ -378,17 +380,21 @@ def _report(g):
 
 
 def _grad_check_loop(g, r):
-    """grad_check's rule entry by entry: the reference for finite inputs."""
-    worst_rel, worst_abs, worst_idx, ok = 0.0, 0.0, -1, True
+    """grad_check's rule entry by entry: the reference for finite inputs.
+    The worst index is the entry furthest outside its own tolerance."""
+    worst_rel, worst_abs, worst_idx, worst, ok = 0.0, 0.0, -1, 0.0, True
     for i, (a, b) in enumerate(zip(g, r)):
         if abs(b) > cli.GRAD_FD_FLOOR:
             rel = abs(a - b) / abs(b)
-            if rel > worst_rel:
-                worst_rel, worst_idx = rel, i
+            worst_rel = max(worst_rel, rel)
             ok = ok and rel < cli.GRAD_REL_TOL
+            excess = rel / cli.GRAD_REL_TOL
         else:
             worst_abs = max(worst_abs, abs(a - b))
             ok = ok and abs(a - b) < cli.GRAD_ABS_TOL
+            excess = abs(a - b) / cli.GRAD_ABS_TOL
+        if excess > worst:
+            worst, worst_idx = excess, i
     return ok, worst_rel, worst_abs, worst_idx
 
 

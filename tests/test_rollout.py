@@ -83,36 +83,44 @@ def test_rollout_controls_length_check(short_scn, simplified):
         fo.rollout_controls(seq, short_scn, simplified)
 
 
-def test_nonfinite_state_reports_step(short_scn):
+ENTRY_POINTS = ["rollout", "grad_bptt", "grad_adjoint"]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("K, step", [(8, 4), (40, 35)])
+def test_nonfinite_state_reports_step(entry, K, step, case1_cfg):
+    """Every forward pass names the step that diverged; at K = 40 step 35
+    is in the second adjoint segment."""
     class BlowUpAero:
         def __init__(self):
             self.calls = 0
 
         def forces(self, s, scn):
             self.calls += 1
-            if self.calls > 12:  # poison the fourth step
+            if self.calls > 4 * (step - 1):  # poison the step's first stage
                 return fo.AeroForces(float("nan"), 0.0, 0.0)
             return fo.AeroForces(0.0, 0.0, 0.0)
 
         def forces_jac(self, states, scn):
             raise NotImplementedError
 
-    raw = fo.init_raw_params(short_scn)
+    scn = fo.nondimensionalize(truncate(case1_cfg, K))
     with pytest.raises(ro.RolloutError) as err:
-        ro.rollout(raw, short_scn, BlowUpAero())
-    assert err.value.step == 4
+        getattr(ro, entry)(fo.init_raw_params(scn), scn, BlowUpAero())
+    assert err.value.step == step
     assert err.value.fields
 
 
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 @pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
-def test_infinite_pitch_raises_rollout_error(model_name, short_scn, simplified,
-                                             surrogate):
+def test_infinite_pitch_raises_rollout_error(model_name, entry, short_scn,
+                                             simplified, surrogate):
     model = {"simplified": simplified, "surrogate": surrogate}[model_name]
     x0 = short_scn.x0.copy()
     x0[dyn.IX_TH] = np.inf
     scn = replace(short_scn, x0=x0)
     with pytest.raises(ro.RolloutError) as err:
-        ro.rollout(fo.init_raw_params(scn), scn, model)
+        getattr(ro, entry)(fo.init_raw_params(scn), scn, model)
     assert err.value.step == 1
 
 
@@ -393,7 +401,8 @@ def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
 def test_adjoint_equals_bptt_exactly(K, case2_cfg, surrogate):
     """Both storage policies give the same bits, below the checkpoint
     budget, with a one-step final segment (K = 31), at the presets' three
-    segments (K = 90) and when K is not a multiple of the segment length."""
+    segments (K = 90) and when K is not a multiple of the segment length;
+    their loss is that of the rollout."""
     scn = fo.nondimensionalize(truncate(case2_cfg, K))
     raw = random_raw(scn, 13)
     gb = ro.grad_bptt(raw, scn, surrogate, scn.weights)
@@ -401,6 +410,7 @@ def test_adjoint_equals_bptt_exactly(K, case2_cfg, surrogate):
     assert np.array_equal(gb.grad_u_T, ga.grad_u_T)
     assert np.array_equal(gb.grad_u_delta, ga.grad_u_delta)
     assert gb.loss == ga.loss
+    assert gb.loss == ro.loss(ro.rollout(raw, scn, surrogate), scn.weights, scn)
     assert gb.engine == "bptt" and ga.engine == "adjoint"
     if K <= ro.ADJOINT_SEG_LEN:  # one segment of K steps under both policies
         assert ga.peak_aux_floats == gb.peak_aux_floats
