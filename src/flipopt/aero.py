@@ -200,7 +200,9 @@ def write_dataset_csv(path, samples: Sequence[CoeffSample]) -> None:
 class MlpSurrogate:
     """Small tanh MLP mapping (sin alpha, cos alpha) -> (C_L, C_D, C_M).
 
-    ``layers`` holds (weight, bias) pairs ordered input to output; hidden
+    ``layers`` holds (W, b) pairs ordered input to output: W of shape
+    (rows, cols), where cols is the previous layer's rows (2 for the first
+    layer) and the last layer has 3 rows, and b of shape (rows,).  Hidden
     activations are tanh, the output layer is affine.  ``folded`` holds
     each layer as one matrix ``[W | b]`` for the single-encoding forward
     pass, which allocates its activation buffers per call.  All arrays
@@ -213,18 +215,23 @@ class MlpSurrogate:
     folded: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.layers[0][0].shape[1] != 2:
-            raise ValueError("first layer must take 2 inputs (sin a, cos a)")
-        if self.layers[-1][0].shape[0] != 3:
-            raise ValueError("last layer must emit 3 coefficients")
-        folded = []
-        for W, b in self.layers:
+        if not self.layers:
+            raise ValueError("the surrogate needs at least one layer")
+        cols = 2  # the first layer takes (sin a, cos a)
+        for i, (W, b) in enumerate(self.layers):
+            if W.ndim != 2 or W.shape[1] != cols or b.shape != W.shape[:1]:
+                raise ValueError(f"layer {i} does not chain: W {W.shape}, b "
+                                 f"{b.shape}; expected (rows, {cols}), (rows,)")
             if not (np.isfinite(W).all() and np.isfinite(b).all()):
                 raise ValueError("non-finite surrogate parameters")
-            folded.append(np.column_stack((W, b)))
-            for a in (W, b, folded[-1]):
-                a.setflags(write=False)
-        object.__setattr__(self, "folded", tuple(folded))
+            cols = len(W)
+        if cols != 3:
+            raise ValueError(f"layer {len(self.layers) - 1} must emit 3 "
+                             f"coefficients, not {cols}")
+        folded = tuple(np.column_stack(layer) for layer in self.layers)
+        for a in (*folded, *(x for layer in self.layers for x in layer)):
+            a.setflags(write=False)
+        object.__setattr__(self, "folded", folded)
 
     # -- coefficient evaluation ---------------------------------------------
 
@@ -344,6 +351,8 @@ def train_surrogate(dataset: Sequence[CoeffSample],
                     seed: int = 0) -> MlpSurrogate:
     """Fit the MLP to the dataset, deterministically for a given seed.
 
+    Full-batch Adam on the mean squared error; each layer's (W, b) and
+    gradient (gW, gb) are views of one parameter and one gradient vector.
     Targets are standardized per coefficient during training and the
     de-standardization is folded back into the output layer afterwards,
     so the returned model maps directly to raw coefficients.
@@ -360,65 +369,53 @@ def train_surrogate(dataset: Sequence[CoeffSample],
     Yn = (Y - mu) / sig
 
     sizes = (2, *hyper.hidden, 3)
-    init: list[np.ndarray] = []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+    flat = np.zeros(sum((i + 1) * o for i, o in zip(sizes, sizes[1:])))
+    grad = np.empty_like(flat)
+    layers, grads = [], []
+    end = 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        at, mid, end = end, end + n_out * n_in, end + n_out * (n_in + 1)
         limit = math.sqrt(6.0 / (n_in + n_out))
-        init.append(rng.uniform(-limit, limit, size=(n_out, n_in)))
-        init.append(np.zeros(n_out))
-    # the weight and bias arrays are views of one parameter vector, so one
-    # Adam step updates them all
-    flat = np.concatenate([p.ravel() for p in init])
-    ends = np.cumsum([p.size for p in init])
-    params = [v.reshape(p.shape)
-              for v, p in zip(np.split(flat, ends[:-1]), init)]
+        W = flat[at:mid].reshape(n_out, n_in)
+        W[:] = rng.uniform(-limit, limit, size=W.shape)
+        layers.append((W, flat[mid:end]))
+        grads.append((grad[at:mid].reshape(n_out, n_in), grad[mid:end]))
     state = AdamState.zeros_like(flat)
-    n = X.shape[0]
     final_mse = math.inf
 
     for epoch in range(1, hyper.epochs + 1):
-        # forward
         hs = [X]
-        h = X
-        for i in range(0, len(params) - 2, 2):
-            h = np.tanh(h @ params[i].T + params[i + 1])
-            hs.append(h)
-        out = h @ params[-2].T + params[-1]
-        err = out - Yn
-        loss = float(np.mean(err * err))
-        if not math.isfinite(loss):
+        for W, b in layers[:-1]:
+            hs.append(np.tanh(hs[-1] @ W.T + b))
+        W, b = layers[-1]
+        err = hs[-1] @ W.T + b - Yn
+        final_mse = float(np.mean(err * err))
+        if not math.isfinite(final_mse):
             raise TrainingError(f"non-finite training loss at epoch {epoch}",
                                 iteration=epoch)
-        final_mse = loss
 
-        # backward
-        grads = [None] * len(params)
+        # backward from the output; g passes W while a layer is below
         g = (2.0 / err.size) * err
-        grads[-2] = g.T @ hs[-1]
-        grads[-1] = g.sum(axis=0)
-        g = g @ params[-2]
-        for i in range(len(params) - 4, -1, -2):
-            g = g * (1.0 - hs[i // 2 + 1] ** 2)
-            grads[i] = g.T @ hs[i // 2]
-            grads[i + 1] = g.sum(axis=0)
-            g = g @ params[i]
+        for (W, _), (gW, gb), h in zip(layers[::-1], grads[::-1], hs[::-1]):
+            np.matmul(g.T, h, out=gW)
+            np.sum(g, axis=0, out=gb)
+            if h is not X:
+                g = (g @ W) * (1.0 - h ** 2)
 
         # adam_step reads beta1, beta2 and eps, which the trainer's
         # hyperparameters share with the optimizer's
         try:
-            new_flat, state = adam_step(
-                flat, np.concatenate([g.ravel() for g in grads]), state,
-                hyper.lr, hyper)
+            new_flat, state = adam_step(flat, grad, state, hyper.lr, hyper)
         except FloatingPointError as exc:
             raise TrainingError(f"{exc} at epoch {epoch}",
                                 iteration=epoch) from exc
         flat[:] = new_flat
 
     # fold the target standardization into the output layer
-    params[-2] = sig[:, None] * params[-2]
-    params[-1] = sig * params[-1] + mu
+    W, b = layers[-1]
+    layers[-1] = (sig[:, None] * W, sig * b + mu)
 
-    layers = tuple((params[i], params[i + 1]) for i in range(0, len(params), 2))
-    model = MlpSurrogate(layers=layers, meta={})
+    model = MlpSurrogate(layers=tuple(layers), meta={})
     preds = np.array([model.coeffs(s.alpha) for s in dataset])
     raw_mse = float(np.mean((preds - Y) ** 2))
     max_abs = np.abs(preds - Y).max(axis=0)
@@ -427,7 +424,7 @@ def train_surrogate(dataset: Sequence[CoeffSample],
         "train_mse": raw_mse,
         "max_abs_err": {"C_L": float(max_abs[0]), "C_D": float(max_abs[1]),
                         "C_M": float(max_abs[2])},
-        "n_samples": n,
+        "n_samples": len(dataset),
         "seed": seed,
         "epochs": hyper.epochs,
         "lr": hyper.lr,

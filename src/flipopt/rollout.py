@@ -283,12 +283,11 @@ def _advance(x: np.ndarray, steps: range, rec: np.ndarray,
 
     Step k writes its start state and three stage states, as
     :func:`rk4_advance` returns them, to ``rec[:, k % rec.shape[1]]`` and
-    feeds its start state to ``acc``.  A non-finite state raises
-    RolloutError naming the step that produced it.  Every forward pass of
+    feeds its start state to ``acc``.  A non-finite field stays so through
+    every later step, so the returned state is checked once; RolloutError
+    names the first step that ended non-finite.  Every forward pass of
     this module but the finite-difference oracle's lanes runs this loop.
     """
-    # divergence is detected explicitly per step; intermediate overflow is
-    # expected on the way to the RolloutError
     with np.errstate(over="ignore", invalid="ignore"):
         for k in steps:
             if acc is not None:
@@ -296,11 +295,14 @@ def _advance(x: np.ndarray, steps: range, rec: np.ndarray,
             nxt, stages = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt,
                                       scn, aero)
             rec[:, k % rec.shape[1]] = (x, *stages)
-            if not np.isfinite(nxt).all():
-                bad = [STATE_FIELDS[i] for i in np.flatnonzero(~np.isfinite(nxt))]
+            x = nxt
+    if not np.isfinite(x).all():
+        for k in steps:
+            end = x if k == steps[-1] else rec[0, (k + 1) % rec.shape[1]]
+            bad = [STATE_FIELDS[i] for i in np.flatnonzero(~np.isfinite(end))]
+            if bad:
                 raise RolloutError(f"non-finite state at step {k + 1}: "
                                    f"field(s) {bad}", step=k + 1, fields=bad)
-            x = nxt
     return x
 
 

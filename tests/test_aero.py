@@ -163,6 +163,11 @@ def test_surrogate_layer_validation():
                                 (np.zeros((3, 4)), np.zeros(3))))
     with pytest.raises(ValueError):
         am.MlpSurrogate(layers=((np.full((3, 2), np.nan), np.zeros(3)),))
+    with pytest.raises(ValueError, match="at least one layer"):
+        am.MlpSurrogate(layers=())
+    with pytest.raises(ValueError, match="layer 1 does not chain"):
+        am.MlpSurrogate(layers=((np.zeros((32, 2)), np.zeros(32)),
+                                (np.zeros((3, 16)), np.zeros(3))))
 
 
 def test_surrogate_parameters_are_read_only(surrogate):
@@ -262,6 +267,46 @@ def test_nonfinite_adam_update_raises_training_error():
         am.train_surrogate(am.generate_dataset(12),
                            am.TrainerConfig(lr=math.inf, epochs=3))
     assert exc.value.iteration == 1
+
+
+def test_fit_backprop_matches_central_differences():
+    """Adam's first step moves each parameter by about -lr sign(g), and
+    folding the target scale sig > 0 into the output layer keeps every
+    sign, so the first step must point against the central difference of
+    the fit's loss, mean(((net(X) - Y) / sig) ** 2), at the untrained
+    layers."""
+    ds = am.generate_dataset(12)
+    m0, m1 = (am.train_surrogate(ds, am.TrainerConfig(epochs=n, lr=1e-4),
+                                 seed=3) for n in (0, 1))
+    X = np.array([[math.sin(s.alpha), math.cos(s.alpha)] for s in ds])
+    Y = np.array([[s.C_L, s.C_D, s.C_M] for s in ds])
+    sig = np.maximum(Y.std(axis=0), 1e-8)
+
+    def loss(layers):
+        h = X
+        for W, b in layers[:-1]:
+            h = np.tanh(h @ W.T + b)
+        W, b = layers[-1]
+        return np.mean(((h @ W.T + b - Y) / sig) ** 2)
+
+    layers = [(W.copy(), b.copy()) for W, b in m0.layers]
+    h, checked, wrong = 1e-6, 0, []
+    for p0, p1 in zip([a for layer in layers for a in layer],
+                      [a for layer in m1.layers for a in layer]):
+        for i in np.ndindex(p0.shape):
+            x = p0[i]
+            p0[i] = x + h
+            up = loss(layers)
+            p0[i] = x - h
+            down = loss(layers)
+            p0[i] = x
+            diff = (up - down) / (2.0 * h)
+            if abs(diff) > 1e-6:
+                checked += 1
+                if np.sign(p1[i] - x) != -np.sign(diff):
+                    wrong.append((p0.shape, i, diff))
+    assert checked > 1200
+    assert not wrong
 
 
 def test_weights_file_round_trip(surrogate, tmp_path):

@@ -108,6 +108,30 @@ def test_malformed_scenario_value_exits_2(tmp_path, data, field):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["check-grad", "optimize", "simulate"])
+@pytest.mark.parametrize("layers", [
+    [],
+    [{"rows": 32, "cols": 2, "w": [0.1] * 64, "b": [0.0] * 32},
+     {"rows": 3, "cols": 16, "w": [0.1] * 48, "b": [0.0] * 3}],
+], ids=["no-layers", "16-after-32"])
+def test_weights_that_do_not_chain_exit_2(tmp_path, layers, command):
+    """A weights file with no layers, or whose layers do not chain, exits 2
+    naming aero.weights_path, from every command that loads it."""
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"activation": "tanh", "layers": layers}))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(
+        {"aero": {**SURROGATE, "weights_path": str(weights)}}))
+    controls = tmp_path / "controls.csv"
+    controls.write_text("thrust_N,delta_deg\n" + "2e6,0\n" * 6)
+    extra = ["--controls", str(controls)] if command == "simulate" else []
+    proc = run_cli(command, "--scenario", str(scenario), "--k", "6",
+                   "--out", str(tmp_path / "out"), *extra)
+    assert proc.returncode == 2
+    assert "aero.weights_path" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("value", [-1.0, None], ids=["negative", "null"])
 def test_removed_grad_clip_is_an_unknown_key(tmp_path, value):
     """opt.grad_clip is gone: set to anything, null included, it is an

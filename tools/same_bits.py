@@ -1,0 +1,134 @@
+"""Record flipopt's numerical outputs from one source tree, and compare two
+records bit for bit.
+
+A refactor that should move no bit shows it by dumping its parent's tree
+and its own, then comparing the two files:
+
+    python3 tools/same_bits.py dump --src parent/src --out parent.npz
+    python3 tools/same_bits.py dump --src src --out change.npz
+    python3 tools/same_bits.py compare parent.npz change.npz
+
+``dump`` imports ``flipopt`` from ``--src`` and records, for case1 (drag
+model) and case2 (trained surrogate) at K in {1, 7, 30, 31, 90} and
+random controls of seeds 0 and 1: the rollout states, every loss term,
+both engines' gradients, losses and ``peak_aux_floats``, and at K <= 7
+the long-double finite-difference oracle.  It also records the layers of
+``train_surrogate(generate_dataset(36), seed=0)``.  ``compare`` checks
+that both files hold the same arrays with the same dtype, shape and
+bytes; it names the first mismatch and exits 1, or exits 0.  A run of
+``dump`` takes a few seconds on one core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from dataclasses import replace
+
+import numpy as np
+
+KS = (1, 7, 30, 31, 90)
+SEEDS = (0, 1)
+ORACLE_MAX_K = 7
+
+
+def _random_raw(fo, scn, seed, scale=0.5):
+    """The test suite's random controls: the hover start plus N(0, scale)."""
+    rng = np.random.default_rng(seed)
+    base = fo.init_raw_params(scn)
+    return fo.RawControlParams(
+        u_T=base.u_T + rng.normal(0.0, scale, scn.K),
+        u_delta=base.u_delta + rng.normal(0.0, scale, scn.K))
+
+
+def _loss_arrays(prefix, breakdown, out):
+    out[f"{prefix}/total"] = np.float64(breakdown.total)
+    for name, value in breakdown.terms.items():
+        out[f"{prefix}/{name}"] = np.float64(value)
+
+
+def dump(src: str, path: str) -> None:
+    sys.path.insert(0, src)
+    import flipopt as fo
+    from flipopt import cli
+    from flipopt import rollout as ro
+
+    out: dict[str, np.ndarray] = {}
+    model = fo.train_surrogate(fo.generate_dataset(36), seed=0)
+    for i, (W, b) in enumerate(model.layers):
+        out[f"train/layer{i}/W"] = W
+        out[f"train/layer{i}/b"] = b
+
+    for case in ("case1", "case2"):
+        cfg = fo.load_scenario(case)
+        aero = cli.build_aero_model(cfg)
+        dt = cfg.t_f / cfg.K
+        for K in KS:
+            scn = fo.nondimensionalize(replace(cfg, K=K, t_f=dt * K))
+            for seed in SEEDS:
+                at = f"{case}/K{K}/seed{seed}"
+                raw = _random_raw(fo, scn, seed)
+                traj = ro.rollout(raw, scn, aero)
+                out[f"{at}/states"] = traj.states
+                _loss_arrays(f"{at}/loss", ro.loss(traj, scn.weights, scn), out)
+                for engine in (ro.grad_bptt, ro.grad_adjoint):
+                    rep = engine(raw, scn, aero)
+                    e = f"{at}/{rep.engine}"
+                    out[f"{e}/grad"] = rep.stacked()
+                    out[f"{e}/peak_aux_floats"] = np.int64(rep.peak_aux_floats)
+                    _loss_arrays(f"{e}/loss", rep.loss, out)
+                if K <= ORACLE_MAX_K:
+                    rep = ro.finite_diff_grad(raw, scn, aero,
+                                              dtype=np.longdouble)
+                    out[f"{at}/oracle/grad"] = rep.stacked()
+    np.savez(path, **out)
+    print(f"{path}: {len(out)} arrays")
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with np.load(path_a) as a, np.load(path_b) as b:
+        for key in a.files:
+            if key not in b.files:
+                print(f"mismatch: {key} is in {path_a} only")
+                return 1
+            x, y = a[key], b[key]
+            if x.dtype != y.dtype or x.shape != y.shape:
+                print(f"mismatch: {key}: {x.dtype} {x.shape} != "
+                      f"{y.dtype} {y.shape}")
+                return 1
+            xb, yb = (np.frombuffer(v.tobytes(), np.uint8).reshape(
+                v.size, v.itemsize) for v in (x, y))
+            differ = np.flatnonzero((xb != yb).any(axis=1))
+            if differ.size:
+                i = differ[0]
+                print(f"mismatch: {key}, entry {i}: {x.ravel()[i]!r} != "
+                      f"{y.ravel()[i]!r}")
+                return 1
+        extra = [key for key in b.files if key not in a.files]
+        if extra:
+            print(f"mismatch: {extra[0]} is in {path_b} only")
+            return 1
+        print(f"same bits: {len(a.files)} arrays")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Record and compare flipopt's outputs bit for bit.")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    p = sub.add_parser("dump", help="record one tree's outputs")
+    p.add_argument("--src", required=True,
+                   help="the tree's src directory, which holds flipopt/")
+    p.add_argument("--out", required=True, help="the .npz file to write")
+    p = sub.add_parser("compare", help="compare two records bit for bit")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.cmd == "dump":
+        dump(args.src, args.out)
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
