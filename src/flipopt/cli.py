@@ -1,10 +1,11 @@
 """Command-line surface: optimize, simulate, train-aero, check-grad, plot.
 
 Every run writes a manifest.json capturing the fully resolved scenario,
-seed, arguments, input hashes and output list; replaying a manifest
-reproduces all CSV outputs byte for byte.  CSV files are dimensional SI
-(floats serialized with repr, so parsing them back is exact); all
-internal computation stays nondimensional.
+seed, parsed arguments, the SHA-256 of each file it read and the output
+list; replaying a manifest reproduces all CSV outputs byte for byte.  A
+run makes its output directory only once every input has loaded.  CSV
+files are dimensional SI (floats serialized with repr, so parsing them
+back is exact); all internal computation stays nondimensional.
 
 Exit codes: 0 success, 1 tolerance breach, 2 configuration error,
 3 numerical abort.
@@ -48,6 +49,11 @@ LOSS_HISTORY_HEADER = ("step,lr,total,terminal_position,terminal_velocity,"
 GRAD_REL_TOL = 1e-5
 GRAD_ABS_TOL = 1e-8
 GRAD_FD_FLOOR = 1e-8
+
+# never replayed, so resolved_args omits them: the parser's bookkeeping,
+# --verbose, and the overrides that the scenario snapshot already carries
+NOT_REPLAYED = frozenset({"cmd", "command", "func", "verbose", "steps",
+                          "engine", "k"})
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +136,26 @@ def build_aero_model(cfg: sc.ScenarioConfig):
                                     seed=cfg.seed)
 
 
-def _write_manifest(out_dir: Path, args, resolved_args: dict,
-                    cfg: sc.ScenarioConfig | None, seed: int,
-                    input_paths: list[str], outputs: list[str]) -> None:
+def _write_manifest(out_dir: Path, args, cfg: sc.ScenarioConfig | None,
+                    seed: int, outputs: list[str]) -> None:
+    """Record the run: parsed arguments, scenario snapshot, seed, outputs,
+    and the hash of each file read (scenario, --controls, loaded weights)."""
+    inputs = [getattr(args, "controls", None)]
+    if cfg is not None:
+        if args.scenario not in sc.PRESET_NAMES:
+            inputs.append(args.scenario)
+        if cfg.aero.kind == "surrogate" and not getattr(args, "no_aero", False):
+            inputs.append(cfg.aero.weights_path)
+    resolved = {k: v for k, v in vars(args).items() if k not in NOT_REPLAYED}
     doc = {
         "subcommand": args.cmd,
         "command": args.command,
         "tool_version": __version__,
         "seed": seed,
-        "resolved_args": resolved_args,
+        "resolved_args": dict(resolved, seed=seed),
         "scenario_snapshot": sc.scenario_to_dict(cfg) if cfg else None,
-        "input_hashes": {p: _sha256(p) for p in input_paths if Path(p).is_file()},
-        "outputs": outputs,
+        "input_hashes": {p: _sha256(p) for p in inputs if p is not None},
+        "outputs": outputs + ["manifest.json"],
     }
     _write_json(out_dir / "manifest.json", doc)
 
@@ -158,8 +172,9 @@ def replay_manifest(manifest_path, out_dir) -> int:
         return 2
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ns_args = dict(doc["resolved_args"], cmd=doc["subcommand"],
-                   command=doc.get("command"))
+    ns_args = {k: v for k, v in doc["resolved_args"].items()
+               if k not in NOT_REPLAYED}
+    ns_args.update(cmd=doc["subcommand"], command=doc.get("command"))
     if doc["scenario_snapshot"] is not None:
         # snapshots written while opt.grad_clip existed hold it as null,
         # no clipping, which every run now does; a set clip stays unknown
@@ -169,8 +184,6 @@ def replay_manifest(manifest_path, out_dir) -> int:
         snap = out_dir / "_scenario_replay.json"
         _write_json(snap, doc["scenario_snapshot"])
         ns_args["scenario"] = str(snap)
-        # the snapshot already carries every override
-        ns_args.update(steps=None, engine=None, k=None)
     if "out" in ns_args:
         if doc["subcommand"] == "train-aero":
             # train-aero --out names the weights file, not a directory:
@@ -210,8 +223,7 @@ def _controls_rows(traj_nd: ro.Trajectory, refs: sc.ReferenceQuantities):
             for k in range(traj_nd.K)]
 
 
-def _summary(traj_nd: ro.Trajectory, breakdown: ro.LossBreakdown,
-             scn, engine: str, wall_time: float, extra: dict | None = None):
+def _summary(traj_nd: ro.Trajectory, breakdown: ro.LossBreakdown, scn):
     refs = scn.refs
     xK = traj_nd.states[-1]
     dr = (np.array([xK[0], xK[1]]) - scn.r_f) * refs.L_ref
@@ -221,9 +233,7 @@ def _summary(traj_nd: ro.Trajectory, breakdown: ro.LossBreakdown,
     flip_y = plots.flip_altitude_over_L(
         y_over_L, theta_deg, math.degrees(scn.config.bc.theta0),
         math.degrees(scn.theta_f))
-    doc = {
-        "engine": engine,
-        "wall_time_s": wall_time,
+    return {
         "terminal": {
             "position_error_m": [float(dr[0]), float(dr[1])],
             "position_error_norm_m": float(np.hypot(*dr)),
@@ -237,17 +247,22 @@ def _summary(traj_nd: ro.Trajectory, breakdown: ro.LossBreakdown,
         "flip_y_over_Lref": None if flip_y is None else float(flip_y),
         "loss": {"total": breakdown.total, "terms": breakdown.terms},
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
-def _write_traj_and_summary(out: Path, traj_nd: ro.Trajectory, scn,
-                            summary: dict) -> list[str]:
+def _write_rollout(out: Path, seq: ControlSequence, scn, aero,
+                   fields: dict) -> dict:
+    """Roll ``seq`` out, write trajectory.csv and summary.json, and return
+    the summary: the rollout-plus-loss wall time and the residuals, then
+    ``fields``, which may replace the wall time."""
+    t0 = time.perf_counter()
+    traj = ro.rollout_controls(seq, scn, aero)
+    breakdown = ro.loss(traj, scn.weights, scn)
+    summary = {"wall_time_s": time.perf_counter() - t0,
+               **_summary(traj, breakdown, scn), **fields}
     _write_csv(out / "trajectory.csv", TRAJECTORY_HEADER,
-               _trajectory_rows(traj_nd, scn.refs))
+               _trajectory_rows(traj, scn.refs))
     _write_json(out / "summary.json", summary)
-    return ["trajectory.csv", "summary.json"]
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +271,10 @@ def _write_traj_and_summary(out: Path, traj_nd: ro.Trajectory, scn,
 
 def cmd_optimize(args) -> int:
     cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     scn = sc.nondimensionalize(cfg)
     aero = build_aero_model(cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     try:
         result = opt_mod.optimize(scn, aero)
     except opt_mod.NumericalAbort as exc:
@@ -278,21 +293,12 @@ def cmd_optimize(args) -> int:
     # 1 ulp from the optimizer's internal nondim value)
     _write_csv(out / "controls.csv", CONTROLS_HEADER,
                _controls_rows(result.trajectory, cfg.refs))
-    seq = _read_controls_csv(out / "controls.csv", cfg.refs)
-    traj = ro.rollout_controls(seq, scn, aero)
-    breakdown = ro.loss(traj, scn.weights, scn)
-    summary = _summary(traj, breakdown, scn,
-                       result.engine, result.wall_time_s,
-                       extra={"best_step": result.best_step,
-                              "n_steps": cfg.opt.n_steps})
-    outputs = _write_traj_and_summary(out, traj, scn, summary)
-    outputs += ["controls.csv", "loss_history.csv"]
-    resolved = {"scenario": args.scenario, "out": str(out), "seed": cfg.seed}
-    inputs = [args.scenario] if args.scenario not in sc.PRESET_NAMES else []
-    if cfg.aero.weights_path:
-        inputs.append(cfg.aero.weights_path)
-    _write_manifest(out, args, resolved, cfg, cfg.seed, inputs,
-                    outputs + ["manifest.json"])
+    summary = _write_rollout(
+        out, _read_controls_csv(out / "controls.csv", cfg.refs), scn, aero,
+        {"engine": result.engine, "wall_time_s": result.wall_time_s,
+         "best_step": result.best_step, "n_steps": cfg.opt.n_steps})
+    _write_manifest(out, args, cfg, cfg.seed, [
+        "trajectory.csv", "summary.json", "controls.csv", "loss_history.csv"])
     finite = all(math.isfinite(v) for v in
                  summary["terminal"]["position_error_m"] +
                  summary["terminal"]["velocity_error_mps"])
@@ -358,22 +364,13 @@ def cmd_simulate(args) -> int:
     if seq.K != cfg.K:
         log.error("controls file has %d rows but scenario K = %d", seq.K, cfg.K)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     scn = sc.nondimensionalize(cfg)
     aero = aero_mod.NoAero() if args.no_aero else build_aero_model(cfg)
-    t0 = time.perf_counter()
-    traj = ro.rollout_controls(seq, scn, aero)
-    breakdown = ro.loss(traj, scn.weights, scn)
-    summary = _summary(traj, breakdown, scn, "forward",
-                       time.perf_counter() - t0,
-                       extra={"aero": "none" if args.no_aero else cfg.aero.kind})
-    outputs = _write_traj_and_summary(out, traj, scn, summary)
-    resolved = {"scenario": args.scenario, "out": str(out),
-                "controls": args.controls, "no_aero": bool(args.no_aero),
-                "seed": cfg.seed}
-    _write_manifest(out, args, resolved, cfg, cfg.seed,
-                    [args.controls], outputs + ["manifest.json"])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_rollout(out, seq, scn, aero, {
+        "engine": "forward", "aero": "none" if args.no_aero else cfg.aero.kind})
+    _write_manifest(out, args, cfg, cfg.seed, ["trajectory.csv", "summary.json"])
     return 0
 
 
@@ -386,7 +383,7 @@ def cmd_train_aero(args) -> int:
         log.error("the seed must be >= 0 (got %d)", seed)
         return 2
     out_path = Path(args.out)
-    out_dir = out_path.parent if out_path.parent != Path("") else Path(".")
+    out_dir = out_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = aero_mod.generate_dataset(args.samples)
     try:
@@ -400,10 +397,8 @@ def cmd_train_aero(args) -> int:
               "train_mse": model.meta["train_mse"],
               "n_samples": args.samples, "seed": seed}
     _write_json(out_dir / "fit_report.json", report)
-    resolved = {"samples": args.samples, "seed": seed, "out": str(out_path)}
-    _write_manifest(out_dir, args, resolved, None, seed, [],
-                    [out_path.name, "dataset.csv", "fit_report.json",
-                     "manifest.json"])
+    _write_manifest(out_dir, args, None, seed,
+                    [out_path.name, "dataset.csv", "fit_report.json"])
     worst = max(report["max_abs_err"].values())
     print(f"trained on {args.samples} samples; worst coefficient error "
           f"{worst:.2e} (mse {report['train_mse']:.2e})")
@@ -442,13 +437,12 @@ def grad_check(engine_report: ro.GradientReport, fd: ro.GradientReport):
 
 def cmd_check_grad(args) -> int:
     cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     scn = sc.nondimensionalize(cfg)
     aero = build_aero_model(cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     raw = _random_raw(scn, cfg.seed)
-    engine = opt_mod._engine_fn(cfg.opt.grad_engine if args.engine is None
-                                else args.engine)
+    engine = opt_mod._engine_fn(cfg.opt.grad_engine)
     report = engine(raw, scn, aero, scn.weights)
     if args.corrupt:
         # scale the fault with the component so it exceeds the relative
@@ -463,10 +457,7 @@ def cmd_check_grad(args) -> int:
            "worst_index": i, "n_rollouts_fd": fd.n_rollouts,
            "pass": ok}
     _write_json(out / "check_grad.json", doc)
-    resolved = {"scenario": args.scenario, "out": str(out), "seed": cfg.seed,
-                "corrupt": bool(args.corrupt)}
-    _write_manifest(out, args, resolved, cfg, cfg.seed, [],
-                    ["check_grad.json", "manifest.json"])
+    _write_manifest(out, args, cfg, cfg.seed, ["check_grad.json"])
     if ok:
         print(f"gradient check passed: worst relative error {worst_rel:.3e}")
         return 0
@@ -553,11 +544,10 @@ def cmd_plot(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_scenario_args(p, with_out=True):
+def _add_scenario_args(p):
     p.add_argument("--scenario", required=True,
                    help="scenario JSON path or preset name (case1, case2)")
-    if with_out:
-        p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None,
                    help=f"seed override (also via ${SEED_ENV_VAR})")
 

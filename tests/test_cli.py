@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -106,6 +107,7 @@ def test_malformed_scenario_value_exits_2(tmp_path, data, field):
     assert proc.returncode == 2
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["check-grad", "optimize", "simulate"])
@@ -116,7 +118,8 @@ def test_malformed_scenario_value_exits_2(tmp_path, data, field):
 ], ids=["no-layers", "16-after-32"])
 def test_weights_that_do_not_chain_exit_2(tmp_path, layers, command):
     """A weights file with no layers, or whose layers do not chain, exits 2
-    naming aero.weights_path, from every command that loads it."""
+    naming aero.weights_path, from every command that loads it, and makes
+    no run directory."""
     weights = tmp_path / "weights.json"
     weights.write_text(json.dumps({"activation": "tanh", "layers": layers}))
     scenario = tmp_path / "scenario.json"
@@ -130,6 +133,7 @@ def test_weights_that_do_not_chain_exit_2(tmp_path, layers, command):
     assert proc.returncode == 2
     assert "aero.weights_path" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", [-1.0, None], ids=["negative", "null"])
@@ -563,6 +567,65 @@ def test_manifest_leaves_folded_overrides_out(command, opt_run, tmp_path):
     for name in manifest["outputs"]:
         if name not in ("manifest.json", "summary.json"):
             assert (replay / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def small_weights(tmp_path_factory):
+    """A weights file from a short fit of a small surrogate."""
+    path = tmp_path_factory.mktemp("weights") / "weights.json"
+    am = cli.aero_mod
+    am.save_weights(am.train_surrogate(
+        am.generate_dataset(12), am.TrainerConfig(hidden=(8,), epochs=50)),
+        path)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["surrogate", "simplified"])
+@pytest.mark.parametrize("command", [
+    ["optimize", "--steps", "2"], ["check-grad"], ["simulate"],
+    ["simulate", "--no-aero"]], ids=lambda c: " ".join(c))
+def test_manifest_hashes_every_file_the_run_read(command, kind, small_weights,
+                                                 tmp_path):
+    """input_hashes maps each file the run read to its SHA-256: the
+    scenario file, --controls, and the weights file only when a surrogate
+    is loaded from it (a simplified model's weights_path may name no
+    file at all)."""
+    weights = small_weights if kind == "surrogate" else tmp_path / "none.json"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(
+        {"aero": {"kind": kind, "weights_path": str(weights)}}))
+    read = [scenario]
+    if command[0] == "simulate":
+        controls = tmp_path / "controls.csv"
+        controls.write_text("thrust_N,delta_deg\n" + "2e6,0\n" * 6)
+        command = [*command, "--controls", str(controls)]
+        read.append(controls)
+    if kind == "surrogate" and "--no-aero" not in command:
+        read.append(weights)
+    out = tmp_path / "out"
+    assert cli.main([*command, "--scenario", str(scenario), "--k", "6",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input_hashes"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in read}
+
+
+@pytest.mark.parametrize("command, output, rc", [
+    (["simulate", "--no-aero", "--k", "12"], "trajectory.csv", 0),
+    (["check-grad", "--corrupt", "--k", "4"], "check_grad.json", 1),
+], ids=["simulate-no-aero", "check-grad-corrupt"])
+def test_replay_keeps_flags_the_snapshot_does_not_carry(command, output, rc,
+                                                        opt_run, tmp_path):
+    """A parsed flag that the scenario snapshot does not carry is
+    recorded in resolved_args and replayed to the same exit code and
+    bytes."""
+    if command[0] == "simulate":
+        command = [*command, "--controls", str(opt_run / "controls.csv")]
+    out = tmp_path / "run"
+    assert cli.main([*command, "--scenario", "case1", "--out", str(out)]) == rc
+    replay = tmp_path / "replay"
+    assert cli.replay_manifest(out / "manifest.json", replay) == rc
+    assert (replay / output).read_bytes() == (out / output).read_bytes()
 
 
 def test_manifest_from_before_the_grad_clip_removal_replays(tmp_path):

@@ -13,17 +13,28 @@ model) and case2 (trained surrogate) at K in {1, 7, 30, 31, 90} and
 random controls of seeds 0 and 1: the rollout states, every loss term,
 both engines' gradients, losses and ``peak_aux_floats``, and at K <= 7
 the long-double finite-difference oracle.  It also records the layers of
-``train_surrogate(generate_dataset(36), seed=0)``.  ``compare`` checks
-that both files hold the same arrays with the same dtype, shape and
-bytes; it names the first mismatch and exits 1, or exits 0.  A run of
-``dump`` takes a few seconds on one core.
+``train_surrogate(generate_dataset(36), seed=0)``, and the exit code and
+output bytes of five commands run through the tree's ``cli.main`` on
+case1 in a temporary directory: ``optimize --k 6 --steps 5``,
+``simulate`` of its controls.csv with and without ``--no-aero``,
+``check-grad --k 4`` and ``train-aero --samples 12 --seed 1``.  Each
+output file is recorded as ``uint8`` bytes, except manifest.json, which
+holds run paths; summary.json is recorded without its wall time.
+``compare`` checks that both files hold the same arrays with the same
+dtype, shape and bytes; it names the first mismatch and exits 1, or
+exits 0.  A run of ``dump`` takes about ten seconds on one core.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +56,39 @@ def _loss_arrays(prefix, breakdown, out):
     out[f"{prefix}/total"] = np.float64(breakdown.total)
     for name, value in breakdown.terms.items():
         out[f"{prefix}/{name}"] = np.float64(value)
+
+
+def _cli_outputs(cli, out) -> None:
+    """Run the five commands and record their exit codes and outputs."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        tmp = Path(tmp)
+        case1 = ["--scenario", "case1"]
+        simulate = ["simulate", *case1, "--k", "6",
+                    "--controls", str(tmp / "optimize" / "controls.csv")]
+        runs = {
+            "optimize": ["optimize", *case1, "--k", "6", "--steps", "5"],
+            "simulate": simulate,
+            "simulate-no-aero": [*simulate, "--no-aero"],
+            "check-grad": ["check-grad", *case1, "--k", "4"],
+            "train-aero": ["train-aero", "--samples", "12", "--seed", "1"],
+        }
+        for name, argv in runs.items():
+            run = tmp / name
+            dest = run / "weights.json" if name == "train-aero" else run
+            out[f"cli/{name}/exit"] = np.int64(cli.main([*argv, "--out",
+                                                         str(dest)]))
+            if not run.is_dir():
+                continue
+            for f in sorted(run.iterdir()):
+                if f.name == "manifest.json":
+                    continue
+                data = f.read_bytes()
+                if f.name == "summary.json":
+                    doc = json.loads(data)
+                    del doc["wall_time_s"]
+                    data = json.dumps(doc, indent=1, sort_keys=True).encode()
+                out[f"cli/{name}/{f.name}"] = np.frombuffer(data, np.uint8)
 
 
 def dump(src: str, path: str) -> None:
@@ -81,6 +125,7 @@ def dump(src: str, path: str) -> None:
                     rep = ro.finite_diff_grad(raw, scn, aero,
                                               dtype=np.longdouble)
                     out[f"{at}/oracle/grad"] = rep.stacked()
+    _cli_outputs(cli, out)
     np.savez(path, **out)
     print(f"{path}: {len(out)} arrays")
 
