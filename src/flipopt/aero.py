@@ -248,10 +248,6 @@ class MlpSurrogate:
             h = h_next
         return np.dot(out, h)
 
-    def coeffs(self, alpha: float) -> np.ndarray:
-        """(C_L, C_D, C_M) at an angle of attack; 2*pi periodic bit-exactly."""
-        return self.coeffs_from_encoding((np.sin(alpha), np.cos(alpha)))
-
     def _network(self, z, dz=None):
         """Coefficients (..., 3) at encodings z (..., 2); with a tangent
         ``dz`` of the encodings, also their derivative along it.  The einsum
@@ -327,7 +323,8 @@ class MlpSurrogate:
 
 
 def mlp_forward(model: MlpSurrogate, alpha: float) -> np.ndarray:
-    return model.coeffs(alpha)
+    """(C_L, C_D, C_M) at an angle of attack; 2*pi periodic bit-exactly."""
+    return model.coeffs_from_encoding((np.sin(alpha), np.cos(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +413,7 @@ def train_surrogate(dataset: Sequence[CoeffSample],
     layers[-1] = (sig[:, None] * W, sig * b + mu)
 
     model = MlpSurrogate(layers=tuple(layers), meta={})
-    preds = np.array([model.coeffs(s.alpha) for s in dataset])
+    preds = np.array([mlp_forward(model, s.alpha) for s in dataset])
     raw_mse = float(np.mean((preds - Y) ** 2))
     max_abs = np.abs(preds - Y).max(axis=0)
     model.meta.update({

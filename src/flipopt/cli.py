@@ -42,9 +42,7 @@ SEED_ENV_VAR = "FLIPOPT_SEED"
 TRAJECTORY_HEADER = ("k,t_s,x_m,y_m,theta_deg,u_mps,v_mps,omega_radps,"
                      "mass_kg,delta_d_deg,alpha_deg,thrust_N,delta_cmd_deg")
 CONTROLS_HEADER = "k,t_s,thrust_N,delta_deg"
-LOSS_HISTORY_HEADER = ("step,lr,total,terminal_position,terminal_velocity,"
-                       "terminal_pitch,terminal_omega,smoothness,mass_floor,"
-                       "flip_deadline")
+LOSS_HISTORY_HEADER = ",".join(("step", "lr", "total", *ro.LOSS_TERM_NAMES))
 
 GRAD_REL_TOL = 1e-5
 GRAD_ABS_TOL = 1e-8
@@ -170,29 +168,32 @@ def replay_manifest(manifest_path, out_dir) -> int:
         log.error("cannot replay a %r manifest: this version has no such "
                   "subcommand", doc["subcommand"])
         return 2
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ns_args = {k: v for k, v in doc["resolved_args"].items()
                if k not in NOT_REPLAYED}
     ns_args.update(cmd=doc["subcommand"], command=doc.get("command"))
-    if doc["scenario_snapshot"] is not None:
+    if "out" not in ns_args:
+        raise ValueError("manifest does not describe a replayable command")
+    snapshot = doc["scenario_snapshot"]
+    if snapshot is not None:
         # snapshots written while opt.grad_clip existed hold it as null,
         # no clipping, which every run now does; a set clip stays unknown
-        opt = doc["scenario_snapshot"].get("opt", {})
+        opt = snapshot.get("opt", {})
         if "grad_clip" in opt and opt["grad_clip"] is None:
             del opt["grad_clip"]
+        sc.scenario_from_dict(snapshot)  # raises before out_dir exists
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if snapshot is not None:
         snap = out_dir / "_scenario_replay.json"
-        _write_json(snap, doc["scenario_snapshot"])
+        _write_json(snap, snapshot)
         ns_args["scenario"] = str(snap)
-    if "out" in ns_args:
-        if doc["subcommand"] == "train-aero":
-            # train-aero --out names the weights file, not a directory:
-            # keep the recorded file name inside the replay directory
-            ns_args["out"] = str(out_dir / Path(ns_args["out"]).name)
-        else:
-            ns_args["out"] = str(out_dir)
-        return commands[doc["subcommand"]](argparse.Namespace(**ns_args))
-    raise ValueError("manifest does not describe a replayable command")
+    if doc["subcommand"] == "train-aero":
+        # train-aero --out names the weights file, not a directory:
+        # keep the recorded file name inside the replay directory
+        ns_args["out"] = str(out_dir / Path(ns_args["out"]).name)
+    else:
+        ns_args["out"] = str(out_dir)
+    return commands[doc["subcommand"]](argparse.Namespace(**ns_args))
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +217,16 @@ def _trajectory_rows(traj_nd: ro.Trajectory, refs: sc.ReferenceQuantities):
 
 
 def _controls_rows(traj_nd: ro.Trajectory, refs: sc.ReferenceQuantities):
-    F = refs.force_scale
-    dt_s = traj_nd.dt * refs.t_ref
-    return [(k, k * dt_s, traj_nd.thrust[k] * F,
-             math.degrees(traj_nd.delta_cmd[k]))
-            for k in range(traj_nd.K)]
+    si = sc.redimensionalize(traj_nd, refs)
+    return [(k, k * si.dt, si.thrust[k], math.degrees(si.delta_cmd[k]))
+            for k in range(si.K)]
 
 
 def _summary(traj_nd: ro.Trajectory, breakdown: ro.LossBreakdown, scn):
     refs = scn.refs
-    xK = traj_nd.states[-1]
-    dr = (np.array([xK[0], xK[1]]) - scn.r_f) * refs.L_ref
-    dv = (np.array([xK[2], xK[3]]) - scn.v_f) * refs.v_ref
+    res = ro.terminal_residual(traj_nd.states[-1], scn)
+    dr = res[:2] * refs.L_ref
+    dv = res[2:4] * refs.v_ref
     y_over_L = traj_nd.states[:, 1]
     theta_deg = np.degrees(traj_nd.states[:, 4])
     flip_y = plots.flip_altitude_over_L(
@@ -239,8 +238,8 @@ def _summary(traj_nd: ro.Trajectory, breakdown: ro.LossBreakdown, scn):
             "position_error_norm_m": float(np.hypot(*dr)),
             "velocity_error_mps": [float(dv[0]), float(dv[1])],
             "velocity_error_norm_mps": float(np.hypot(*dv)),
-            "pitch_error_deg": math.degrees(float(xK[4] - scn.theta_f)),
-            "omega_error_radps": float((xK[5] - scn.omega_f) / refs.t_ref),
+            "pitch_error_deg": math.degrees(float(res[4])),
+            "omega_error_radps": float(res[5] / refs.t_ref),
         },
         "mass_min_kg": float(traj_nd.states[:, 6].min() * refs.m_ref),
         "m_dry_kg": scn.m_dry * refs.m_ref,

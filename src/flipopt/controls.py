@@ -95,8 +95,6 @@ def smoothness_penalty(seq: ControlSequence, scn) -> np.floating:
     sum stays in the controls' dtype, so extended-precision controls get
     an extended-precision penalty.
     """
-    if seq.K < 2:
-        return seq.thrust.dtype.type(0.0)
     dT = np.diff(seq.thrust) / scn.T_max
     dd = np.diff(seq.delta) / scn.delta_max
     return np.dot(dT, dT) + np.dot(dd, dd)
@@ -106,8 +104,6 @@ def smoothness_grads(seq: ControlSequence, scn):
     """Gradient of :func:`smoothness_penalty` with respect to (T_k, delta_k)."""
     gT = np.zeros_like(seq.thrust)
     gd = np.zeros_like(seq.delta)
-    if seq.K < 2:
-        return gT, gd
     dT = np.diff(seq.thrust) * (2.0 / scn.T_max**2)
     dd = np.diff(seq.delta) * (2.0 / scn.delta_max**2)
     gT[1:] += dT

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,8 +112,7 @@ def optimize(scn, aero: AeroModel, raw0: RawControlParams | None = None,
     normal entry point takes both from the scenario config.
     """
     cfg = scn.opt
-    if n_steps is not None and n_steps != cfg.n_steps:
-        from dataclasses import replace
+    if n_steps is not None:
         cfg = replace(cfg, n_steps=n_steps)
     engine = _engine_fn(cfg.grad_engine)
 

@@ -121,23 +121,25 @@ def _panel_svg(px: float, py: float, pw: float, ph: float,
     return "\n".join(parts)
 
 
+def _write_svg(path, W: int, H: int, parts: list[str]) -> None:
+    """Write an SVG document of W x H pixels: a white background, then the
+    elements in ``parts``, one per line."""
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
+             f'height="{H}" viewBox="0 0 {W} {H}" font-family="sans-serif">',
+             f'<rect width="{W}" height="{H}" fill="white"/>', *parts, "</svg>"]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_panel_grid(path, panels: list[tuple[str, str, str, list[Series]]],
                      ncols: int = 2, panel_w: int = 360,
                      panel_h: int = 240) -> None:
     """Write a grid of line panels; each entry is (title, xlabel, ylabel, series)."""
     nrows = -(-len(panels) // ncols)
-    W, H = ncols * panel_w, nrows * panel_h
-    body = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
-            f'height="{H}" viewBox="0 0 {W} {H}" font-family="sans-serif">',
-            f'<rect width="{W}" height="{H}" fill="white"/>']
-    for i, (title, xlabel, ylabel, series) in enumerate(panels):
-        px = (i % ncols) * panel_w
-        py = (i // ncols) * panel_h
-        body.append(_panel_svg(px, py, panel_w, panel_h, series,
-                               title, xlabel, ylabel))
-    body.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(body) + "\n")
+    _write_svg(path, ncols * panel_w, nrows * panel_h, [
+        _panel_svg((i % ncols) * panel_w, (i // ncols) * panel_h, panel_w,
+                   panel_h, series, title, xlabel, ylabel)
+        for i, (title, xlabel, ylabel, series) in enumerate(panels)])
 
 
 def write_pose_plot(path, x_over_L, y_over_L, theta_rad, l_cg_frac: float,
@@ -174,10 +176,7 @@ def write_pose_plot(path, x_over_L, y_over_L, theta_rad, l_cg_frac: float,
     def sy(v):
         return H / 2 - (v - cy) * scale
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-             f'viewBox="0 0 {W} {H}" font-family="sans-serif">',
-             f'<rect width="{W}" height="{H}" fill="white"/>',
-             f'<text x="{W / 2}" y="20" text-anchor="middle" font-size="13" '
+    parts = [f'<text x="{W / 2}" y="20" text-anchor="middle" font-size="13" '
              f'font-weight="bold">{title}</text>']
     for t in _ticks(xlo, xhi, 6):
         parts.append(f'<text x="{sx(t):.1f}" y="{H - 8}" text-anchor="middle" '
@@ -201,9 +200,7 @@ def write_pose_plot(path, x_over_L, y_over_L, theta_rad, l_cg_frac: float,
                      'fill="#d0341b"/>')
         parts.append(f'<circle cx="{sx(x0):.1f}" cy="{sy(y0):.1f}" r="1.2" '
                      'fill="#888"/>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, W, H, parts)
 
 
 def flip_altitude_over_L(y_over_L, theta_deg, theta0_deg: float,

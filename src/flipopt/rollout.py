@@ -3,7 +3,9 @@
 The rollout advances the coupled dynamics + aero system over K RK4 steps
 from the scenario's initial state.  The loss combines terminal residuals
 with path penalties (control smoothness, dry-mass floor, pitch error after
-the flip deadline).  Gradients come from one engine and one oracle:
+the flip deadline).  :func:`terminal_residual` is the one statement of the
+landing residual: the loss, its cotangent and the run summary all read
+it.  Gradients come from one engine and one oracle:
 
 * :func:`_grad` - reverse accumulation through every RK4 step, along the
   very stage states that the forward pass produced.  Segments of
@@ -45,12 +47,7 @@ from .controls import (
 )
 from .dynamics import (
     IX_M,
-    IX_OM,
     IX_TH,
-    IX_U,
-    IX_V,
-    IX_X,
-    IX_Y,
     STATE_DIM,
     STATE_FIELDS,
     AeroModel,
@@ -174,6 +171,14 @@ def first_flip_index(scn) -> int:
     return scn.K + 1
 
 
+def terminal_residual(x: np.ndarray, scn) -> np.ndarray:
+    """x_K minus the landing target in (x, y, u, v, theta, omega), shape
+    (6,) for one state (8,) and (6, B) for a batch (8, B), in the state's
+    dtype."""
+    target = np.array([*scn.r_f, *scn.v_f, scn.theta_f, scn.omega_f])
+    return (x[:6].T - target).T  # lanes last, as in the state batch
+
+
 class _PathAccumulator:
     """Streams the per-state loss contributions in ascending step order.
 
@@ -217,15 +222,12 @@ class _PathAccumulator:
         penalty of the controls (one value per lane for a batch).  Raises
         as :func:`_check_loss` does instead of returning a term that is
         not finite."""
-        scn, w = self.scn, self.w
-        dr = (x[IX_X] - scn.r_f[0], x[IX_Y] - scn.r_f[1])
-        dv = (x[IX_U] - scn.v_f[0], x[IX_V] - scn.v_f[1])
-        dth = x[IX_TH] - scn.theta_f
-        dom = x[IX_OM] - scn.omega_f
+        w = self.w
+        dx, dy, du, dv, dth, dom = terminal_residual(x, self.scn)
         with np.errstate(over="ignore", invalid="ignore"):
             terms = (
-                w.w_r * (dr[0] * dr[0] + dr[1] * dr[1]),
-                w.w_v * (dv[0] * dv[0] + dv[1] * dv[1]),
+                w.w_r * (dx * dx + dy * dy),
+                w.w_v * (du * du + dv * dv),
                 w.w_theta * dth * dth,
                 w.w_omega * dom * dom,
                 w.w_smooth * smoothness,
@@ -241,12 +243,11 @@ class _PathAccumulator:
     def terminal_cotangent(self, x: np.ndarray) -> np.ndarray:
         """d loss / d x_K at the final state ``x`` of one rollout, path
         terms included."""
-        scn, w = self.scn, self.w
+        w = self.w
         weight = np.array([w.w_r, w.w_r, w.w_v, w.w_v, w.w_theta, w.w_omega])
-        target = [*scn.r_f, *scn.v_f, scn.theta_f, scn.omega_f]
         lam = np.zeros(STATE_DIM)
-        lam[:6] = 2.0 * weight * (x[:6] - target)
-        self.add_path_cotangent(lam, x, scn.K)
+        lam[:6] = 2.0 * weight * terminal_residual(x, self.scn)
+        self.add_path_cotangent(lam, x, self.scn.K)
         return lam
 
     def add_path_cotangent(self, lam: np.ndarray, x: np.ndarray,

@@ -130,11 +130,6 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         _validate(self)
 
-    @property
-    def dt(self) -> float:
-        """Step size [s]; t_f is always dt * K by construction."""
-        return self.t_f / self.K
-
 
 @dataclass(frozen=True)
 class NondimScenario:
@@ -325,8 +320,8 @@ _SCHEMA = (
     _Key("aero", "C_D", "C_D", _Number("[0, inf)")),
     _Key("aero", "l_cp_frac", "l_cp_frac", _Number("(0, 1)")),
     _Key("aero", "weights_path", "weights_path", _Nullable(_String())),
-    *(_Key("loss_weights", name, name, _Number("[0, inf)"))
-      for name in ("w_r", "w_v", "w_theta", "w_omega", "w_smooth", "w_mass", "w_flip")),
+    *(_Key("loss_weights", f.name, f.name, _Number("[0, inf)"))
+      for f in fields(LossWeights)),
     _Key("opt", "beta1", "beta1", _Number("[0, 1)")),
     _Key("opt", "beta2", "beta2", _Number("[0, 1)")),
     _Key("opt", "eps", "eps", _Number("(0, inf)")),

@@ -52,6 +52,26 @@ def test_optimize_writes_all_artifacts(opt_run):
     assert len(hist) == 1 + 40
 
 
+def test_summary_residuals_are_the_last_trajectory_row_minus_the_target(
+        opt_run):
+    """Each terminal residual in summary.json is the final row of
+    trajectory.csv minus the recorded scenario's landing target, in SI."""
+    bc = cli._run_scenario(opt_run).bc
+    last = dict(zip(cli.TRAJECTORY_HEADER.split(","), map(float, (
+        opt_run / "trajectory.csv").read_text().splitlines()[-1].split(","))))
+    terminal = json.loads((opt_run / "summary.json").read_text())["terminal"]
+    expected = {
+        "position_error_m": [last["x_m"] - bc.r_f[0], last["y_m"] - bc.r_f[1]],
+        "velocity_error_mps": [last["u_mps"] - bc.v_f[0],
+                               last["v_mps"] - bc.v_f[1]],
+        "pitch_error_deg": last["theta_deg"] - math.degrees(bc.theta_f),
+        "omega_error_radps": last["omega_radps"] - bc.omega_f,
+    }
+    for key, value in expected.items():
+        np.testing.assert_allclose(terminal[key], value, rtol=0, atol=1e-9,
+                                   err_msg=key)
+
+
 def test_optimize_engine_tag(tmp_path):
     out = tmp_path / "adj"
     rc = cli.main(["optimize", "--scenario", "case1", "--out", str(out),
@@ -647,6 +667,17 @@ def test_manifest_from_before_the_grad_clip_removal_replays(tmp_path):
     cli._write_json(old, manifest)
     with pytest.raises(sc.ScenarioError, match=r"'opt\.grad_clip'"):
         cli.replay_manifest(old, tmp_path / "replay-clipped")
+    assert not (tmp_path / "replay-clipped").exists()
+
+
+def test_replay_of_a_manifest_without_out_leaves_no_directory(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "subcommand": "check-grad", "scenario_snapshot": None,
+        "resolved_args": {"scenario": "case1"}}))
+    with pytest.raises(ValueError, match="replayable"):
+        cli.replay_manifest(manifest, tmp_path / "replay")
+    assert not (tmp_path / "replay").exists()
 
 
 def test_replay_of_removed_subcommand_exits_2(tmp_path, caplog):

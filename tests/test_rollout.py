@@ -197,9 +197,13 @@ def test_first_flip_index_strictly_after_deadline(case1_scn):
 # Gradients
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
-def test_bptt_matches_finite_differences(model_name, case1_cfg, surrogate):
-    scn = fo.nondimensionalize(truncate(case1_cfg, 6))
+# K = 1 has no control differences, so the smoothness term and its
+# gradient come from empty sums
+@pytest.mark.parametrize("model_name, K", [
+    ("simplified", 6), ("surrogate", 6), ("simplified", 1), ("surrogate", 1)],
+    ids=["simplified", "surrogate", "simplified-K1", "surrogate-K1"])
+def test_bptt_matches_finite_differences(model_name, K, case1_cfg, surrogate):
+    scn = fo.nondimensionalize(truncate(case1_cfg, K))
     model = am.SimplifiedAero(C_D=1.0) if model_name == "simplified" else surrogate
     raw = random_raw(scn, 11)
     g = ro.grad_bptt(raw, scn, model, scn.weights).stacked()

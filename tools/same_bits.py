@@ -19,7 +19,11 @@ case1 in a temporary directory: ``optimize --k 6 --steps 5``,
 ``simulate`` of its controls.csv with and without ``--no-aero``,
 ``check-grad --k 4`` and ``train-aero --samples 12 --seed 1``.  Each
 output file is recorded as ``uint8`` bytes, except manifest.json, which
-holds run paths; summary.json is recorded without its wall time.
+holds run paths; summary.json is recorded without its wall time.  Then
+``plot`` of the ``optimize`` run directory records its three SVGs, and
+``replay_manifest`` of that run's manifest.json records the replayed
+trajectory.csv, controls.csv and loss_history.csv, each with its exit
+code.
 ``compare`` checks that both files hold the same arrays with the same
 dtype, shape and bytes; it names the first mismatch and exits 1, or
 exits 0.  A run of ``dump`` takes about ten seconds on one core.
@@ -59,7 +63,8 @@ def _loss_arrays(prefix, breakdown, out):
 
 
 def _cli_outputs(cli, out) -> None:
-    """Run the five commands and record their exit codes and outputs."""
+    """Run the five commands, then plot and replay the ``optimize`` run, and
+    record their exit codes and outputs."""
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()):
         tmp = Path(tmp)
@@ -89,6 +94,16 @@ def _cli_outputs(cli, out) -> None:
                     del doc["wall_time_s"]
                     data = json.dumps(doc, indent=1, sort_keys=True).encode()
                 out[f"cli/{name}/{f.name}"] = np.frombuffer(data, np.uint8)
+        run = tmp / "optimize"
+        out["cli/plot/exit"] = np.int64(cli.main(["plot", str(run)]))
+        for f in sorted(run.glob("*.svg")):
+            out[f"cli/plot/{f.name}"] = np.frombuffer(f.read_bytes(), np.uint8)
+        replay = tmp / "replay"
+        out["cli/replay/exit"] = np.int64(
+            cli.replay_manifest(run / "manifest.json", replay))
+        for name in ("trajectory.csv", "controls.csv", "loss_history.csv"):
+            out[f"cli/replay/{name}"] = np.frombuffer(
+                (replay / name).read_bytes(), np.uint8)
 
 
 def dump(src: str, path: str) -> None:
