@@ -43,7 +43,7 @@ from .dynamics import (
     field_values,
     wind_axes,
 )
-from .optimizer import AdamState, adam_step
+from .optimizer import AdamState, OptimizerConfig, adam_step
 
 _MATVEC = "...i,ji->...j"  # einsum subscripts of W @ h for each lane of h
 
@@ -338,9 +338,6 @@ class TrainerConfig:
     hidden: tuple[int, ...] = (32, 32)
     lr: float = 1e-3
     epochs: int = 20000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def train_surrogate(dataset: Sequence[CoeffSample],
@@ -377,7 +374,7 @@ def train_surrogate(dataset: Sequence[CoeffSample],
         W[:] = rng.uniform(-limit, limit, size=W.shape)
         layers.append((W, flat[mid:end]))
         grads.append((grad[at:mid].reshape(n_out, n_in), grad[mid:end]))
-    state = AdamState.zeros_like(flat)
+    state, adam = AdamState.zeros_like(flat), OptimizerConfig()
     final_mse = math.inf
 
     for epoch in range(1, hyper.epochs + 1):
@@ -399,10 +396,8 @@ def train_surrogate(dataset: Sequence[CoeffSample],
             if h is not X:
                 g = (g @ W) * (1.0 - h ** 2)
 
-        # adam_step reads beta1, beta2 and eps, which the trainer's
-        # hyperparameters share with the optimizer's
         try:
-            new_flat, state = adam_step(flat, grad, state, hyper.lr, hyper)
+            new_flat, state = adam_step(flat, grad, state, hyper.lr, adam)
         except FloatingPointError as exc:
             raise TrainingError(f"{exc} at epoch {epoch}",
                                 iteration=epoch) from exc
@@ -454,11 +449,19 @@ def save_weights(model: MlpSurrogate, path) -> None:
 def load_weights(path) -> MlpSurrogate:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if unknown := sorted(doc.keys() - {"layers", "activation", "meta"}):
+        raise ValueError(f"unknown weights file keys {unknown}")
     if doc.get("activation") != "tanh":
         raise ValueError(f"unsupported activation {doc.get('activation')!r}")
     layers = []
-    for spec in doc["layers"]:
-        W = np.array(spec["w"], dtype=float).reshape(spec["rows"], spec["cols"])
-        b = np.array(spec["b"], dtype=float)
-        layers.append((W, b))
+    for i, spec in enumerate(doc["layers"]):
+        shape = (spec["rows"], spec["cols"])
+        if (set(spec) != {"rows", "cols", "w", "b"}
+                or any(type(n) is not int or n < 1 for n in shape)
+                or any(type(x) not in (int, float)
+                       for x in [*spec["w"], *spec["b"]])):
+            raise ValueError(f"layer {i}: expected keys rows, cols (positive "
+                             f"JSON integers) and w, b (JSON number lists)")
+        layers.append((np.array(spec["w"], dtype=float).reshape(shape),
+                       np.array(spec["b"], dtype=float)))
     return MlpSurrogate(layers=tuple(layers), meta=doc.get("meta", {}))

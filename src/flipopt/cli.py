@@ -7,8 +7,8 @@ run makes its output directory only once every input has loaded.  CSV
 files are dimensional SI (floats serialized with repr, so parsing them
 back is exact); all internal computation stays nondimensional.
 
-Exit codes: 0 success, 1 tolerance breach, 2 configuration error,
-3 numerical abort.
+Exit codes, which ``main`` alone assigns: 0 success, 1 tolerance breach,
+2 configuration error or unwritable output, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -159,7 +159,10 @@ def _write_manifest(out_dir: Path, args, cfg: sc.ScenarioConfig | None,
 
 
 def replay_manifest(manifest_path, out_dir) -> int:
-    """Re-run a recorded command from its manifest into a new directory."""
+    """Re-run a recorded command from its manifest into a new directory:
+    2 for a subcommand this version lacks, else the command's exit code.
+    A bad manifest raises before the directory exists; a failure of the
+    command propagates as its exception, which ``main`` maps to a code."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     commands = {"optimize": cmd_optimize, "simulate": cmd_simulate,
@@ -298,13 +301,10 @@ def cmd_optimize(args) -> int:
          "best_step": result.best_step, "n_steps": cfg.opt.n_steps})
     _write_manifest(out, args, cfg, cfg.seed, [
         "trajectory.csv", "summary.json", "controls.csv", "loss_history.csv"])
-    finite = all(math.isfinite(v) for v in
-                 summary["terminal"]["position_error_m"] +
-                 summary["terminal"]["velocity_error_mps"])
     print(f"terminal position error {summary['terminal']['position_error_norm_m']:.3f} m, "
           f"speed error {summary['terminal']['velocity_error_norm_mps']:.3f} m/s, "
           f"pitch error {summary['terminal']['pitch_error_deg']:.3f} deg")
-    return 0 if finite else 3
+    return 0
 
 
 def _read_csv(path, names, what: str) -> dict[str, np.ndarray]:
@@ -361,8 +361,8 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     seq = _read_controls_csv(args.controls, cfg.refs)
     if seq.K != cfg.K:
-        log.error("controls file has %d rows but scenario K = %d", seq.K, cfg.K)
-        return 2
+        raise sc.ScenarioError(
+            f"controls file has {seq.K} rows but scenario K = {cfg.K}")
     scn = sc.nondimensionalize(cfg)
     aero = aero_mod.NoAero() if args.no_aero else build_aero_model(cfg)
     out = Path(args.out)
@@ -375,21 +375,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_train_aero(args) -> int:
     if args.samples < 4:
-        log.error("--samples must be >= 4 (got %d)", args.samples)
-        return 2
+        raise sc.ScenarioError(f"--samples must be >= 4 (got {args.samples})")
     seed = _resolve_seed(args, 0)
     if seed < 0:
-        log.error("the seed must be >= 0 (got %d)", seed)
-        return 2
+        raise sc.ScenarioError(f"the seed must be >= 0 (got {seed})")
     out_path = Path(args.out)
     out_dir = out_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = aero_mod.generate_dataset(args.samples)
-    try:
-        model = aero_mod.train_surrogate(dataset, seed=seed)
-    except aero_mod.TrainingError as exc:
-        log.error("training diverged: %s", exc)
-        return 3
+    model = aero_mod.train_surrogate(dataset, seed=seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     aero_mod.save_weights(model, out_path)
     aero_mod.write_dataset_csv(out_dir / "dataset.csv", dataset)
     report = {"max_abs_err": model.meta["max_abs_err"],
@@ -482,56 +476,51 @@ def cmd_plot(args) -> int:
     run_dir = Path(args.run_dir)
     traj_path = run_dir / "trajectory.csv"
     if not traj_path.is_file():
-        log.error("no trajectory.csv in %s", run_dir)
-        return 2
+        raise sc.ScenarioError(f"no trajectory.csv in {run_dir}")
     cfg = _run_scenario(run_dir)
     L_ref = cfg.refs.L_ref
     l_cg = cfg.vehicle.l_cg_frac
     tab = _read_csv(traj_path, TRAJECTORY_HEADER.split(","), "trajectory file")
-    try:
-        t = tab["t_s"]
-        theta_rad = np.radians(tab["theta_deg"])
-        delta_d_rad = np.radians(tab["delta_d_deg"])
-        speed = np.hypot(tab["u_mps"], tab["v_mps"])
-        # engine pitch torque about the cg, from the logged lagged gimbal
-        torque = -tab["thrust_N"] * np.sin(delta_d_rad) * ((1.0 - l_cg) * L_ref)
-        k_red = tab["omega_radps"] * L_ref / (2.0 * np.maximum(speed, 1e-6))
+    t = tab["t_s"]
+    theta_rad = np.radians(tab["theta_deg"])
+    delta_d_rad = np.radians(tab["delta_d_deg"])
+    speed = np.hypot(tab["u_mps"], tab["v_mps"])
+    # engine pitch torque about the cg, from the logged lagged gimbal
+    torque = -tab["thrust_N"] * np.sin(delta_d_rad) * ((1.0 - l_cg) * L_ref)
+    k_red = tab["omega_radps"] * L_ref / (2.0 * np.maximum(speed, 1e-6))
 
-        plots.write_panel_grid(run_dir / "controls_velocity.svg", [
-            ("Thrust", "t [s]", "T [kN]",
-             [plots.Series(t, tab["thrust_N"] / 1e3, "T")]),
-            ("Gimbal angle", "t [s]", "deg",
-             [plots.Series(t, tab["delta_cmd_deg"], "commanded"),
-              plots.Series(t, tab["delta_d_deg"], "actual")]),
-            ("Horizontal velocity", "t [s]", "u [m/s]",
-             [plots.Series(t, tab["u_mps"], "u")]),
-            ("Vertical velocity", "t [s]", "v [m/s]",
-             [plots.Series(t, tab["v_mps"], "v")]),
-        ])
-        plots.write_pose_plot(run_dir / "trajectory_pose.svg",
-                              tab["x_m"] / L_ref, tab["y_m"] / L_ref,
-                              theta_rad, l_cg,
-                              "Attitude and trajectory evolution")
-        plots.write_panel_grid(run_dir / "state_panel.svg", [
-            ("Engine torque", "t [s]", "M_T [MN m]",
-             [plots.Series(t, torque / 1e6, "M_T")]),
-            ("Mass", "t [s]", "m [t]",
-             [plots.Series(t, tab["mass_kg"] / 1e3, "m")]),
-            ("Pitch angle", "t [s]", "theta [deg]",
-             [plots.Series(t, tab["theta_deg"], "theta")]),
-            ("Angular rate", "t [s]", "omega [rad/s]",
-             [plots.Series(t, tab["omega_radps"], "omega")]),
-            ("Angle of attack", "t [s]", "alpha [deg]",
-             [plots.Series(t, tab["alpha_deg"], "alpha")]),
-            ("Reduced frequency", "t [s]", "omega L / (2 |v|)",
-             [plots.Series(t, k_red, "k")]),
-        ], ncols=2)
-        flip_y = plots.flip_altitude_over_L(
-            tab["y_m"] / L_ref, tab["theta_deg"],
-            math.degrees(cfg.bc.theta0), math.degrees(cfg.bc.theta_f))
-    except plots.PlotError as exc:
-        log.error("%s", exc)
-        return 2
+    plots.write_panel_grid(run_dir / "controls_velocity.svg", [
+        ("Thrust", "t [s]", "T [kN]",
+         [plots.Series(t, tab["thrust_N"] / 1e3, "T")]),
+        ("Gimbal angle", "t [s]", "deg",
+         [plots.Series(t, tab["delta_cmd_deg"], "commanded"),
+          plots.Series(t, tab["delta_d_deg"], "actual")]),
+        ("Horizontal velocity", "t [s]", "u [m/s]",
+         [plots.Series(t, tab["u_mps"], "u")]),
+        ("Vertical velocity", "t [s]", "v [m/s]",
+         [plots.Series(t, tab["v_mps"], "v")]),
+    ])
+    plots.write_pose_plot(run_dir / "trajectory_pose.svg",
+                          tab["x_m"] / L_ref, tab["y_m"] / L_ref,
+                          theta_rad, l_cg,
+                          "Attitude and trajectory evolution")
+    plots.write_panel_grid(run_dir / "state_panel.svg", [
+        ("Engine torque", "t [s]", "M_T [MN m]",
+         [plots.Series(t, torque / 1e6, "M_T")]),
+        ("Mass", "t [s]", "m [t]",
+         [plots.Series(t, tab["mass_kg"] / 1e3, "m")]),
+        ("Pitch angle", "t [s]", "theta [deg]",
+         [plots.Series(t, tab["theta_deg"], "theta")]),
+        ("Angular rate", "t [s]", "omega [rad/s]",
+         [plots.Series(t, tab["omega_radps"], "omega")]),
+        ("Angle of attack", "t [s]", "alpha [deg]",
+         [plots.Series(t, tab["alpha_deg"], "alpha")]),
+        ("Reduced frequency", "t [s]", "omega L / (2 |v|)",
+         [plots.Series(t, k_red, "k")]),
+    ], ncols=2)
+    flip_y = plots.flip_altitude_over_L(
+        tab["y_m"] / L_ref, tab["theta_deg"],
+        math.degrees(cfg.bc.theta0), math.degrees(cfg.bc.theta_f))
     if flip_y is not None:
         print(f"flip crosses the pitch midpoint near y/L_ref = {flip_y:.2f}")
     print(f"wrote controls_velocity.svg, trajectory_pose.svg, "
@@ -605,9 +594,12 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except sc.ScenarioError as exc:
+    except (sc.ScenarioError, plots.PlotError, OSError) as exc:
         log.error("%s", exc)
         return 2
+    except aero_mod.TrainingError as exc:
+        log.error("training diverged: %s", exc)
+        return 3
     except (opt_mod.NumericalAbort, FloatingPointError) as exc:
         log.error("numerical abort: %s", exc)
         return 3

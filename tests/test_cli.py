@@ -140,8 +140,36 @@ def test_weights_that_do_not_chain_exit_2(tmp_path, layers, command):
     """A weights file with no layers, or whose layers do not chain, exits 2
     naming aero.weights_path, from every command that loads it, and makes
     no run directory."""
+    _assert_weights_exit_2(tmp_path, command,
+                           {"activation": "tanh", "layers": layers})
+
+
+@pytest.mark.parametrize("command", ["check-grad", "optimize", "simulate"])
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["layers"][0].update(
+        w=[repr(x) for x in doc["layers"][0]["w"]]),
+    lambda doc: doc["layers"][-1]["b"].__setitem__(0, True),
+    lambda doc: doc.update(bias=[0.0, 0.0, 0.0]),
+    lambda doc: doc["layers"][0].update(scale=1.0),
+    lambda doc: doc["layers"][0].update(rows=-1),
+], ids=["w-strings", "b-true", "unknown-top-key", "unknown-layer-key",
+        "rows-negative"])
+def test_lax_weights_exit_2(tmp_path, small_weights, edit, command):
+    """A saved surrogate's weights file with string weights, a boolean
+    bias, an unknown key at either level or a row count that reshape would
+    infer exits 2 naming aero.weights_path, from every command that loads
+    it, and makes no run directory."""
+    doc = json.loads(small_weights.read_text())
+    edit(doc)
+    _assert_weights_exit_2(tmp_path, command, doc)
+
+
+def _assert_weights_exit_2(tmp_path, command, doc):
+    """``command`` on a surrogate scenario whose weights file holds ``doc``
+    exits 2 naming aero.weights_path, with no traceback and no run
+    directory."""
     weights = tmp_path / "weights.json"
-    weights.write_text(json.dumps({"activation": "tanh", "layers": layers}))
+    weights.write_text(json.dumps(doc))
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(
         {"aero": {**SURROGATE, "weights_path": str(weights)}}))
@@ -313,14 +341,38 @@ def test_train_aero_deterministic_and_reported(tmp_path):
     assert max(report["max_abs_err"].values()) < 0.01
 
 
-def test_train_aero_divergence_exits_3(tmp_path, monkeypatch):
-    """A non-finite Adam update surfaces as a training error, not a crash."""
+@pytest.fixture
+def diverging_fit(monkeypatch):
+    """Every default surrogate fit takes a non-finite Adam step."""
     trainer = cli.aero_mod.TrainerConfig
     monkeypatch.setattr(cli.aero_mod, "TrainerConfig",
                         lambda: trainer(lr=math.inf, epochs=3))
+
+
+def test_train_aero_divergence_exits_3(tmp_path, diverging_fit):
+    """A non-finite Adam update surfaces as a training error, not a crash,
+    and the fit fails before the output directory is made."""
     rc = cli.main(["train-aero", "--samples", "12",
-                   "--out", str(tmp_path / "w.json")])
+                   "--out", str(tmp_path / "sub" / "w.json")])
     assert rc == 3
+    assert not (tmp_path / "sub").exists()
+
+
+@pytest.mark.parametrize("command", ["check-grad", "optimize", "simulate"])
+def test_surrogate_divergence_on_load_exits_3(tmp_path, diverging_fit,
+                                              command, caplog):
+    """A surrogate that diverges while a command trains it on load exits 3,
+    as train-aero does, and makes no run directory."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"aero": SURROGATE}))
+    controls = tmp_path / "controls.csv"
+    controls.write_text("thrust_N,delta_deg\n" + "2e6,0\n" * 6)
+    extra = ["--controls", str(controls)] if command == "simulate" else []
+    rc = cli.main([command, "--scenario", str(scenario), "--k", "6",
+                   "--out", str(tmp_path / "out"), *extra])
+    assert rc == 3
+    assert "training diverged" in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_aero_rejects_tiny_dataset(tmp_path):
@@ -356,6 +408,45 @@ def test_train_aero_negative_seed_exits_2(tmp_path):
     assert "seed" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "w.json").exists()
+
+
+def _assert_exit_2_naming(proc, path):
+    assert proc.returncode == 2
+    assert str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "--scenario", "case1", "--k", "4", "--steps", "1"],
+    ["simulate", "--scenario", "case1", "--k", "2"],
+    ["check-grad", "--scenario", "case1", "--k", "2"],
+], ids=lambda c: c[0])
+def test_out_naming_an_existing_file_exits_2(tmp_path, command):
+    """An --out that names a file, not a directory, is an output the run
+    cannot write: it exits 2 naming the path."""
+    controls = tmp_path / "controls.csv"
+    controls.write_text("thrust_N,delta_deg\n" + "2e6,0\n" * 2)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    extra = ["--controls", str(controls)] if command[0] == "simulate" else []
+    _assert_exit_2_naming(run_cli(*command, *extra, "--out", str(taken)),
+                          taken)
+
+
+def test_train_aero_out_naming_a_directory_exits_2(tmp_path):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    _assert_exit_2_naming(run_cli("train-aero", "--samples", "4",
+                                  "--out", str(taken)), taken)
+
+
+def test_plot_that_cannot_write_an_svg_exits_2(opt_run, tmp_path):
+    """A run directory in which controls_velocity.svg is a directory."""
+    for name in ("trajectory.csv", "manifest.json"):
+        (tmp_path / name).write_bytes((opt_run / name).read_bytes())
+    svg = tmp_path / "controls_velocity.svg"
+    svg.mkdir()
+    _assert_exit_2_naming(run_cli("plot", str(tmp_path)), svg)
 
 
 def test_check_grad_passes_and_detects_corruption(tmp_path):
