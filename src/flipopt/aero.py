@@ -55,11 +55,11 @@ def _floored(speed, arrays) -> tuple:
     return tuple(np.where(still, 0.0, a) for a in arrays)
 
 
-class TrainingError(RuntimeError):
+class TrainingError(FloatingPointError):
     """Raised when surrogate training produces a non-finite loss or update."""
 
     def __init__(self, msg: str, iteration: int):
-        super().__init__(msg)
+        super().__init__(f"training diverged: {msg} at epoch {iteration}")
         self.iteration = iteration
 
 
@@ -385,8 +385,7 @@ def train_surrogate(dataset: Sequence[CoeffSample],
         err = hs[-1] @ W.T + b - Yn
         final_mse = float(np.mean(err * err))
         if not math.isfinite(final_mse):
-            raise TrainingError(f"non-finite training loss at epoch {epoch}",
-                                iteration=epoch)
+            raise TrainingError("non-finite training loss", epoch)
 
         # backward from the output; g passes W while a layer is below
         g = (2.0 / err.size) * err
@@ -399,8 +398,7 @@ def train_surrogate(dataset: Sequence[CoeffSample],
         try:
             new_flat, state = adam_step(flat, grad, state, hyper.lr, adam)
         except FloatingPointError as exc:
-            raise TrainingError(f"{exc} at epoch {epoch}",
-                                iteration=epoch) from exc
+            raise TrainingError(str(exc), epoch) from exc
         flat[:] = new_flat
 
     # fold the target standardization into the output layer

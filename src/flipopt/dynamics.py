@@ -29,7 +29,9 @@ A state's fields are its first axis: one state is (8,) and B lanes are
 
 All functions are pure and dtype-generic: feeding long-double states
 through produces long-double results, which the finite-difference
-gradient oracle relies on.
+gradient oracle relies on.  :func:`check_state` gives :func:`rk4_step`
+and every rollout one report of a diverged state, a :class:`RolloutError`:
+a ``FloatingPointError``, as is every numerical failure in this package.
 """
 
 from __future__ import annotations
@@ -49,12 +51,21 @@ STATE_FIELDS = ("x", "y", "u", "v", "theta", "omega", "m", "delta_d")
 SPEED_FLOOR = 1e-12  # below this nondim speed, aero forces and AoA vanish
 
 
-class IntegrationError(RuntimeError):
-    """Raised when an RK4 stage or result goes non-finite."""
+class RolloutError(FloatingPointError):
+    """Raised when the state that ends a step goes non-finite: ``step``
+    counts steps from 1 and ``fields`` names the non-finite fields."""
 
-    def __init__(self, msg: str, stage: int | None = None):
-        super().__init__(msg)
-        self.stage = stage
+    def __init__(self, step: int, fields: list[str]):
+        super().__init__(f"non-finite state at step {step}: field(s) {fields}")
+        self.step = step
+        self.fields = fields
+
+
+def check_state(x: np.ndarray, step: int) -> None:
+    """Raise RolloutError if ``x``, the state that ends ``step``, has a
+    non-finite field."""
+    if bad := [STATE_FIELDS[i] for i in np.flatnonzero(~np.isfinite(x))]:
+        raise RolloutError(step, bad)
 
 
 class AeroForces(NamedTuple):
@@ -261,17 +272,12 @@ def _rk4_kernel(state, x, ops, T, delta, dt, scn, aero_model):
 
 def rk4_step(state: np.ndarray, ctrl: tuple, aero_model: AeroModel, dt,
              scn) -> np.ndarray:
-    """Public single-step integrator with non-finite detection."""
+    """One RK4 step of ``state`` under the held control ``ctrl`` = (T, delta);
+    a non-finite result raises :class:`RolloutError` at step 1."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     T, delta = ctrl
-    nxt, stages = rk4_advance(state, T, delta, dt, scn, aero_model)
-    if not np.isfinite(nxt).all():
-        for i, a in enumerate(stages):
-            if not np.isfinite(a).all():
-                raise IntegrationError(
-                    f"non-finite RK4 stage state (stage {i + 2})", stage=i + 2)
-        bad = [STATE_FIELDS[i] for i in np.flatnonzero(~np.isfinite(nxt))]
-        raise IntegrationError(
-            f"non-finite RK4 result in field(s) {bad}", stage=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = rk4_advance(state, T, delta, dt, scn, aero_model)[0]
+    check_state(nxt, 1)
     return nxt

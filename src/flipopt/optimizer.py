@@ -50,8 +50,8 @@ class AdamState:
         return cls(m=np.zeros_like(params), v=np.zeros_like(params), t=0)
 
 
-class NumericalAbort(RuntimeError):
-    """Raised when the loop hits a non-finite loss or gradient."""
+class NumericalAbort(FloatingPointError):
+    """Raised when the loop hits a non-finite state, loss or gradient."""
 
     def __init__(self, msg: str, snapshot: dict):
         super().__init__(msg)
@@ -133,10 +133,12 @@ def optimize(scn, aero: AeroModel, raw0: RawControlParams | None = None,
         raw_i = RawControlParams(params[0], params[1])
         try:
             report = engine(raw_i, scn, aero, scn.weights)
-        except (ro.RolloutError, FloatingPointError) as exc:
+        except FloatingPointError as exc:
             raise NumericalAbort(
-                f"gradient evaluation failed at step {i}: {exc}",
-                snapshot=_snapshot(i, params, history),
+                f"gradient evaluation failed at step {i}: {exc}", snapshot={
+                    "step": i, "u_T": params[0].tolist(),
+                    "u_delta": params[1].tolist(),
+                    "loss_history_totals": [b.total for b in history]},
             ) from exc
         breakdown = report.loss
         history.append(breakdown)
@@ -165,12 +167,3 @@ def optimize(scn, aero: AeroModel, raw0: RawControlParams | None = None,
         lr_history=lr_history, trajectory=ro.rollout(best_raw, scn, aero),
         wall_time_s=time.perf_counter() - t0, engine=cfg.grad_engine,
         max_update_ratio=max_ratio)
-
-
-def _snapshot(step: int, params: np.ndarray, history) -> dict:
-    return {
-        "step": step,
-        "u_T": params[0].tolist(),
-        "u_delta": params[1].tolist(),
-        "loss_history_totals": [b.total for b in history],
-    }

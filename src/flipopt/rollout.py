@@ -29,6 +29,9 @@ it.  Gradients come from one engine and one oracle:
   unperturbed rollout at the step it perturbs, and it can evaluate them
   in extended precision to push the difference roundoff floor far below
   the gradient-check tolerances.
+
+A diverged state raises the dynamics module's :class:`RolloutError`, and a
+non-finite loss term or gradient entry a ``FloatingPointError`` naming it.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ from .dynamics import (
     IX_M,
     IX_TH,
     STATE_DIM,
-    STATE_FIELDS,
     AeroModel,
+    RolloutError,  # noqa: F401  re-exported for the callers that catch it
+    check_state,
     rhs_and_jacobians,
     rk4_advance,
 )
@@ -61,15 +65,6 @@ ADJOINT_SEG_LEN = 30
 
 LOSS_TERM_NAMES = ("terminal_position", "terminal_velocity", "terminal_pitch",
                    "terminal_omega", "smoothness", "mass_floor", "flip_deadline")
-
-
-class RolloutError(RuntimeError):
-    """Raised when the state goes non-finite during a rollout."""
-
-    def __init__(self, msg: str, step: int, fields: list[str]):
-        super().__init__(msg)
-        self.step = step
-        self.fields = fields
 
 
 @dataclass(frozen=True)
@@ -285,9 +280,9 @@ def _advance(x: np.ndarray, steps: range, rec: np.ndarray,
     Step k writes its start state and three stage states, as
     :func:`rk4_advance` returns them, to ``rec[:, k % rec.shape[1]]`` and
     feeds its start state to ``acc``.  A non-finite field stays so through
-    every later step, so the returned state is checked once; RolloutError
-    names the first step that ended non-finite.  Every forward pass of
-    this module but the finite-difference oracle's lanes runs this loop.
+    every later step, so only a non-finite returned state has
+    :func:`check_state` scan the steps for the first that ended so.  Every
+    forward pass of this module but the oracle's lanes runs this loop.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for k in steps:
@@ -300,10 +295,7 @@ def _advance(x: np.ndarray, steps: range, rec: np.ndarray,
     if not np.isfinite(x).all():
         for k in steps:
             end = x if k == steps[-1] else rec[0, (k + 1) % rec.shape[1]]
-            bad = [STATE_FIELDS[i] for i in np.flatnonzero(~np.isfinite(end))]
-            if bad:
-                raise RolloutError(f"non-finite state at step {k + 1}: "
-                                   f"field(s) {bad}", step=k + 1, fields=bad)
+            check_state(end, k + 1)
     return x
 
 

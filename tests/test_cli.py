@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import flipopt.cli as cli
+import flipopt.dynamics as dyn
 import flipopt.plots as plots
 import flipopt.rollout as ro
 import flipopt.scenario as sc
@@ -208,8 +209,18 @@ def test_numerical_abort_exits_3_and_persists(tmp_path):
     out = tmp_path / "out"
     proc = run_cli("optimize", "--scenario", str(bad), "--out", str(out))
     assert proc.returncode == 3
+    assert "non-finite state at step 2: field(s)" in proc.stderr
     snap = json.loads((out / "abort_snapshot.json").read_text())
     assert snap["step"] == 0
+
+
+def test_every_numerical_failure_is_a_floating_point_error():
+    """main maps FloatingPointError to exit 3, so every numerical failure
+    is one; the diverged-state report has one type under both names."""
+    assert ro.RolloutError is dyn.RolloutError
+    for exc in (ro.RolloutError, cli.opt_mod.NumericalAbort,
+                cli.aero_mod.TrainingError):
+        assert issubclass(exc, FloatingPointError)
 
 
 def test_simulate_replays_bit_exact(opt_run, tmp_path):
@@ -440,6 +451,53 @@ def test_train_aero_out_naming_a_directory_exits_2(tmp_path):
                                   "--out", str(taken)), taken)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a refused run computed")
+
+
+@pytest.mark.parametrize("command, directory", [
+    (["optimize", "--scenario", "case1", "--k", "4", "--steps", "2"],
+     "summary.json"),
+    (["simulate", "--scenario", "case1", "--k", "2"], "summary.json"),
+    (["check-grad", "--scenario", "case1", "--k", "2"], "check_grad.json"),
+    (["check-grad", "--scenario", "case1", "--k", "2"], "manifest.json"),
+    (["train-aero", "--samples", "4"], "fit_report.json"),
+    (["plot"], "state_panel.svg"),
+], ids=["optimize", "simulate", "check-grad", "check-grad-manifest",
+        "train-aero", "plot"])
+def test_an_output_that_is_a_directory_refuses_the_run(
+        command, directory, opt_run, tmp_path, monkeypatch, caplog):
+    """The command's last-written output is a directory: the run exits 2
+    naming it, before its optimization, rollout, gradient, oracle, fit or
+    plot runs, and writes no other output."""
+    for module, name in [(cli.opt_mod, "optimize"), (ro, "rollout_controls"),
+                         (ro, "grad_bptt"), (ro, "finite_diff_grad"),
+                         (cli.aero_mod, "train_surrogate"),
+                         (plots, "write_panel_grid"),
+                         (plots, "write_pose_plot")]:
+        monkeypatch.setattr(module, name, _refuse)
+    run = tmp_path / "run"
+    (run / directory).mkdir(parents=True)
+    inputs = []
+    if command[0] == "plot":
+        inputs = ["trajectory.csv", "manifest.json"]
+        for name in inputs:
+            (run / name).write_bytes((opt_run / name).read_bytes())
+        command = ["plot", str(run)]
+    elif command[0] == "train-aero":
+        command = [*command, "--out", str(run / "weights.json")]
+    else:
+        command = [*command, "--out", str(run)]
+    if command[0] == "simulate":
+        controls = tmp_path / "controls.csv"
+        controls.write_text("thrust_N,delta_deg\n" + "2e6,0\n" * 2)
+        command += ["--controls", str(controls)]
+    assert cli.main(command) == 2
+    assert str(run / directory) in caplog.text
+    assert sorted(f.name for f in run.iterdir()) == sorted(
+        [directory, *inputs])
+
+
 def test_plot_that_cannot_write_an_svg_exits_2(opt_run, tmp_path):
     """A run directory in which controls_velocity.svg is a directory."""
     for name in ("trajectory.csv", "manifest.json"):
@@ -449,12 +507,29 @@ def test_plot_that_cannot_write_an_svg_exits_2(opt_run, tmp_path):
     _assert_exit_2_naming(run_cli("plot", str(tmp_path)), svg)
 
 
-def test_check_grad_passes_and_detects_corruption(tmp_path):
+def _corrupt_engine(monkeypatch):
+    """Make the bptt engine, which the presets select, return its gradient
+    with a fault in entry 0.  The fault scales with the component, so it
+    exceeds the relative tolerance whatever the loss weights make of the
+    gradient's size."""
+    grad = ro.grad_bptt
+
+    def corrupted(*args, **kwargs):
+        report = grad(*args, **kwargs)
+        report.grad_u_T = report.grad_u_T.copy()
+        report.grad_u_T[0] += 1e-3 * max(1.0, abs(report.grad_u_T[0]))
+        return report
+
+    monkeypatch.setattr(ro, "grad_bptt", corrupted)
+
+
+def test_check_grad_passes_and_detects_corruption(tmp_path, monkeypatch):
     rc = cli.main(["check-grad", "--scenario", "case1", "--k", "6",
                    "--out", str(tmp_path / "cg")])
     assert rc == 0
+    _corrupt_engine(monkeypatch)
     rc = cli.main(["check-grad", "--scenario", "case1", "--k", "6",
-                   "--out", str(tmp_path / "cg2"), "--corrupt"])
+                   "--out", str(tmp_path / "cg2")])
     assert rc == 1
 
 
@@ -723,15 +798,19 @@ def test_manifest_hashes_every_file_the_run_read(command, kind, small_weights,
 
 @pytest.mark.parametrize("command, output, rc", [
     (["simulate", "--no-aero", "--k", "12"], "trajectory.csv", 0),
-    (["check-grad", "--corrupt", "--k", "4"], "check_grad.json", 1),
+    (["check-grad", "--k", "4"], "check_grad.json", 1),
 ], ids=["simulate-no-aero", "check-grad-corrupt"])
 def test_replay_keeps_flags_the_snapshot_does_not_carry(command, output, rc,
-                                                        opt_run, tmp_path):
+                                                        opt_run, tmp_path,
+                                                        monkeypatch):
     """A parsed flag that the scenario snapshot does not carry is
     recorded in resolved_args and replayed to the same exit code and
-    bytes."""
+    bytes; so is a failing check-grad, whose engine is corrupted for both
+    runs."""
     if command[0] == "simulate":
         command = [*command, "--controls", str(opt_run / "controls.csv")]
+    else:
+        _corrupt_engine(monkeypatch)
     out = tmp_path / "run"
     assert cli.main([*command, "--scenario", "case1", "--out", str(out)]) == rc
     replay = tmp_path / "replay"

@@ -319,20 +319,6 @@ def test_rk4_advance_keeps_extended_precision(case1_scn, simplified):
     assert np.any(xld != x64.astype(np.longdouble))
 
 
-@pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
-def test_infinite_pitch_raises_integration_error_with_aero(model_name,
-                                                           case1_scn, surrogate):
-    # math.cos(inf) raises ValueError; the one-lane retry runs numpy's
-    # vector form, so the step ends in the stage-indexed IntegrationError
-    model = {"simplified": am.SimplifiedAero(C_D=1.0),
-             "surrogate": surrogate}[model_name]
-    x = case1_scn.x0.copy()
-    x[dyn.IX_TH] = np.inf
-    with np.errstate(all="ignore"), pytest.raises(dyn.IntegrationError) as err:
-        fo.rk4_step(x, (0.02, 0.0), model, case1_scn.dt, case1_scn)
-    assert err.value.stage == 2
-
-
 def test_non_finite_stage_raises():
     class ExplodingAero:
         def forces(self, s, scn):
@@ -343,20 +329,24 @@ def test_non_finite_stage_raises():
 
     scn_cfg = fo.load_scenario("case1")
     scn = fo.nondimensionalize(scn_cfg)
-    with pytest.raises(dyn.IntegrationError):
+    with pytest.raises(dyn.RolloutError) as err:
         fo.rk4_step(state(u=0.1, m=5.0), (0.01, 0.0), ExplodingAero(),
                     scn.dt, scn)
+    assert err.value.step == 1
+    assert err.value.fields == ["x", "u"]
 
 
 @pytest.mark.parametrize("field, value", [(dyn.IX_M, 0.0), (dyn.IX_TH, np.inf)])
 def test_degenerate_state_raises_integration_error(field, value, case1_scn):
     # Python-float arithmetic raises on a zero mass or an infinite angle;
-    # the step must still end in the stage-indexed IntegrationError
+    # the one-lane retry's non-finite result ends the step in RolloutError
     x = case1_scn.x0.copy()
     x[field] = value
-    with np.errstate(all="ignore"), pytest.raises(dyn.IntegrationError) as err:
+    with np.errstate(all="ignore"), pytest.raises(dyn.RolloutError) as err:
         fo.rk4_step(x, (0.02, 0.0), am.NoAero(), case1_scn.dt, case1_scn)
-    assert err.value.stage == 2
+    assert err.value.step == 1
+    assert err.value.fields == ["x", "y", "u", "v",
+                                *(["theta"] if field == dyn.IX_TH else [])]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])

@@ -111,17 +111,25 @@ def test_nonfinite_state_reports_step(entry, K, step, case1_cfg):
     assert err.value.fields
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("entry", [*ENTRY_POINTS, "rk4_step"])
 @pytest.mark.parametrize("model_name", ["simplified", "surrogate"])
 def test_infinite_pitch_raises_rollout_error(model_name, entry, short_scn,
                                              simplified, surrogate):
+    """A single step and every rollout report the diverged state alike:
+    one RolloutError at step 1 that names the fields."""
     model = {"simplified": simplified, "surrogate": surrogate}[model_name]
     x0 = short_scn.x0.copy()
     x0[dyn.IX_TH] = np.inf
     scn = replace(short_scn, x0=x0)
+    raw = fo.init_raw_params(scn)
     with pytest.raises(ro.RolloutError) as err:
-        getattr(ro, entry)(fo.init_raw_params(scn), scn, model)
+        if entry == "rk4_step":
+            seq = fo.reparameterize(raw, scn)
+            fo.rk4_step(x0, (seq.thrust[0], seq.delta[0]), model, scn.dt, scn)
+        else:
+            getattr(ro, entry)(raw, scn, model)
     assert err.value.step == 1
+    assert "theta" in err.value.fields
 
 
 # ---------------------------------------------------------------------------
@@ -530,5 +538,5 @@ def test_gradient_nonfinite_raises(short_scn):
             return F, np.full_like(dF_dv, np.nan), dF_dth
 
     raw = fo.init_raw_params(short_scn)
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
         ro.grad_bptt(raw, short_scn, NaNAero(), short_scn.weights)
