@@ -467,9 +467,10 @@ def _refuse(*args, **kwargs):
         "train-aero", "plot"])
 def test_an_output_that_is_a_directory_refuses_the_run(
         command, directory, opt_run, tmp_path, monkeypatch, caplog):
-    """The command's last-written output is a directory: the run exits 2
-    naming it, before its optimization, rollout, gradient, oracle, fit or
-    plot runs, and writes no other output."""
+    """One output path is a directory, the last file a command writes
+    before its manifest, or the manifest: the run exits 2 naming it
+    before any optimization, rollout, gradient, oracle, fit or plot, and
+    writes no other output."""
     for module, name in [(cli.opt_mod, "optimize"), (ro, "rollout_controls"),
                          (ro, "grad_bptt"), (ro, "finite_diff_grad"),
                          (cli.aero_mod, "train_surrogate"),
