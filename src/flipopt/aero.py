@@ -377,29 +377,32 @@ def train_surrogate(dataset: Sequence[CoeffSample],
     state, adam = AdamState.zeros_like(flat), OptimizerConfig()
     final_mse = math.inf
 
-    for epoch in range(1, hyper.epochs + 1):
-        hs = [X]
-        for W, b in layers[:-1]:
-            hs.append(np.tanh(hs[-1] @ W.T + b))
-        W, b = layers[-1]
-        err = hs[-1] @ W.T + b - Yn
-        final_mse = float(np.mean(err * err))
-        if not math.isfinite(final_mse):
-            raise TrainingError("non-finite training loss", epoch)
+    # a diverging fit raises below at its first non-finite loss or update
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, hyper.epochs + 1):
+            hs = [X]
+            for W, b in layers[:-1]:
+                hs.append(np.tanh(hs[-1] @ W.T + b))
+            W, b = layers[-1]
+            err = hs[-1] @ W.T + b - Yn
+            final_mse = float(np.mean(err * err))
+            if not math.isfinite(final_mse):
+                raise TrainingError("non-finite training loss", epoch)
 
-        # backward from the output; g passes W while a layer is below
-        g = (2.0 / err.size) * err
-        for (W, _), (gW, gb), h in zip(layers[::-1], grads[::-1], hs[::-1]):
-            np.matmul(g.T, h, out=gW)
-            np.sum(g, axis=0, out=gb)
-            if h is not X:
-                g = (g @ W) * (1.0 - h ** 2)
+            # backward from the output; g passes W while a layer is below
+            g = (2.0 / err.size) * err
+            for (W, _), (gW, gb), h in zip(layers[::-1], grads[::-1],
+                                           hs[::-1]):
+                np.matmul(g.T, h, out=gW)
+                np.sum(g, axis=0, out=gb)
+                if h is not X:
+                    g = (g @ W) * (1.0 - h ** 2)
 
-        try:
-            new_flat, state = adam_step(flat, grad, state, hyper.lr, adam)
-        except FloatingPointError as exc:
-            raise TrainingError(str(exc), epoch) from exc
-        flat[:] = new_flat
+            try:
+                new_flat, state = adam_step(flat, grad, state, hyper.lr, adam)
+            except FloatingPointError as exc:
+                raise TrainingError(str(exc), epoch) from exc
+            flat[:] = new_flat
 
     # fold the target standardization into the output layer
     W, b = layers[-1]

@@ -51,7 +51,8 @@ class AdamState:
 
 
 class NumericalAbort(FloatingPointError):
-    """Raised when the loop hits a non-finite state, loss or gradient."""
+    """Raised when the loop hits a non-finite state, loss, gradient or
+    Adam update."""
 
     def __init__(self, msg: str, snapshot: dict):
         super().__init__(msg)
@@ -80,7 +81,9 @@ def cosine_lr(i: int, cfg: OptimizerConfig) -> float:
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float, cfg: OptimizerConfig):
-    """One bias-corrected Adam update; pure in (params, state)."""
+    """One bias-corrected Adam update; pure in (params, state).  A
+    non-finite result raises FloatingPointError, so the callers evaluate
+    it with numpy's overflow and invalid warnings off."""
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("parameter/gradient/state shapes disagree")
     t = state.t + 1
@@ -131,26 +134,27 @@ def optimize(scn, aero: AeroModel, raw0: RawControlParams | None = None,
 
     for i in range(cfg.n_steps):
         raw_i = RawControlParams(params[0], params[1])
+        lr = cosine_lr(i, cfg)
         try:
             report = engine(raw_i, scn, aero, scn.weights)
+            history.append(report.loss)
+            grads = np.stack([report.grad_u_T, report.grad_u_delta])
+            with np.errstate(over="ignore", invalid="ignore"):
+                new_params, state = adam_step(params, grads, state, lr, cfg)
         except FloatingPointError as exc:
             raise NumericalAbort(
-                f"gradient evaluation failed at step {i}: {exc}", snapshot={
+                f"optimizer step {i} failed: {exc}", snapshot={
                     "step": i, "u_T": params[0].tolist(),
                     "u_delta": params[1].tolist(),
                     "loss_history_totals": [b.total for b in history]},
             ) from exc
         breakdown = report.loss
-        history.append(breakdown)
         if breakdown.total < best_total:
             best_total = breakdown.total
             best_params = params.copy()
             best_step = i
 
-        grads = np.stack([report.grad_u_T, report.grad_u_delta])
-        lr = cosine_lr(i, cfg)
         lr_history[i] = lr
-        new_params, state = adam_step(params, grads, state, lr, cfg)
         max_ratio = max(max_ratio, float(np.abs(new_params - params).max()) / lr)
         params = new_params
 

@@ -5,7 +5,11 @@ from the scenario's initial state.  The loss combines terminal residuals
 with path penalties (control smoothness, dry-mass floor, pitch error after
 the flip deadline).  :func:`terminal_residual` is the one statement of the
 landing residual: the loss, its cotangent and the run summary all read
-it.  Gradients come from one engine and one oracle:
+it.  :func:`_loss` is the one statement of the loss, a pure function of
+the final state and of the path, the mass and pitch of every state:
+:func:`loss`, the engine and every lane of the oracle score their path
+with it, so all three sum the terms in one order.  Gradients come from
+one engine and one oracle:
 
 * :func:`_grad` - reverse accumulation through every RK4 step, along the
   very stage states that the forward pass produced.  Segments of
@@ -62,6 +66,8 @@ from .dynamics import (
 # adjoint steps per checkpoint and linearization call; a call's fixed cost
 # is that of linearizing about 20 steps (surrogate) to 60 (drag model)
 ADJOINT_SEG_LEN = 30
+
+_PATH = [IX_M, IX_TH]  # the fields that the path terms read
 
 LOSS_TERM_NAMES = ("terminal_position", "terminal_velocity", "terminal_pitch",
                    "terminal_omega", "smoothness", "mass_floor", "flip_deadline")
@@ -174,87 +180,62 @@ def terminal_residual(x: np.ndarray, scn) -> np.ndarray:
     return (x[:6].T - target).T  # lanes last, as in the state batch
 
 
-class _PathAccumulator:
-    """Streams the per-state loss contributions in ascending step order.
+def _loss(path: np.ndarray, x_K: np.ndarray, smoothness, scn, w: LossWeights):
+    """Total and terms of the loss, given the mass and pitch of states 0 to
+    K in ``path``, shape (2, K+1) for one rollout or (2, K+1, B) for B
+    lanes, the final state ``x_K`` (8,) or (8, B), and the controls'
+    smoothness penalty (one value per lane for lanes).
 
-    The gradient engine and the finite-difference oracle feed states
-    through this accumulator, so every route sums the loss terms in an
-    identical floating-point order; the engine's reverse sweep takes the
-    terms' derivatives from it too.  With ``lanes`` it keeps one mass
-    floor and one flip sum per lane: a batch of p states (8, p) updates
-    lanes 0 to p - 1, and :meth:`seed` starts later lanes from lane 0's
-    sums.  The oracle uses both to let a perturbed rollout take over the
-    base rollout's prefix (see :func:`finite_diff_grad`).
+    The mass-floor and flip sums run in step order along the step axis
+    (see :func:`_sum_of_squares`).  Raises as :func:`_check_loss` does
+    instead of returning a term that is not finite.
     """
+    m, th = path
+    dx, dy, du, dv, dth, dom = terminal_residual(x_K, scn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = scn.m_dry - m
+        d[~(m < scn.m_dry)] = 0.0  # an exact zero above the floor
+        mass = _sum_of_squares(d)
+        del d  # before the flip temporary: 0.5 MB each for K = 90 oracle lanes
+        flip = _sum_of_squares(th[first_flip_index(scn):] - scn.theta_f)
+        terms = (
+            w.w_r * (dx * dx + dy * dy),
+            w.w_v * (du * du + dv * dv),
+            w.w_theta * dth * dth,
+            w.w_omega * dom * dom,
+            w.w_smooth * smoothness,
+            w.w_mass * mass,
+            w.w_flip * flip,
+        )
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+    _check_loss(total, terms)
+    return total, terms
 
-    def __init__(self, scn, w: LossWeights, dtype=None, lanes: int | None = None):
-        self.scn = scn
-        self.w = w
-        self.k_flip = first_flip_index(scn)
-        shape = () if lanes is None else lanes
-        self.mass_acc = np.zeros(shape, dtype)
-        self.flip_acc = np.zeros(shape, dtype)
 
-    def add(self, x: np.ndarray, k: int) -> None:
-        m = x[IX_M]
-        m_dry = self.scn.m_dry
-        p = slice(len(m)) if m.ndim else ()  # the lanes that x holds
-        if m.ndim or m < m_dry:
-            # a lane above the floor adds an exact zero
-            d = np.where(m < m_dry, m_dry - m, 0.0)
-            self.mass_acc[p] += d * d
-        if k >= self.k_flip:
-            e = x[IX_TH] - self.scn.theta_f
-            self.flip_acc[p] += e * e
+def _sum_of_squares(t: np.ndarray):
+    """Sum of ``t * t`` over the first axis, zero for no rows, overwriting
+    ``t``.  An in-place cumulative sum adds the rows in step order, as
+    ``+=`` from zero would (no square is -0.0; numpy's ``sum`` adds
+    pairwise), and allocates no second (K+1, 4K+1) array for the
+    oracle's lanes."""
+    if not len(t):
+        return np.zeros(t.shape[1:], t.dtype)
+    t *= t
+    return np.cumsum(t, axis=0, out=t)[-1].copy()
 
-    def seed(self, lanes: slice) -> None:
-        """Copy lane 0's sums into ``lanes``."""
-        self.mass_acc[lanes] = self.mass_acc[0]
-        self.flip_acc[lanes] = self.flip_acc[0]
 
-    def finish(self, x: np.ndarray, smoothness):
-        """Total and terms at the final state ``x``, given the smoothness
-        penalty of the controls (one value per lane for a batch).  Raises
-        as :func:`_check_loss` does instead of returning a term that is
-        not finite."""
-        w = self.w
-        dx, dy, du, dv, dth, dom = terminal_residual(x, self.scn)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = (
-                w.w_r * (dx * dx + dy * dy),
-                w.w_v * (du * du + dv * dv),
-                w.w_theta * dth * dth,
-                w.w_omega * dom * dom,
-                w.w_smooth * smoothness,
-                w.w_mass * self.mass_acc,
-                w.w_flip * self.flip_acc,
-            )
-            total = terms[0]
-            for t in terms[1:]:
-                total = total + t
-        _check_loss(total, terms)
-        return total, terms
-
-    def terminal_cotangent(self, x: np.ndarray) -> np.ndarray:
-        """d loss / d x_K at the final state ``x`` of one rollout, path
-        terms included."""
-        w = self.w
-        weight = np.array([w.w_r, w.w_r, w.w_v, w.w_v, w.w_theta, w.w_omega])
-        lam = np.zeros(STATE_DIM)
-        lam[:6] = 2.0 * weight * terminal_residual(x, self.scn)
-        self.add_path_cotangent(lam, x, self.scn.K)
-        return lam
-
-    def add_path_cotangent(self, lam: np.ndarray, x: np.ndarray,
-                           k: int) -> None:
-        """Add to ``lam`` the derivative of state k's path terms, which
-        :meth:`add` summed, at its state ``x``."""
-        scn, w = self.scn, self.w
-        m = float(x[IX_M])
-        if m < scn.m_dry:
-            lam[IX_M] += -2.0 * w.w_mass * (scn.m_dry - m)
-        if k >= self.k_flip:
-            lam[IX_TH] += 2.0 * w.w_flip * (float(x[IX_TH]) - scn.theta_f)
+def _add_path_cotangent(lam: np.ndarray, path: np.ndarray, k: int,
+                        k_flip: int, scn, w: LossWeights) -> None:
+    """Add to ``lam`` the derivative of :func:`_loss`'s path terms at state
+    k of the (2, K+1) record ``path``.  An inactive term adds nothing, so a
+    -0.0 entry keeps its sign."""
+    m = float(path[0, k])
+    if m < scn.m_dry:
+        lam[IX_M] += -2.0 * w.w_mass * (scn.m_dry - m)
+    if k >= k_flip:
+        lam[IX_TH] += 2.0 * w.w_flip * (float(path[1, k]) - scn.theta_f)
 
 
 def _check_loss(total, terms) -> None:
@@ -273,21 +254,18 @@ def _breakdown(total, terms) -> LossBreakdown:
 
 
 def _advance(x: np.ndarray, steps: range, rec: np.ndarray,
-             seq: ControlSequence, scn, aero: AeroModel,
-             acc: _PathAccumulator | None = None) -> np.ndarray:
+             seq: ControlSequence, scn, aero: AeroModel) -> np.ndarray:
     """Take ``steps`` from state ``x`` and return the state after the last.
 
     Step k writes its start state and three stage states, as
-    :func:`rk4_advance` returns them, to ``rec[:, k % rec.shape[1]]`` and
-    feeds its start state to ``acc``.  A non-finite field stays so through
-    every later step, so only a non-finite returned state has
-    :func:`check_state` scan the steps for the first that ended so.  Every
-    forward pass of this module but the oracle's lanes runs this loop.
+    :func:`rk4_advance` returns them, to ``rec[:, k % rec.shape[1]]``.  A
+    non-finite field stays so through every later step, so only a
+    non-finite returned state has :func:`check_state` scan the steps for
+    the first that ended so.  Every forward pass of this module but the
+    oracle's lanes runs this loop; it computes no loss term.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for k in steps:
-            if acc is not None:
-                acc.add(x, k)
             nxt, stages = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt,
                                       scn, aero)
             rec[:, k % rec.shape[1]] = (x, *stages)
@@ -326,11 +304,9 @@ def loss(traj: Trajectory, w: LossWeights, scn) -> LossBreakdown:
     The control sequence embedded in the trajectory supplies the
     smoothness term, so no raw parameters are needed here.
     """
-    acc = _PathAccumulator(scn, w)
-    for k in range(traj.states.shape[0]):
-        acc.add(traj.states[k], k)
-    return _breakdown(*acc.finish(traj.states[-1],
-                                  smoothness_penalty(traj.controls(), scn)))
+    x = traj.states
+    return _breakdown(*_loss(x[:, _PATH].T, x[-1],
+                             smoothness_penalty(traj.controls(), scn), scn, w))
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +361,22 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     ``bptt`` takes seg_len = K: one call linearizes the whole record.
     ``adjoint`` takes ``ADJOINT_SEG_LEN``: it recomputes every step but
     the last segment's, and only its checkpoints grow with K.  A horizon
-    shorter than ``seg_len`` is one segment of K steps.
+    shorter than ``seg_len`` is one segment of K steps.  The forward pass
+    also copies each segment's recorded masses and pitches into a
+    (2, K+1) path record: :func:`_loss` scores it, and the sweep adds
+    each state's path terms from it through :func:`_add_path_cotangent`.
 
     ``peak_aux_floats`` counts what the sweep holds while it composes a
     segment: n_seg - 1 checkpoints, the record of 4 seg_len states, ``x``,
     ``lam``, and 560 floats per step of the segment (four stage
     ``[J | B]``, then ``M``, ``d`` and a product buffer).  The O(K)
-    control-sized arrays are not counted, nor numpy's iterator buffers
-    for the identity in :func:`_step_jacobians` (16 floats per step): on
-    case2 the adjoint's traced peak grows from 177 KB at K = 180 to
-    184 KB at K = 360, while the two policies' peaks differ by 8 bytes
-    per counted float to within 2 % at K = 180 and 360 (5 % at K = 90)
-    on the drag model, the surrogate and ``NoAero``.  Their ``forces_jac``
+    control-sized arrays (the controls, ``g`` and the path record) are
+    not counted, nor numpy's iterator buffers for the identity in
+    :func:`_step_jacobians` (16 floats per step): on case2 the adjoint's
+    traced peak grows from 180 KB at K = 180 to 191 KB at K = 360, while
+    the two policies' peaks differ by 8 bytes per counted float to within
+    2 % at K = 180 and 360 (5 % at K = 90) on the drag model, the
+    surrogate and ``NoAero``.  Their ``forces_jac``
     temporaries are freed before the dense arrays exist and are smaller:
     about 9, 36 and 134 floats per stage, against 140.
     """
@@ -408,16 +388,22 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     ckpt = np.empty((len(segs) - 1, STATE_DIM))
     rec = np.empty((4, seg_len, STATE_DIM))  # one segment, as _advance writes
 
-    acc = _PathAccumulator(scn, w)
+    path = np.empty((2, K + 1))  # the mass and pitch of every state
     x = scn.x0
     for j, steps in enumerate(segs):
         if j < len(ckpt):
             ckpt[j] = x
-        x = _advance(x, steps, rec, seq, scn, aero, acc)
-    acc.add(x, K)
-    breakdown = _breakdown(*acc.finish(x, smoothness_penalty(seq, scn)))
+        x = _advance(x, steps, rec, seq, scn, aero)
+        path[:, steps.start:steps.stop] = rec[0, :len(steps)].T[_PATH]
+    path[:, K] = x[_PATH]
+    breakdown = _breakdown(*_loss(path, x, smoothness_penalty(seq, scn), scn,
+                                  w))
 
-    lam = acc.terminal_cotangent(x)
+    k_flip = first_flip_index(scn)
+    weight = np.array([w.w_r, w.w_r, w.w_v, w.w_v, w.w_theta, w.w_omega])
+    lam = np.zeros(STATE_DIM)  # d loss / d x_K
+    lam[:6] = 2.0 * weight * terminal_residual(x, scn)
+    _add_path_cotangent(lam, path, K, k_flip, scn, w)
     g = np.empty((2, K))  # d loss / d (T_k, delta_k)
     for j, steps in reversed(list(enumerate(segs))):
         if j < len(ckpt):
@@ -427,7 +413,7 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
             lam = lam @ M[k % seg_len]
             g[:, k] = lam[STATE_DIM:]
             lam = lam[:STATE_DIM]
-            acc.add_path_cotangent(lam, rec[0, k % seg_len], k)
+            _add_path_cotangent(lam, path, k, k_flip, scn, w)
 
     # the smoothness term, then the chain rule through the squash mapping
     gu = ((g + w.w_smooth * np.array(smoothness_grads(seq, scn)))
@@ -473,8 +459,10 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     by u_T + h, u_T - h, u_delta + h and u_delta - h.  Such a lane equals
     the base rollout until step i, so it shares that prefix instead of
     computing it: at step k, lanes 4k + 1 to 4k + 4 take lane 0's state
-    and loss sums, and one :func:`rk4_advance` call advances the first
-    4k + 5 lanes.  That is 2K(K + 1) + K lane-steps against 4K^2 for
+    and its path record of steps 0 to k - 1, and one :func:`rk4_advance`
+    call advances the first 4k + 5 lanes.  The (2, K+1, 4K+1) path record
+    holds every lane's masses and pitches, and one :func:`_loss` call
+    scores all lanes.  That is 2K(K + 1) + K lane-steps against 4K^2 for
     running every lane from the start.  Lanes never mix, and in extended
     precision each lane's loss is bit-identical to a rollout of its
     perturbed controls on its own.  The base lane's loss is not reported,
@@ -505,21 +493,21 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
         lane[kind // 2][i] = moved[kind][i]
         smoothness[j + 1] = smoothness_penalty(ControlSequence(*lane), scn)
 
-    acc = _PathAccumulator(scn, w, dtype=dtype, lanes=n + 1)
+    path = np.empty((2, K + 1, n + 1), dtype)  # as in _grad, per lane
     x = np.tile(scn.x0.astype(dtype)[:, None], n + 1)
     for k in range(K):
         p = 4 * k + 5  # the base lane and the lanes that have left it
         new = slice(p - 4, p)
         x[:, new] = x[:, :1]
-        acc.seed(new)
-        acc.add(x[:, :p], k)
+        path[:, :k, new] = path[:, :k, :1]
+        path[:, k, :p] = x[_PATH, :p]
         T = np.full(p, base.thrust[k])
         T[p - 4:p - 2] = plus.thrust[k], minus.thrust[k]
         delta = np.full(p, base.delta[k])
         delta[p - 2:] = plus.delta[k], minus.delta[k]
         x[:, :p] = rk4_advance(x[:, :p], T, delta, scn.dt, scn, aero)[0]
-    acc.add(x, K)
-    total = acc.finish(x, smoothness)[0]
+    path[:, K] = x[_PATH]
+    total = _loss(path, x, smoothness, scn, w)[0]
     # rows: u_T + h, u_T - h, u_delta + h, u_delta - h
     lp_lm = total[1:].reshape(K, 4).T
     g = ((lp_lm[0::2] - lp_lm[1::2]) / (2.0 * dtype(h))).astype(np.float64)

@@ -263,10 +263,14 @@ def test_training_rejects_empty():
 
 
 def test_nonfinite_adam_update_raises_training_error():
-    with pytest.raises(am.TrainingError) as exc:
-        am.train_surrogate(am.generate_dataset(12),
-                           am.TrainerConfig(lr=math.inf, epochs=3))
-    assert exc.value.iteration == 1
+    """An infinite step fails at the first update; a finite step so large
+    that the next forward pass overflows fails there, without a numpy
+    warning (which the suite turns into an error)."""
+    for lr, epoch in ((math.inf, 1), (1e308, 2)):
+        with pytest.raises(am.TrainingError) as exc:
+            am.train_surrogate(am.generate_dataset(12),
+                               am.TrainerConfig(lr=lr, epochs=3))
+        assert exc.value.iteration == epoch
 
 
 def test_fit_backprop_matches_central_differences():

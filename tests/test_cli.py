@@ -214,6 +214,20 @@ def test_numerical_abort_exits_3_and_persists(tmp_path):
     assert snap["step"] == 0
 
 
+def test_non_finite_adam_update_exits_3_and_persists(tmp_path, caplog):
+    """An Adam step that overflows aborts as a failed gradient does: exit
+    3 with a snapshot of the step, and no numpy warning on the way."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"opt": {"lr_max": 1e308, "lr_min": 1e308}}))
+    out = tmp_path / "out"
+    rc = cli.main(["optimize", "--scenario", str(bad), "--k", "4",
+                   "--steps", "3", "--out", str(out)])
+    assert rc == 3
+    assert "non-finite Adam update" in caplog.text
+    snap = json.loads((out / "abort_snapshot.json").read_text())
+    assert snap["step"] == 0
+
+
 def test_every_numerical_failure_is_a_floating_point_error():
     """main maps FloatingPointError to exit 3, so every numerical failure
     is one; the diverged-state report has one type under both names."""

@@ -205,16 +205,32 @@ def test_first_flip_index_strictly_after_deadline(case1_scn):
 # Gradients
 # ---------------------------------------------------------------------------
 
+def _dry_floor(cfg, dry_margin_kg):
+    """``cfg`` with the dry mass ``dry_margin_kg`` below the wet mass, which
+    puts the dry-mass floor inside a K = 16 horizon; None keeps ``cfg``."""
+    if dry_margin_kg is None:
+        return cfg
+    v = cfg.vehicle
+    return replace(cfg, vehicle=replace(v, m_dry=v.m_wet - dry_margin_kg))
+
+
 # K = 1 has no control differences, so the smoothness term and its
 # gradient come from empty sums
-@pytest.mark.parametrize("model_name, K", [
-    ("simplified", 6), ("surrogate", 6), ("simplified", 1), ("surrogate", 1)],
-    ids=["simplified", "surrogate", "simplified-K1", "surrogate-K1"])
-def test_bptt_matches_finite_differences(model_name, K, case1_cfg, surrogate):
-    scn = fo.nondimensionalize(truncate(case1_cfg, K))
+@pytest.mark.parametrize("model_name, K, dry_margin_kg", [
+    ("simplified", 6, None), ("surrogate", 6, None),
+    ("simplified", 1, None), ("surrogate", 1, None),
+    ("simplified", 16, 500.0), ("surrogate", 16, 500.0)],
+    ids=["simplified", "surrogate", "simplified-K1", "surrogate-K1",
+         "K16-dry-floor-simplified", "K16-dry-floor-surrogate"])
+def test_bptt_matches_finite_differences(model_name, K, dry_margin_kg,
+                                         case1_cfg, surrogate):
+    scn = fo.nondimensionalize(_dry_floor(truncate(case1_cfg, K),
+                                          dry_margin_kg))
     model = am.SimplifiedAero(C_D=1.0) if model_name == "simplified" else surrogate
     raw = random_raw(scn, 11)
-    g = ro.grad_bptt(raw, scn, model, scn.weights).stacked()
+    rep = ro.grad_bptt(raw, scn, model, scn.weights)
+    assert (rep.loss.terms["mass_floor"] > 0) == (dry_margin_kg is not None)
+    g = rep.stacked()
     r = ro.finite_diff_grad(raw, scn, model, scn.weights, h=1e-6,
                             dtype=np.longdouble).stacked()
     big = np.abs(r) > 1e-8
@@ -224,17 +240,16 @@ def test_bptt_matches_finite_differences(model_name, K, case1_cfg, surrogate):
 
 def _fd_reference(raw, scn, model, h):
     """Central differences from one long-double rollout per perturbed entry,
-    each streamed through rk4_advance and the loss accumulator on its own."""
+    each streamed through rk4_advance on its own, then scored by _loss."""
     def lane_loss(u_T, u_d):
         seq = fo.reparameterize(fo.RawControlParams(u_T, u_d), scn)
-        acc = ro._PathAccumulator(scn, scn.weights, dtype=np.longdouble)
-        x = scn.x0.astype(np.longdouble)
+        states = [scn.x0.astype(np.longdouble)]
         for k in range(scn.K):
-            acc.add(x, k)
-            x = dyn.rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt, scn,
-                                model)[0]
-        acc.add(x, scn.K)
-        return acc.finish(x, fo.smoothness_penalty(seq, scn))[0]
+            states.append(dyn.rk4_advance(states[-1], seq.thrust[k],
+                                          seq.delta[k], scn.dt, scn, model)[0])
+        path = np.array([[x[dyn.IX_M], x[dyn.IX_TH]] for x in states]).T
+        return ro._loss(path, states[-1], fo.smoothness_penalty(seq, scn),
+                        scn, scn.weights)[0]
 
     u_T = raw.u_T.astype(np.longdouble)
     u_d = raw.u_delta.astype(np.longdouble)
@@ -260,14 +275,12 @@ def _fd_reference(raw, scn, model, h):
 def test_finite_diff_lanes_match_single_rollouts(model_name, K, dry_margin_kg,
                                                  case1_cfg, simplified,
                                                  surrogate):
-    # K = 16 passes case1's first flip index (11), so lanes start from the
-    # base lane's non-zero flip sum; a dry mass 500 kg below the wet mass
-    # puts the floor inside the horizon, so they start from its mass sum too
-    cfg = truncate(case1_cfg, K)
-    if dry_margin_kg is not None:
-        v = cfg.vehicle
-        cfg = replace(cfg, vehicle=replace(v, m_dry=v.m_wet - dry_margin_kg))
-    scn = fo.nondimensionalize(cfg)
+    # K = 16 passes case1's first flip index (11), so lanes copy a prefix
+    # of the base lane's path whose flip terms are non-zero; a dry mass
+    # 500 kg below the wet mass puts the floor inside the horizon, so its
+    # mass-floor terms are non-zero too
+    scn = fo.nondimensionalize(_dry_floor(truncate(case1_cfg, K),
+                                          dry_margin_kg))
     model = {"simplified": simplified, "surrogate": surrogate}[model_name]
     raw = random_raw(scn, 19)
     terms = ro.loss(ro.rollout(raw, scn, model), scn.weights, scn).terms
@@ -409,16 +422,21 @@ def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
     assert set(seen) <= produced
 
 
-@pytest.mark.parametrize("K", [1, 7, 30, 31, 90, 97])
-def test_adjoint_equals_bptt_exactly(K, case2_cfg, surrogate):
+@pytest.mark.parametrize("K, dry_margin_kg", [
+    (1, None), (7, None), (30, None), (31, None), (90, None), (97, None),
+    (16, 500.0)],
+    ids=["1", "7", "30", "31", "90", "97", "16-dry-floor"])
+def test_adjoint_equals_bptt_exactly(K, dry_margin_kg, case2_cfg, surrogate):
     """Both storage policies give the same bits, below the checkpoint
     budget, with a one-step final segment (K = 31), at the presets' three
-    segments (K = 90) and when K is not a multiple of the segment length;
-    their loss is that of the rollout."""
-    scn = fo.nondimensionalize(truncate(case2_cfg, K))
+    segments (K = 90), when K is not a multiple of the segment length and
+    with the dry-mass floor active; their loss is that of the rollout."""
+    scn = fo.nondimensionalize(_dry_floor(truncate(case2_cfg, K),
+                                          dry_margin_kg))
     raw = random_raw(scn, 13)
     gb = ro.grad_bptt(raw, scn, surrogate, scn.weights)
     ga = ro.grad_adjoint(raw, scn, surrogate, scn.weights)
+    assert (gb.loss.terms["mass_floor"] > 0) == (dry_margin_kg is not None)
     assert np.array_equal(gb.grad_u_T, ga.grad_u_T)
     assert np.array_equal(gb.grad_u_delta, ga.grad_u_delta)
     assert gb.loss == ga.loss

@@ -12,7 +12,10 @@ and its own, then comparing the two files:
 model) and case2 (trained surrogate) at K in {1, 7, 30, 31, 90} and
 random controls of seeds 0 and 1: the rollout states, every loss term,
 both engines' gradients, losses and ``peak_aux_floats``, and at K <= 7
-the long-double finite-difference oracle.  It also records the layers of
+the long-double finite-difference oracle.  The same arrays are recorded
+with the dry mass ``DRY_MARGIN_KG`` = 500 kg below the wet mass at K in
+{7, 90}, which puts the dry-mass floor inside the horizon of every
+rollout but case2's at K = 7.  It also records the layers of
 ``train_surrogate(generate_dataset(36), seed=0)``, and the exit code and
 output bytes of five commands run through the tree's ``cli.main`` on
 case1 in a temporary directory: ``optimize --k 6 --steps 5``,
@@ -45,6 +48,8 @@ import numpy as np
 KS = (1, 7, 30, 31, 90)
 SEEDS = (0, 1)
 ORACLE_MAX_K = 7
+DRY_KS = (7, 90)
+DRY_MARGIN_KG = 500.0
 
 
 def _random_raw(fo, scn, seed, scale=0.5):
@@ -60,6 +65,27 @@ def _loss_arrays(prefix, breakdown, out):
     out[f"{prefix}/total"] = np.float64(breakdown.total)
     for name, value in breakdown.terms.items():
         out[f"{prefix}/{name}"] = np.float64(value)
+
+
+def _rollout_arrays(fo, ro, cfg, aero, K, at, out) -> None:
+    """Record the rollouts of ``cfg`` cut to K steps at dt, under ``at``."""
+    dt = cfg.t_f / cfg.K
+    scn = fo.nondimensionalize(replace(cfg, K=K, t_f=dt * K))
+    for seed in SEEDS:
+        s = f"{at}/seed{seed}"
+        raw = _random_raw(fo, scn, seed)
+        traj = ro.rollout(raw, scn, aero)
+        out[f"{s}/states"] = traj.states
+        _loss_arrays(f"{s}/loss", ro.loss(traj, scn.weights, scn), out)
+        for engine in (ro.grad_bptt, ro.grad_adjoint):
+            rep = engine(raw, scn, aero)
+            e = f"{s}/{rep.engine}"
+            out[f"{e}/grad"] = rep.stacked()
+            out[f"{e}/peak_aux_floats"] = np.int64(rep.peak_aux_floats)
+            _loss_arrays(f"{e}/loss", rep.loss, out)
+        if K <= ORACLE_MAX_K:
+            rep = ro.finite_diff_grad(raw, scn, aero, dtype=np.longdouble)
+            out[f"{s}/oracle/grad"] = rep.stacked()
 
 
 def _cli_outputs(cli, out) -> None:
@@ -121,25 +147,12 @@ def dump(src: str, path: str) -> None:
     for case in ("case1", "case2"):
         cfg = fo.load_scenario(case)
         aero = cli.build_aero_model(cfg)
-        dt = cfg.t_f / cfg.K
         for K in KS:
-            scn = fo.nondimensionalize(replace(cfg, K=K, t_f=dt * K))
-            for seed in SEEDS:
-                at = f"{case}/K{K}/seed{seed}"
-                raw = _random_raw(fo, scn, seed)
-                traj = ro.rollout(raw, scn, aero)
-                out[f"{at}/states"] = traj.states
-                _loss_arrays(f"{at}/loss", ro.loss(traj, scn.weights, scn), out)
-                for engine in (ro.grad_bptt, ro.grad_adjoint):
-                    rep = engine(raw, scn, aero)
-                    e = f"{at}/{rep.engine}"
-                    out[f"{e}/grad"] = rep.stacked()
-                    out[f"{e}/peak_aux_floats"] = np.int64(rep.peak_aux_floats)
-                    _loss_arrays(f"{e}/loss", rep.loss, out)
-                if K <= ORACLE_MAX_K:
-                    rep = ro.finite_diff_grad(raw, scn, aero,
-                                              dtype=np.longdouble)
-                    out[f"{at}/oracle/grad"] = rep.stacked()
+            _rollout_arrays(fo, ro, cfg, aero, K, f"{case}/K{K}", out)
+        v = cfg.vehicle
+        dry = replace(cfg, vehicle=replace(v, m_dry=v.m_wet - DRY_MARGIN_KG))
+        for K in DRY_KS:
+            _rollout_arrays(fo, ro, dry, aero, K, f"{case}/dry/K{K}", out)
     _cli_outputs(cli, out)
     np.savez(path, **out)
     print(f"{path}: {len(out)} arrays")
