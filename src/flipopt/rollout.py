@@ -6,9 +6,9 @@ with path penalties (control smoothness, dry-mass floor, pitch error after
 the flip deadline).  :func:`terminal_residual` is the one statement of the
 landing residual: the loss, its cotangent and the run summary all read
 it.  :func:`_loss` is the one statement of the loss, a pure function of
-the final state and of the path, the mass and pitch of every state:
-:func:`loss`, the engine and every lane of the oracle score their path
-with it, so all three sum the terms in one order.  Gradients come from
+the final state and of the path sums that :func:`_fold_path` adds up as
+the states are made: :func:`loss`, the engine and every oracle lane fold
+theirs so, in one order and without keeping a path.  Gradients come from
 one engine and one oracle:
 
 * :func:`_grad` - reverse accumulation through every RK4 step, along the
@@ -66,8 +66,6 @@ from .dynamics import (
 # adjoint steps per checkpoint and linearization call; a call's fixed cost
 # is that of linearizing about 20 steps (surrogate) to 60 (drag model)
 ADJOINT_SEG_LEN = 30
-
-_PATH = [IX_M, IX_TH]  # the fields that the path terms read
 
 LOSS_TERM_NAMES = ("terminal_position", "terminal_velocity", "terminal_pitch",
                    "terminal_omega", "smoothness", "mass_floor", "flip_deadline")
@@ -180,24 +178,33 @@ def terminal_residual(x: np.ndarray, scn) -> np.ndarray:
     return (x[:6].T - target).T  # lanes last, as in the state batch
 
 
-def _loss(path: np.ndarray, x_K: np.ndarray, smoothness, scn, w: LossWeights):
-    """Total and terms of the loss, given the mass and pitch of states 0 to
-    K in ``path``, shape (2, K+1) for one rollout or (2, K+1, B) for B
-    lanes, the final state ``x_K`` (8,) or (8, B), and the controls'
-    smoothness penalty (one value per lane for lanes).
+def _fold_path(sums: np.ndarray, m: np.ndarray, th: np.ndarray, k0: int,
+               scn) -> np.ndarray:
+    """``sums``, (2,) or (2, B), plus the squared dry-mass deficit and the
+    squared post-deadline pitch error of states k0, k0 + 1, ..., whose
+    masses and pitches are ``m`` and ``th``, (n,) or (n, B).  One
+    cumulative sum from ``sums`` adds them in step order, so any split of
+    a rollout into calls gives the same bits (numpy's ``sum`` adds
+    pairwise); an inactive term adds an exact zero."""
+    t = np.zeros((len(m) + 1, *np.shape(sums)), np.result_type(sums, m))
+    t[0] = sums
+    k = max(first_flip_index(scn) - k0, 0)  # the first row past the deadline
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(scn.m_dry, m, out=t[1:, 0], where=m < scn.m_dry)
+        np.subtract(th[k:], scn.theta_f, out=t[1 + k:, 1])
+        t[1:] *= t[1:]
+        return np.cumsum(t, axis=0, out=t)[-1]
 
-    The mass-floor and flip sums run in step order along the step axis
-    (see :func:`_sum_of_squares`).  Raises as :func:`_check_loss` does
-    instead of returning a term that is not finite.
-    """
-    m, th = path
+
+def _loss(sums: np.ndarray, x_K: np.ndarray, smoothness, scn, w: LossWeights):
+    """Total and terms of the loss from the path sums of :func:`_fold_path`,
+    (2,) for one rollout or (2, B) for B lanes, the final state ``x_K``
+    (8,) or (8, B) and the controls' smoothness penalty (one per lane).
+    Raises as :func:`_check_loss` does instead of returning a term that is
+    not finite."""
+    mass, flip = sums
     dx, dy, du, dv, dth, dom = terminal_residual(x_K, scn)
     with np.errstate(over="ignore", invalid="ignore"):
-        d = scn.m_dry - m
-        d[~(m < scn.m_dry)] = 0.0  # an exact zero above the floor
-        mass = _sum_of_squares(d)
-        del d  # before the flip temporary: 0.5 MB each for K = 90 oracle lanes
-        flip = _sum_of_squares(th[first_flip_index(scn):] - scn.theta_f)
         terms = (
             w.w_r * (dx * dx + dy * dy),
             w.w_v * (du * du + dv * dv),
@@ -214,28 +221,15 @@ def _loss(path: np.ndarray, x_K: np.ndarray, smoothness, scn, w: LossWeights):
     return total, terms
 
 
-def _sum_of_squares(t: np.ndarray):
-    """Sum of ``t * t`` over the first axis, zero for no rows, overwriting
-    ``t``.  An in-place cumulative sum adds the rows in step order, as
-    ``+=`` from zero would (no square is -0.0; numpy's ``sum`` adds
-    pairwise), and allocates no second (K+1, 4K+1) array for the
-    oracle's lanes."""
-    if not len(t):
-        return np.zeros(t.shape[1:], t.dtype)
-    t *= t
-    return np.cumsum(t, axis=0, out=t)[-1].copy()
-
-
-def _add_path_cotangent(lam: np.ndarray, path: np.ndarray, k: int,
+def _add_path_cotangent(lam: np.ndarray, x: np.ndarray, k: int,
                         k_flip: int, scn, w: LossWeights) -> None:
-    """Add to ``lam`` the derivative of :func:`_loss`'s path terms at state
-    k of the (2, K+1) record ``path``.  An inactive term adds nothing, so a
-    -0.0 entry keeps its sign."""
-    m = float(path[0, k])
+    """Add to ``lam`` the derivative of the path terms at state k, ``x``;
+    an inactive term adds nothing, so a -0.0 entry keeps its sign."""
+    m = float(x[IX_M])
     if m < scn.m_dry:
         lam[IX_M] += -2.0 * w.w_mass * (scn.m_dry - m)
     if k >= k_flip:
-        lam[IX_TH] += 2.0 * w.w_flip * (float(path[1, k]) - scn.theta_f)
+        lam[IX_TH] += 2.0 * w.w_flip * (float(x[IX_TH]) - scn.theta_f)
 
 
 def _check_loss(total, terms) -> None:
@@ -305,7 +299,8 @@ def loss(traj: Trajectory, w: LossWeights, scn) -> LossBreakdown:
     smoothness term, so no raw parameters are needed here.
     """
     x = traj.states
-    return _breakdown(*_loss(x[:, _PATH].T, x[-1],
+    sums = _fold_path(np.zeros(2), x[:, IX_M], x[:, IX_TH], 0, scn)
+    return _breakdown(*_loss(sums, x[-1],
                              smoothness_penalty(traj.controls(), scn), scn, w))
 
 
@@ -362,23 +357,22 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     ``adjoint`` takes ``ADJOINT_SEG_LEN``: it recomputes every step but
     the last segment's, and only its checkpoints grow with K.  A horizon
     shorter than ``seg_len`` is one segment of K steps.  The forward pass
-    also copies each segment's recorded masses and pitches into a
-    (2, K+1) path record: :func:`_loss` scores it, and the sweep adds
-    each state's path terms from it through :func:`_add_path_cotangent`.
+    folds each segment's states, then x_K, into the path sums, and the
+    sweep adds each state's path cotangent from the segment record that it
+    holds for the Jacobians.
 
     ``peak_aux_floats`` counts what the sweep holds while it composes a
     segment: n_seg - 1 checkpoints, the record of 4 seg_len states, ``x``,
     ``lam``, and 560 floats per step of the segment (four stage
     ``[J | B]``, then ``M``, ``d`` and a product buffer).  The O(K)
-    control-sized arrays (the controls, ``g`` and the path record) are
-    not counted, nor numpy's iterator buffers for the identity in
-    :func:`_step_jacobians` (16 floats per step): on case2 the adjoint's
-    traced peak grows from 180 KB at K = 180 to 191 KB at K = 360, while
-    the two policies' peaks differ by 8 bytes per counted float to within
-    2 % at K = 180 and 360 (5 % at K = 90) on the drag model, the
-    surrogate and ``NoAero``.  Their ``forces_jac``
-    temporaries are freed before the dense arrays exist and are smaller:
-    about 9, 36 and 134 floats per stage, against 140.
+    controls and ``g`` are not counted, nor numpy's iterator buffers for
+    the identity in :func:`_step_jacobians` (16 floats per step): on case2
+    the adjoint's traced peak grows from 178 KB at K = 180 to 185 KB at
+    K = 360, while the two policies' peaks differ by 8 bytes per counted
+    float to within 2 % at K = 180 and 360 (5 % at K = 90) on the drag
+    model, the surrogate and ``NoAero``.  Their ``forces_jac`` temporaries
+    are freed before the dense arrays exist and are smaller: about 9, 36
+    and 134 floats per stage, against 140.
     """
     w = w or scn.weights
     seq = reparameterize(raw, scn)
@@ -388,22 +382,23 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     ckpt = np.empty((len(segs) - 1, STATE_DIM))
     rec = np.empty((4, seg_len, STATE_DIM))  # one segment, as _advance writes
 
-    path = np.empty((2, K + 1))  # the mass and pitch of every state
+    sums = np.zeros(2)  # the path terms of the states made so far
     x = scn.x0
     for j, steps in enumerate(segs):
         if j < len(ckpt):
             ckpt[j] = x
         x = _advance(x, steps, rec, seq, scn, aero)
-        path[:, steps.start:steps.stop] = rec[0, :len(steps)].T[_PATH]
-    path[:, K] = x[_PATH]
-    breakdown = _breakdown(*_loss(path, x, smoothness_penalty(seq, scn), scn,
+        fields = rec[0, :len(steps)].T  # the segment's states, fields first
+        sums = _fold_path(sums, fields[IX_M], fields[IX_TH], steps.start, scn)
+    sums = _fold_path(sums, x[IX_M:IX_M + 1], x[IX_TH:IX_TH + 1], K, scn)
+    breakdown = _breakdown(*_loss(sums, x, smoothness_penalty(seq, scn), scn,
                                   w))
 
     k_flip = first_flip_index(scn)
     weight = np.array([w.w_r, w.w_r, w.w_v, w.w_v, w.w_theta, w.w_omega])
     lam = np.zeros(STATE_DIM)  # d loss / d x_K
     lam[:6] = 2.0 * weight * terminal_residual(x, scn)
-    _add_path_cotangent(lam, path, K, k_flip, scn, w)
+    _add_path_cotangent(lam, x, K, k_flip, scn, w)
     g = np.empty((2, K))  # d loss / d (T_k, delta_k)
     for j, steps in reversed(list(enumerate(segs))):
         if j < len(ckpt):
@@ -413,7 +408,7 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
             lam = lam @ M[k % seg_len]
             g[:, k] = lam[STATE_DIM:]
             lam = lam[:STATE_DIM]
-            _add_path_cotangent(lam, path, k, k_flip, scn, w)
+            _add_path_cotangent(lam, rec[0, k % seg_len], k, k_flip, scn, w)
 
     # the smoothness term, then the chain rule through the squash mapping
     gu = ((g + w.w_smooth * np.array(smoothness_grads(seq, scn)))
@@ -459,15 +454,16 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     by u_T + h, u_T - h, u_delta + h and u_delta - h.  Such a lane equals
     the base rollout until step i, so it shares that prefix instead of
     computing it: at step k, lanes 4k + 1 to 4k + 4 take lane 0's state
-    and its path record of steps 0 to k - 1, and one :func:`rk4_advance`
-    call advances the first 4k + 5 lanes.  The (2, K+1, 4K+1) path record
-    holds every lane's masses and pitches, and one :func:`_loss` call
-    scores all lanes.  That is 2K(K + 1) + K lane-steps against 4K^2 for
-    running every lane from the start.  Lanes never mix, and in extended
-    precision each lane's loss is bit-identical to a rollout of its
-    perturbed controls on its own.  The base lane's loss is not reported,
-    so the report's ``loss`` is None.  A loss term that is not finite in
-    some lane raises FloatingPointError, as it does for the engines.
+    and path sums, :func:`_fold_path` adds state k to the sums of the
+    first 4k + 5 lanes, and one :func:`rk4_advance` call advances them.
+    A lane carries its state and two sums, not its path, and one
+    :func:`_loss` call scores all lanes.  That is 2K(K + 1) + K lane-steps
+    against 4K^2 for running every lane from the start.  Lanes never mix,
+    and in extended precision each lane's loss is bit-identical to a
+    rollout of its perturbed controls on its own.  The base lane's loss is
+    not reported, so the report's ``loss`` is None.  A loss term that is
+    not finite in some lane raises FloatingPointError, as it does for the
+    engines, and an ``h`` that is not finite and positive ValueError.
 
     ``dtype=np.longdouble`` runs the rollouts in extended precision, which
     drops the cancellation floor of the difference quotient by ~5 orders
@@ -475,8 +471,8 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     oracle remains an independent route to the value.
     """
     w = w or scn.weights
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < np.inf:  # nan fails both comparisons
+        raise ValueError(f"h must be positive and finite, not {h}")
     dtype = dtype or np.float64
     K = scn.K
     n = 4 * K
@@ -493,21 +489,22 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
         lane[kind // 2][i] = moved[kind][i]
         smoothness[j + 1] = smoothness_penalty(ControlSequence(*lane), scn)
 
-    path = np.empty((2, K + 1, n + 1), dtype)  # as in _grad, per lane
+    sums = np.zeros((2, n + 1), dtype)  # as in _grad, per lane
     x = np.tile(scn.x0.astype(dtype)[:, None], n + 1)
     for k in range(K):
         p = 4 * k + 5  # the base lane and the lanes that have left it
         new = slice(p - 4, p)
         x[:, new] = x[:, :1]
-        path[:, :k, new] = path[:, :k, :1]
-        path[:, k, :p] = x[_PATH, :p]
+        sums[:, new] = sums[:, :1]
+        sums[:, :p] = _fold_path(sums[:, :p], x[IX_M:IX_M + 1, :p],
+                                 x[IX_TH:IX_TH + 1, :p], k, scn)
         T = np.full(p, base.thrust[k])
         T[p - 4:p - 2] = plus.thrust[k], minus.thrust[k]
         delta = np.full(p, base.delta[k])
         delta[p - 2:] = plus.delta[k], minus.delta[k]
         x[:, :p] = rk4_advance(x[:, :p], T, delta, scn.dt, scn, aero)[0]
-    path[:, K] = x[_PATH]
-    total = _loss(path, x, smoothness, scn, w)[0]
+    sums = _fold_path(sums, x[IX_M:IX_M + 1], x[IX_TH:IX_TH + 1], K, scn)
+    total = _loss(sums, x, smoothness, scn, w)[0]
     # rows: u_T + h, u_T - h, u_delta + h, u_delta - h
     lp_lm = total[1:].reshape(K, 4).T
     g = ((lp_lm[0::2] - lp_lm[1::2]) / (2.0 * dtype(h))).astype(np.float64)

@@ -214,6 +214,33 @@ def _dry_floor(cfg, dry_margin_kg):
     return replace(cfg, vehicle=replace(v, m_dry=v.m_wet - dry_margin_kg))
 
 
+def test_fold_path_gives_the_same_bytes_however_the_states_are_split(
+        case1_cfg, simplified):
+    """One call, segments split at the adjoint's 30 and 60 and at the first
+    flip index, and one state at a time fold the same bytes, for one
+    rollout and for a (K+1, B) block of lanes."""
+    scn = fo.nondimensionalize(_dry_floor(case1_cfg, 500.0))
+    assert scn.K == 90
+    lanes = np.stack([ro.rollout(random_raw(scn, seed), scn, simplified).states
+                      for seed in range(4)], axis=-1)  # (K+1, 8, B)
+    splits = {
+        "one call": [0, scn.K + 1],
+        "segments": [0, *sorted({30, 60, ro.first_flip_index(scn)}),
+                     scn.K + 1],
+        "one state at a time": list(range(scn.K + 2)),
+    }
+    for x in (lanes[..., 0], lanes):
+        m, th = x[:, dyn.IX_M], x[:, dyn.IX_TH]
+        folded = {}
+        for name, cuts in splits.items():
+            sums = np.zeros((2, *m.shape[1:]))
+            for a, b in zip(cuts, cuts[1:]):
+                sums = ro._fold_path(sums, m[a:b], th[a:b], a, scn)
+            folded[name] = sums.tobytes()
+        assert (sums > 0).all()  # every rollout has both terms active
+        assert len(set(folded.values())) == 1, folded.keys()
+
+
 # K = 1 has no control differences, so the smoothness term and its
 # gradient come from empty sums
 @pytest.mark.parametrize("model_name, K, dry_margin_kg", [
@@ -240,16 +267,19 @@ def test_bptt_matches_finite_differences(model_name, K, dry_margin_kg,
 
 def _fd_reference(raw, scn, model, h):
     """Central differences from one long-double rollout per perturbed entry,
-    each streamed through rk4_advance on its own, then scored by _loss."""
+    each streamed through rk4_advance on its own and folded by _fold_path one
+    state at a time, then scored by _loss."""
     def lane_loss(u_T, u_d):
         seq = fo.reparameterize(fo.RawControlParams(u_T, u_d), scn)
-        states = [scn.x0.astype(np.longdouble)]
-        for k in range(scn.K):
-            states.append(dyn.rk4_advance(states[-1], seq.thrust[k],
-                                          seq.delta[k], scn.dt, scn, model)[0])
-        path = np.array([[x[dyn.IX_M], x[dyn.IX_TH]] for x in states]).T
-        return ro._loss(path, states[-1], fo.smoothness_penalty(seq, scn),
-                        scn, scn.weights)[0]
+        x = scn.x0.astype(np.longdouble)
+        sums = np.zeros(2, np.longdouble)
+        for k in range(scn.K + 1):
+            sums = ro._fold_path(sums, x[[dyn.IX_M]], x[[dyn.IX_TH]], k, scn)
+            if k < scn.K:
+                x = dyn.rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt,
+                                    scn, model)[0]
+        return ro._loss(sums, x, fo.smoothness_penalty(seq, scn), scn,
+                        scn.weights)[0]
 
     u_T = raw.u_T.astype(np.longdouble)
     u_d = raw.u_delta.astype(np.longdouble)
@@ -424,13 +454,14 @@ def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
 
 @pytest.mark.parametrize("K, dry_margin_kg", [
     (1, None), (7, None), (30, None), (31, None), (90, None), (97, None),
-    (16, 500.0)],
-    ids=["1", "7", "30", "31", "90", "97", "16-dry-floor"])
+    (16, 500.0), (90, 500.0)],
+    ids=["1", "7", "30", "31", "90", "97", "16-dry-floor", "90-dry-floor"])
 def test_adjoint_equals_bptt_exactly(K, dry_margin_kg, case2_cfg, surrogate):
     """Both storage policies give the same bits, below the checkpoint
     budget, with a one-step final segment (K = 31), at the presets' three
     segments (K = 90), when K is not a multiple of the segment length and
-    with the dry-mass floor active; their loss is that of the rollout."""
+    with the dry-mass floor active in one segment (K = 16) or folded across
+    three (K = 90); their loss is that of the rollout."""
     scn = fo.nondimensionalize(_dry_floor(truncate(case2_cfg, K),
                                           dry_margin_kg))
     raw = random_raw(scn, 13)
@@ -495,8 +526,9 @@ def test_fd_rollout_count_and_richardson(case1_cfg, simplified):
     d21 = np.abs(fd1.stacked() - fd2.stacked()).max()
     d14 = np.abs(fd4.stacked() - fd1.stacked()).max()
     assert d14 / max(d21, 1e-300) == pytest.approx(4.0, rel=0.35)
-    with pytest.raises(ValueError):
-        ro.finite_diff_grad(raw, scn, simplified, scn.weights, h=0.0)
+    for h in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="h must be positive"):
+            ro.finite_diff_grad(raw, scn, simplified, scn.weights, h=h)
 
 
 def test_finite_diff_names_a_non_finite_loss_term(case1_cfg, simplified):
@@ -507,6 +539,22 @@ def test_finite_diff_names_a_non_finite_loss_term(case1_cfg, simplified):
     with pytest.raises(FloatingPointError,
                        match="non-finite loss: terminal_position is inf"):
         ro.finite_diff_grad(fo.init_raw_params(scn), scn, simplified, w)
+
+
+def test_finite_diff_memory_bound(case1_scn, simplified):
+    """The oracle's lanes carry their state and path sums, not their path:
+    in long double at the preset's K = 90 its traced peak stays under
+    1 MiB (a (2, K+1, 4K+1) path record alone would take 1.05 MB)."""
+    raw = random_raw(case1_scn, 0)
+    args = (raw, case1_scn, simplified, case1_scn.weights)
+    ro.finite_diff_grad(*args, dtype=np.longdouble)  # warm up
+    tracemalloc.start()
+    try:
+        ro.finite_diff_grad(*args, dtype=np.longdouble)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_memory_meter_contract(case2_cfg, surrogate):

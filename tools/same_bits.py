@@ -9,13 +9,15 @@ and its own, then comparing the two files:
     python3 tools/same_bits.py compare parent.npz change.npz
 
 ``dump`` imports ``flipopt`` from ``--src`` and records, for case1 (drag
-model) and case2 (trained surrogate) at K in {1, 7, 30, 31, 90} and
+model) and case2 (trained surrogate) at K in {1, 7, 16, 30, 31, 90} and
 random controls of seeds 0 and 1: the rollout states, every loss term,
-both engines' gradients, losses and ``peak_aux_floats``, and at K <= 7
-the long-double finite-difference oracle.  The same arrays are recorded
-with the dry mass ``DRY_MARGIN_KG`` = 500 kg below the wet mass at K in
-{7, 90}, which puts the dry-mass floor inside the horizon of every
-rollout but case2's at K = 7.  It also records the layers of
+both engines' gradients, losses and ``peak_aux_floats``, and at K <= 16
+the long-double finite-difference oracle.  K = 16 passes both presets'
+first flip index (11 and 15), so its oracle lanes carry non-zero flip
+sums.  The same arrays are recorded with the dry mass ``DRY_MARGIN_KG``
+= 500 kg below the wet mass at K in {7, 16, 90}, which puts the dry-mass
+floor inside the horizon of every rollout but case2's at K = 7.
+It also records the layers of
 ``train_surrogate(generate_dataset(36), seed=0)``, and the exit code and
 output bytes of five commands run through the tree's ``cli.main`` on
 case1 in a temporary directory: ``optimize --k 6 --steps 5``,
@@ -45,10 +47,10 @@ from pathlib import Path
 
 import numpy as np
 
-KS = (1, 7, 30, 31, 90)
+KS = (1, 7, 16, 30, 31, 90)
 SEEDS = (0, 1)
-ORACLE_MAX_K = 7
-DRY_KS = (7, 90)
+ORACLE_MAX_K = 16
+DRY_KS = (7, 16, 90)
 DRY_MARGIN_KG = 500.0
 
 
