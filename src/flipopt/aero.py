@@ -185,13 +185,6 @@ def generate_dataset(n_samples: int) -> list[CoeffSample]:
     return samples
 
 
-def write_dataset_csv(path, samples: Sequence[CoeffSample]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha_deg,CL,CD,CM\n")
-        for s in samples:
-            fh.write(f"{math.degrees(s.alpha)!r},{s.C_L!r},{s.C_D!r},{s.C_M!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # MLP surrogate
 # ---------------------------------------------------------------------------

@@ -169,13 +169,31 @@ def _write_manifest(out_dir: Path, args, cfg: sc.ScenarioConfig | None,
     _write_json(out_dir / "manifest.json", doc)
 
 
+def _read_manifest(path) -> tuple[dict, sc.ScenarioConfig | None]:
+    """A run's manifest and its scenario (None for train-aero), or a
+    ScenarioError naming the file.  Snapshots written while opt.grad_clip
+    existed hold it as null, no clipping, as every run now does."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        snapshot = doc["scenario_snapshot"]
+        if snapshot is None:
+            return doc, None
+        opt = snapshot.get("opt", {})
+        if "grad_clip" in opt and opt["grad_clip"] is None:
+            del opt["grad_clip"]
+        return doc, sc.scenario_from_dict(snapshot)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise sc.ScenarioError(
+            f"cannot read the run's scenario from {path}: {exc}") from exc
+
+
 def replay_manifest(manifest_path, out_dir) -> int:
     """Re-run a recorded command from its manifest into a new directory:
     2 for a subcommand this version lacks, else the command's exit code.
     A bad manifest raises before the directory exists; a failure of the
     command propagates as its exception, which ``main`` maps to a code."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc, _ = _read_manifest(manifest_path)
     commands = {"optimize": cmd_optimize, "simulate": cmd_simulate,
                 "train-aero": cmd_train_aero, "check-grad": cmd_check_grad}
     if doc["subcommand"] not in commands:
@@ -187,19 +205,11 @@ def replay_manifest(manifest_path, out_dir) -> int:
     ns_args.update(cmd=doc["subcommand"], command=doc.get("command"))
     if "out" not in ns_args:
         raise ValueError("manifest does not describe a replayable command")
-    snapshot = doc["scenario_snapshot"]
-    if snapshot is not None:
-        # snapshots written while opt.grad_clip existed hold it as null,
-        # no clipping, which every run now does; a set clip stays unknown
-        opt = snapshot.get("opt", {})
-        if "grad_clip" in opt and opt["grad_clip"] is None:
-            del opt["grad_clip"]
-        sc.scenario_from_dict(snapshot)  # raises before out_dir exists
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if snapshot is not None:
+    if doc["scenario_snapshot"] is not None:
         snap = out_dir / "_scenario_replay.json"
-        _write_json(snap, snapshot)
+        _write_json(snap, doc["scenario_snapshot"])
         ns_args["scenario"] = str(snap)
     if doc["subcommand"] == "train-aero":
         # train-aero --out names the weights file, not a directory:
@@ -402,7 +412,8 @@ def cmd_train_aero(args) -> int:
     model = aero_mod.train_surrogate(dataset, seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     aero_mod.save_weights(model, out_path)
-    aero_mod.write_dataset_csv(out_dir / "dataset.csv", dataset)
+    _write_csv(out_dir / "dataset.csv", "alpha_deg,CL,CD,CM",
+               [(math.degrees(d.alpha), d.C_L, d.C_D, d.C_M) for d in dataset])
     report = {"max_abs_err": model.meta["max_abs_err"],
               "train_mse": model.meta["train_mse"],
               "n_samples": args.samples, "seed": seed}
@@ -474,23 +485,14 @@ def cmd_check_grad(args) -> int:
     return 1
 
 
-def _run_scenario(run_dir: Path) -> sc.ScenarioConfig:
-    """The scenario snapshot that the run in ``run_dir`` recorded."""
-    path = run_dir / "manifest.json"
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return sc.scenario_from_dict(json.load(fh)["scenario_snapshot"])
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise sc.ScenarioError(
-            f"cannot read the run's scenario from {path}: {exc}") from exc
-
-
 def cmd_plot(args) -> int:
     run_dir = Path(args.run_dir)
     traj_path = run_dir / "trajectory.csv"
     if not traj_path.is_file():
         raise sc.ScenarioError(f"no trajectory.csv in {run_dir}")
-    cfg = _run_scenario(run_dir)
+    cfg = _read_manifest(run_dir / "manifest.json")[1]
+    if cfg is None:
+        raise sc.ScenarioError(f"the run in {run_dir} recorded no scenario")
     L_ref = cfg.refs.L_ref
     l_cg = cfg.vehicle.l_cg_frac
     tab = _read_csv(traj_path, TRAJECTORY_HEADER.split(","), "trajectory file")

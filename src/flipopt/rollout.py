@@ -29,10 +29,10 @@ one engine and one oracle:
   agree to the last bit; only the memory counters differ.
 * :func:`finite_diff_grad` - central differences on the raw parameters,
   the independent validation oracle.  Its 4K perturbed rollouts advance
-  together as the lanes of one state batch, each starting from the
-  unperturbed rollout at the step it perturbs, and it can evaluate them
-  in extended precision to push the difference roundoff floor far below
-  the gradient-check tolerances.
+  together in one loop over the steps as the lanes of one state batch,
+  each from the unperturbed rollout at the step it perturbs, and it can
+  evaluate them in extended precision to push the difference roundoff
+  floor far below the gradient-check tolerances.
 
 A diverged state raises the dynamics module's :class:`RolloutError`, and a
 non-finite loss term or gradient entry a ``FloatingPointError`` naming it.
@@ -182,10 +182,10 @@ def _fold_path(sums: np.ndarray, m: np.ndarray, th: np.ndarray, k0: int,
                scn) -> np.ndarray:
     """``sums``, (2,) or (2, B), plus the squared dry-mass deficit and the
     squared post-deadline pitch error of states k0, k0 + 1, ..., whose
-    masses and pitches are ``m`` and ``th``, (n,) or (n, B).  One
-    cumulative sum from ``sums`` adds them in step order, so any split of
-    a rollout into calls gives the same bits (numpy's ``sum`` adds
-    pairwise); an inactive term adds an exact zero."""
+    masses and pitches are ``m`` and ``th``, (n,) or (n, B).  Reducing
+    the leading axis adds them to ``sums`` row by row, in step order, so
+    any split of a rollout into calls gives the same bits (numpy adds
+    pairwise only along a contiguous axis); an inactive term adds 0."""
     t = np.zeros((len(m) + 1, *np.shape(sums)), np.result_type(sums, m))
     t[0] = sums
     k = max(first_flip_index(scn) - k0, 0)  # the first row past the deadline
@@ -193,7 +193,7 @@ def _fold_path(sums: np.ndarray, m: np.ndarray, th: np.ndarray, k0: int,
         np.subtract(scn.m_dry, m, out=t[1:, 0], where=m < scn.m_dry)
         np.subtract(th[k:], scn.theta_f, out=t[1 + k:, 1])
         t[1:] *= t[1:]
-        return np.cumsum(t, axis=0, out=t)[-1]
+        return np.add.reduce(t, axis=0)
 
 
 def _loss(sums: np.ndarray, x_K: np.ndarray, smoothness, scn, w: LossWeights):
@@ -275,6 +275,12 @@ def _advance(x: np.ndarray, steps: range, rec: np.ndarray,
 # Public rollout and loss
 # ---------------------------------------------------------------------------
 
+def _check_length(n: int, scn) -> None:
+    """Refuse controls of ``n`` steps for a scenario of K steps."""
+    if n != scn.K:
+        raise ValueError(f"control sequence length {n} != scenario K {scn.K}")
+
+
 def rollout(raw: RawControlParams, scn, aero: AeroModel) -> Trajectory:
     """Roll out the reparameterized controls from the scenario start state."""
     seq = reparameterize(raw, scn)
@@ -283,8 +289,7 @@ def rollout(raw: RawControlParams, scn, aero: AeroModel) -> Trajectory:
 
 def rollout_controls(seq: ControlSequence, scn, aero: AeroModel) -> Trajectory:
     """Roll out an explicit control sequence (used by forward-only replay)."""
-    if seq.K != scn.K:
-        raise ValueError(f"control sequence length {seq.K} != scenario K {scn.K}")
+    _check_length(seq.K, scn)
     rec = np.empty((4, scn.K, STATE_DIM))
     x = _advance(scn.x0, range(scn.K), rec, seq, scn, aero)
     return Trajectory(states=np.concatenate([rec[0], x[None]]),
@@ -375,6 +380,7 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     and 134 floats per stage, against 140.
     """
     w = w or scn.weights
+    _check_length(raw.K, scn)
     seq = reparameterize(raw, scn)
     K = scn.K
     seg_len = min(seg_len, K)
@@ -453,17 +459,20 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     0 is the base rollout; lanes 4i + 1 to 4i + 4 move the entry of step i
     by u_T + h, u_T - h, u_delta + h and u_delta - h.  Such a lane equals
     the base rollout until step i, so it shares that prefix instead of
-    computing it: at step k, lanes 4k + 1 to 4k + 4 take lane 0's state
-    and path sums, :func:`_fold_path` adds state k to the sums of the
-    first 4k + 5 lanes, and one :func:`rk4_advance` call advances them.
-    A lane carries its state and two sums, not its path, and one
-    :func:`_loss` call scores all lanes.  That is 2K(K + 1) + K lane-steps
-    against 4K^2 for running every lane from the start.  Lanes never mix,
-    and in extended precision each lane's loss is bit-identical to a
-    rollout of its perturbed controls on its own.  The base lane's loss is
-    not reported, so the report's ``loss`` is None.  A loss term that is
-    not finite in some lane raises FloatingPointError, as it does for the
-    engines, and an ``h`` that is not finite and positive ValueError.
+    computing it.  A lane carries its state, its two path sums, the
+    controls it applied last and two sums of squared scaled control
+    changes, ((T_k - T_{k-1}) / T_max)^2 and the same for the gimbal.  At
+    step k, lanes 4k + 1 to 4k + 4 take all four from lane 0, the first
+    4k + 5 lanes add state k (:func:`_fold_path`) and their control
+    changes to their sums, and one :func:`rk4_advance` call advances
+    them; one :func:`_loss` call scores all lanes.  That is 2K(K + 1) + K
+    lane-steps against 4K^2 for running every lane from the start.  Lanes
+    never mix, and in extended precision each lane's loss is bit-identical
+    to a rollout of its perturbed controls on its own (long double's
+    ``np.dot`` adds in index order, as a lane does).  The base lane's loss
+    is not reported, so the report's ``loss`` is None.  A loss term that
+    is not finite in some lane raises FloatingPointError, as it does for
+    the engines, and an ``h`` that is not finite and positive ValueError.
 
     ``dtype=np.longdouble`` runs the rollouts in extended precision, which
     drops the cancellation floor of the difference quotient by ~5 orders
@@ -473,6 +482,7 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     w = w or scn.weights
     if not 0 < h < np.inf:  # nan fails both comparisons
         raise ValueError(f"h must be positive and finite, not {h}")
+    _check_length(raw.K, scn)
     dtype = dtype or np.float64
     K = scn.K
     n = 4 * K
@@ -481,30 +491,25 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     base = reparameterize(RawControlParams(u_T, u_d), scn)
     plus = reparameterize(RawControlParams(u_T + h, u_d + h), scn)
     minus = reparameterize(RawControlParams(u_T - h, u_d - h), scn)
-    moved = (plus.thrust, minus.thrust, plus.delta, minus.delta)  # per lane
-    smoothness = np.zeros(n + 1, dtype)  # lane 0's loss is not used
-    for j in range(n):
-        i, kind = divmod(j, 4)
-        lane = [base.thrust.copy(), base.delta.copy()]
-        lane[kind // 2][i] = moved[kind][i]
-        smoothness[j + 1] = smoothness_penalty(ControlSequence(*lane), scn)
-
-    sums = np.zeros((2, n + 1), dtype)  # as in _grad, per lane
-    x = np.tile(scn.x0.astype(dtype)[:, None], n + 1)
+    lanes = np.zeros((6 + STATE_DIM, n + 1), dtype)
+    sums, smooth, last, x = np.split(lanes, [2, 4, 6])
+    x[:] = scn.x0[:, None]
     for k in range(K):
         p = 4 * k + 5  # the base lane and the lanes that have left it
-        new = slice(p - 4, p)
-        x[:, new] = x[:, :1]
-        sums[:, new] = sums[:, :1]
+        lanes[:, p - 4:p] = lanes[:, :1]
         sums[:, :p] = _fold_path(sums[:, :p], x[IX_M:IX_M + 1, :p],
                                  x[IX_TH:IX_TH + 1, :p], k, scn)
-        T = np.full(p, base.thrust[k])
-        T[p - 4:p - 2] = plus.thrust[k], minus.thrust[k]
-        delta = np.full(p, base.delta[k])
-        delta[p - 2:] = plus.delta[k], minus.delta[k]
-        x[:, :p] = rk4_advance(x[:, :p], T, delta, scn.dt, scn, aero)[0]
+        u = np.empty((2, p), dtype)  # each lane's thrust and gimbal at step k
+        u[0], u[1] = base.thrust[k], base.delta[k]
+        u[0, p - 4:p - 2] = plus.thrust[k], minus.thrust[k]
+        u[1, p - 2:] = plus.delta[k], minus.delta[k]
+        if k:
+            d = (u - last[:, :p]) / [[scn.T_max], [scn.delta_max]]
+            smooth[:, :p] += d * d
+        last[:, :p] = u
+        x[:, :p] = rk4_advance(x[:, :p], u[0], u[1], scn.dt, scn, aero)[0]
     sums = _fold_path(sums, x[IX_M:IX_M + 1], x[IX_TH:IX_TH + 1], K, scn)
-    total = _loss(sums, x, smoothness, scn, w)[0]
+    total = _loss(sums, x, smooth[0] + smooth[1], scn, w)[0]
     # rows: u_T + h, u_T - h, u_delta + h, u_delta - h
     lp_lm = total[1:].reshape(K, 4).T
     g = ((lp_lm[0::2] - lp_lm[1::2]) / (2.0 * dtype(h))).astype(np.float64)

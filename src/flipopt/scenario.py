@@ -402,8 +402,8 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

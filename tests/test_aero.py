@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flipopt.aero as am
+import flipopt.cli as cli
 from flipopt import dynamics as dyn
 
 
@@ -72,14 +73,17 @@ def test_dataset_minimum_size():
 
 
 def test_dataset_csv_round_trip(tmp_path):
-    ds = am.generate_dataset(8)
+    """train-aero writes its samples to dataset.csv with the CLI's one CSV
+    writer, and they parse back exactly."""
+    assert cli.main(["train-aero", "--samples", "8", "--seed", "1",
+                     "--out", str(tmp_path / "w.json")]) == 0
     path = tmp_path / "dataset.csv"
-    am.write_dataset_csv(path, ds)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "alpha_deg,CL,CD,CM"
-    row = lines[1].split(",")
-    assert float(row[0]) == 0.0
-    assert float(row[2]) == ds[0].C_D
+    assert path.read_text().splitlines()[0] == "alpha_deg,CL,CD,CM"
+    tab = cli._read_csv(path, ("alpha_deg", "CL", "CD", "CM"), "dataset")
+    ds = am.generate_dataset(8)
+    assert tab["alpha_deg"].tolist() == [math.degrees(s.alpha) for s in ds]
+    assert list(zip(tab["CL"], tab["CD"], tab["CM"])) == [
+        (s.C_L, s.C_D, s.C_M) for s in ds]
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_summary_residuals_are_the_last_trajectory_row_minus_the_target(
         opt_run):
     """Each terminal residual in summary.json is the final row of
     trajectory.csv minus the recorded scenario's landing target, in SI."""
-    bc = cli._run_scenario(opt_run).bc
+    bc = cli._read_manifest(opt_run / "manifest.json")[1].bc
     last = dict(zip(cli.TRAJECTORY_HEADER.split(","), map(float, (
         opt_run / "trajectory.csv").read_text().splitlines()[-1].split(","))))
     terminal = json.loads((opt_run / "summary.json").read_text())["terminal"]
@@ -127,6 +127,20 @@ def test_malformed_scenario_value_exits_2(tmp_path, data, field):
                    str(tmp_path / "out"))
     assert proc.returncode == 2
     assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_that_is_not_utf8_exits_2(tmp_path):
+    """A scenario file that is not UTF-8 text is a configuration error:
+    exit 2 naming the file, and no run directory."""
+    bad = tmp_path / "f.json"
+    bad.write_bytes(b'{"K": 6}\xff')
+    proc = run_cli("optimize", "--scenario", str(bad), "--out",
+                   str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert f"cannot read scenario file {bad}: " in proc.stderr
+    assert "can't decode byte 0xff in position 8" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
@@ -853,6 +867,25 @@ def test_manifest_from_before_the_grad_clip_removal_replays(tmp_path):
     with pytest.raises(sc.ScenarioError, match=r"'opt\.grad_clip'"):
         cli.replay_manifest(old, tmp_path / "replay-clipped")
     assert not (tmp_path / "replay-clipped").exists()
+
+
+def test_plot_of_a_run_from_before_the_grad_clip_removal(opt_run, tmp_path):
+    """plot reads a run's scenario as replay does: an older manifest's
+    opt.grad_clip of null is no clipping, so the run plots to the same
+    SVGs as with the key absent."""
+    manifest = json.loads((opt_run / "manifest.json").read_text())
+    svgs = {}
+    for name, clip in (("now", {}), ("old", {"grad_clip": None})):
+        run = tmp_path / name
+        run.mkdir()
+        (run / "trajectory.csv").write_bytes(
+            (opt_run / "trajectory.csv").read_bytes())
+        manifest["scenario_snapshot"]["opt"].update(clip)
+        cli._write_json(run / "manifest.json", manifest)
+        assert cli.main(["plot", str(run)]) == 0
+        svgs[name] = [p.read_bytes() for p in sorted(run.glob("*.svg"))]
+    assert len(svgs["old"]) == 3
+    assert svgs["old"] == svgs["now"]
 
 
 def test_replay_of_a_manifest_without_out_leaves_no_directory(tmp_path):

@@ -83,6 +83,23 @@ def test_rollout_controls_length_check(short_scn, simplified):
         fo.rollout_controls(seq, short_scn, simplified)
 
 
+@pytest.mark.parametrize("entry", [
+    "grad_bptt", "grad_adjoint", "finite_diff_grad", "optimize"])
+@pytest.mark.parametrize("n", [6, 10], ids=["K-2", "K+2"])
+def test_controls_of_the_wrong_length_are_refused(entry, n, short_scn,
+                                                  simplified):
+    """Every gradient entry point refuses raw controls that are not K long
+    as the rollout does, not with a broadcast error or with a gradient of
+    the scenario's length."""
+    raw = fo.RawControlParams(np.zeros(n), np.zeros(n))
+    with pytest.raises(ValueError,
+                       match=f"^control sequence length {n} != scenario K 8$"):
+        if entry == "optimize":
+            fo.optimize(short_scn, simplified, raw0=raw, n_steps=1)
+        else:
+            getattr(ro, entry)(raw, short_scn, simplified)
+
+
 ENTRY_POINTS = ["rollout", "grad_bptt", "grad_adjoint"]
 
 
@@ -218,18 +235,22 @@ def test_fold_path_gives_the_same_bytes_however_the_states_are_split(
         case1_cfg, simplified):
     """One call, segments split at the adjoint's 30 and 60 and at the first
     flip index, and one state at a time fold the same bytes, for one
-    rollout and for a (K+1, B) block of lanes."""
+    rollout, for a (K+1, B) block of lanes and for a block as wide as the
+    preset's oracle (4K + 1 lanes), where a pairwise sum would move bits."""
     scn = fo.nondimensionalize(_dry_floor(case1_cfg, 500.0))
     assert scn.K == 90
     lanes = np.stack([ro.rollout(random_raw(scn, seed), scn, simplified).states
                       for seed in range(4)], axis=-1)  # (K+1, 8, B)
+    # each lane a rollout shrunk by up to 1e-3: its mass deficit only grows
+    shrink = 1.0 - 1e-3 * np.random.default_rng(0).random(4 * scn.K + 1)
+    wide = lanes[..., np.arange(shrink.size) % 4] * shrink
     splits = {
         "one call": [0, scn.K + 1],
         "segments": [0, *sorted({30, 60, ro.first_flip_index(scn)}),
                      scn.K + 1],
         "one state at a time": list(range(scn.K + 2)),
     }
-    for x in (lanes[..., 0], lanes):
+    for x in (lanes[..., 0], lanes, wide):
         m, th = x[:, dyn.IX_M], x[:, dyn.IX_TH]
         folded = {}
         for name, cuts in splits.items():
