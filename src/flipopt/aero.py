@@ -5,11 +5,13 @@ moment about the cg from the vehicle state:
 
 * :class:`SimplifiedAero` applies a fixed drag coefficient along the
   velocity vector with a fixed center of pressure (no lift).
-* :class:`MlpSurrogate` maps (sin alpha, cos alpha) through a small tanh
+* :class:`MlpSurrogate` maps (sin alpha, cos alpha), from
+  :func:`flipopt.dynamics.wind_axes` in every form, through a small tanh
   network to (C_L, C_D, C_M) and assembles forces in wind axes.
 
 The surrogate is trained against an analytic flat-plate style coefficient
 model (:func:`standin_coeffs`), sampled on a uniform angle-of-attack grid.
+Its weights file is JSON, written and read by :mod:`flipopt.scenario`.
 Both models give the exact state Jacobian of their vector form, for a
 batch of states at once, to the gradient engine.
 
@@ -27,8 +29,8 @@ exactly zero force in every lane whose speed is below the floor.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -44,6 +46,7 @@ from .dynamics import (
     wind_axes,
 )
 from .optimizer import AdamState, OptimizerConfig, adam_step
+from .scenario import read_json, write_json
 
 _MATVEC = "...i,ji->...j"  # einsum subscripts of W @ h for each lane of h
 
@@ -261,21 +264,17 @@ class MlpSurrogate:
     def forces(self, state, scn) -> AeroForces:
         x, ops = field_values(state)
         u, v, th = x[IX_U], x[IX_V], x[IX_TH]
+        speed = ops.hypot(u, v)
         if ops is math:
-            speed = math.hypot(u, v)
             if speed < SPEED_FLOOR:
                 return AeroForces(0.0, 0.0, 0.0)
-            cth = math.cos(th)
-            sth = math.sin(th)
             C_L, C_D, C_M = self.coeffs_from_encoding(
-                ((v * cth - u * sth) / speed,
-                 (u * cth + v * sth) / speed)).tolist()
+                wind_axes(u, v, th, speed, math)).tolist()
         else:
             # a lane at rest divides by zero here and is zeroed by the floor
             with np.errstate(divide="ignore", invalid="ignore"):
-                sin_a, cos_a, speed = wind_axes(state)
-            C = self._network(np.stack((sin_a, cos_a), axis=-1))
-            C_L, C_D, C_M = C[..., 0], C[..., 1], C[..., 2]
+                sin_a, cos_a = wind_axes(u, v, th, speed)
+            C_L, C_D, C_M = self._network(np.stack((sin_a, cos_a), axis=-1)).T
         s = scn.q_coef
         # drag along -v_hat, lift along the +90 deg rotation of v_hat
         F = (s * speed * (-C_D * u - C_L * v),
@@ -288,8 +287,9 @@ class MlpSurrogate:
         # along alpha is (cos a, -sin a), d alpha / d(u, v) = (-v, u) / speed^2
         # and d alpha / d theta = -1
         u, v = states[IX_U], states[IX_V]
+        speed = np.hypot(u, v)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sin_a, cos_a, speed = wind_axes(states)
+            sin_a, cos_a = wind_axes(u, v, states[IX_TH], speed)
             iu = u / speed
             iv = v / speed
         C, dC = self._network(np.stack((sin_a, cos_a), axis=-1),
@@ -435,14 +435,13 @@ def save_weights(model: MlpSurrogate, path) -> None:
         "activation": "tanh",
         "meta": model.meta,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_weights(path) -> MlpSurrogate:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a surrogate written by :func:`save_weights`; a file that cannot
+    be read or parsed raises the reader's ScenarioError, which names it."""
+    doc = read_json(path, "surrogate weights file")
     if unknown := sorted(doc.keys() - {"layers", "activation", "meta"}):
         raise ValueError(f"unknown weights file keys {unknown}")
     if doc.get("activation") != "tanh":
@@ -453,6 +452,7 @@ def load_weights(path) -> MlpSurrogate:
         if (set(spec) != {"rows", "cols", "w", "b"}
                 or any(type(n) is not int or n < 1 for n in shape)
                 or any(type(x) not in (int, float)
+                       or abs(x) > sys.float_info.max   # an int past float
                        for x in [*spec["w"], *spec["b"]])):
             raise ValueError(f"layer {i}: expected keys rows, cols (positive "
                              f"JSON integers) and w, b (JSON number lists)")

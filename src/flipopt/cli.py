@@ -6,10 +6,12 @@ list; replaying a manifest reproduces all CSV outputs byte for byte.  A
 run refuses an output path that is a directory before it computes, and
 makes its output directory only once every input has loaded.  CSV
 files are dimensional SI (floats serialized with repr, so parsing them
-back is exact); all internal computation stays nondimensional.
+back is exact); all internal computation stays nondimensional.  JSON
+goes through ``scenario.read_json`` and ``scenario.write_json`` alone.
 
 Exit codes, which ``main`` alone assigns: 0 success, 1 tolerance breach,
-2 configuration error or unwritable output, 3 numerical abort (any
+2 configuration error (a JSON input that cannot be read or parsed
+included) or unwritable output, 3 numerical abort (any
 ``FloatingPointError``).
 """
 
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import math
 import os
@@ -60,22 +61,12 @@ NOT_REPLAYED = frozenset({"cmd", "command", "func", "verbose", "steps",
 # Small helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def _write_csv(path, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, int) else _fmt(c)
+            fh.write(",".join(str(c) if isinstance(c, int) else repr(float(c))
                               for c in row) + "\n")
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _sha256(path) -> str:
@@ -136,7 +127,10 @@ def build_aero_model(cfg: sc.ScenarioConfig):
     if a.weights_path is not None:
         try:
             return aero_mod.load_weights(a.weights_path)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except sc.ScenarioError as exc:   # the reader's, which names the file
+            raise sc.ScenarioError(
+                f"invalid scenario field 'aero.weights_path': {exc}") from exc
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise sc.ScenarioError(
                 f"invalid scenario field 'aero.weights_path': cannot load "
                 f"surrogate weights from {a.weights_path!r}: {exc}") from exc
@@ -166,16 +160,15 @@ def _write_manifest(out_dir: Path, args, cfg: sc.ScenarioConfig | None,
         "input_hashes": {p: _sha256(p) for p in inputs if p is not None},
         "outputs": outputs,
     }
-    _write_json(out_dir / "manifest.json", doc)
+    sc.write_json(out_dir / "manifest.json", doc)
 
 
 def _read_manifest(path) -> tuple[dict, sc.ScenarioConfig | None]:
     """A run's manifest and its scenario (None for train-aero), or a
     ScenarioError naming the file.  Snapshots written while opt.grad_clip
     existed hold it as null, no clipping, as every run now does."""
+    doc = sc.read_json(path, "run manifest")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
         snapshot = doc["scenario_snapshot"]
         if snapshot is None:
             return doc, None
@@ -183,7 +176,7 @@ def _read_manifest(path) -> tuple[dict, sc.ScenarioConfig | None]:
         if "grad_clip" in opt and opt["grad_clip"] is None:
             del opt["grad_clip"]
         return doc, sc.scenario_from_dict(snapshot)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise sc.ScenarioError(
             f"cannot read the run's scenario from {path}: {exc}") from exc
 
@@ -209,7 +202,7 @@ def replay_manifest(manifest_path, out_dir) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if doc["scenario_snapshot"] is not None:
         snap = out_dir / "_scenario_replay.json"
-        _write_json(snap, doc["scenario_snapshot"])
+        sc.write_json(snap, doc["scenario_snapshot"])
         ns_args["scenario"] = str(snap)
     if doc["subcommand"] == "train-aero":
         # train-aero --out names the weights file, not a directory:
@@ -284,7 +277,7 @@ def _write_rollout(out: Path, seq: ControlSequence, scn, aero,
                **_summary(traj, breakdown, scn), **fields}
     _write_csv(out / "trajectory.csv", TRAJECTORY_HEADER,
                _trajectory_rows(traj, scn.refs))
-    _write_json(out / "summary.json", summary)
+    sc.write_json(out / "summary.json", summary)
     return summary
 
 
@@ -304,7 +297,7 @@ def cmd_optimize(args) -> int:
     try:
         result = opt_mod.optimize(scn, aero)
     except opt_mod.NumericalAbort as exc:
-        _write_json(out / "abort_snapshot.json", exc.snapshot)
+        sc.write_json(out / "abort_snapshot.json", exc.snapshot)
         raise
 
     hist_rows = [
@@ -417,7 +410,7 @@ def cmd_train_aero(args) -> int:
     report = {"max_abs_err": model.meta["max_abs_err"],
               "train_mse": model.meta["train_mse"],
               "n_samples": args.samples, "seed": seed}
-    _write_json(out_dir / "fit_report.json", report)
+    sc.write_json(out_dir / "fit_report.json", report)
     _write_manifest(out_dir, args, None, seed, outputs)
     worst = max(report["max_abs_err"].values())
     print(f"trained on {args.samples} samples; worst coefficient error "
@@ -473,7 +466,7 @@ def cmd_check_grad(args) -> int:
            "worst_rel": worst_rel, "worst_abs": worst_abs,
            "worst_index": i, "n_rollouts_fd": fd.n_rollouts,
            "pass": ok}
-    _write_json(out / outputs[0], doc)
+    sc.write_json(out / outputs[0], doc)
     _write_manifest(out, args, cfg, cfg.seed, outputs)
     if ok:
         print(f"gradient check passed: worst relative error {worst_rel:.3e}")
@@ -567,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="optimize a control sequence")
     _add_scenario_args(p)
     p.add_argument("--steps", type=int, default=None, help="override n_steps")
-    p.add_argument("--engine", choices=("bptt", "adjoint"), default=None)
+    p.add_argument("--engine", choices=ro.GRAD_ENGINES, default=None)
     p.add_argument("--k", type=int, default=None,
                    help="override step count (dt is kept fixed)")
     p.set_defaults(func=cmd_optimize)
@@ -591,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--k", type=int, default=10,
                    help="step count for the check (dt kept fixed)")
-    p.add_argument("--engine", choices=("bptt", "adjoint"), default=None)
+    p.add_argument("--engine", choices=ro.GRAD_ENGINES, default=None)
     p.set_defaults(func=cmd_check_grad)
 
     p = sub.add_parser("plot", help="emit SVG plots from a run directory")

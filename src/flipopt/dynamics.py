@@ -118,20 +118,13 @@ def angle_of_attack(state: np.ndarray) -> float:
     return 0.0 if wrapped >= 2.0 * math.pi else wrapped
 
 
-def wind_axes(state: np.ndarray):
-    """(sin alpha, cos alpha, speed) computed without arctan branch cuts.
-
-    These are the velocity components resolved in body axes, normalized by
-    speed, which is what the surrogate consumes; they are smooth in the
-    state wherever speed > 0.
-    """
-    u, v, th = state[IX_U], state[IX_V], state[IX_TH]
-    speed = np.hypot(u, v)
-    cth = np.cos(th)
-    sth = np.sin(th)
-    cos_a = (u * cth + v * sth) / speed
-    sin_a = (v * cth - u * sth) / speed
-    return sin_a, cos_a, speed
+def wind_axes(u, v, th, speed, ops=np):
+    """(sin alpha, cos alpha): the velocity in body axes over ``speed``, in
+    the trigonometry of ``ops`` (``math`` for Python floats).  The surrogate
+    reads them; unlike arctan they are smooth wherever speed > 0."""
+    cth = ops.cos(th)
+    sth = ops.sin(th)
+    return (v * cth - u * sth) / speed, (u * cth + v * sth) / speed
 
 
 def _derivative(s, F, T, delta, mdot, cos, sin, scn) -> tuple:

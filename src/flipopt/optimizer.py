@@ -33,7 +33,7 @@ class OptimizerConfig:
     lr_max: float = 1e-3
     lr_min: float = 1e-5
     n_steps: int = 5000
-    grad_engine: str = "bptt"      # "bptt" | "adjoint"
+    grad_engine: str = "bptt"      # one of rollout.GRAD_ENGINES
     log_every: int = 250
 
 
@@ -100,11 +100,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
 
 def _engine_fn(name: str):
-    if name == "bptt":
-        return ro.grad_bptt
-    if name == "adjoint":
-        return ro.grad_adjoint
-    raise ValueError(f"unknown gradient engine {name!r}")
+    if name not in ro.GRAD_ENGINES:
+        raise ValueError(f"unknown gradient engine {name!r}")
+    return getattr(ro, f"grad_{name}")   # per call: a wrapper set there counts
 
 
 def optimize(scn, aero: AeroModel, raw0: RawControlParams | None = None,

@@ -66,6 +66,8 @@ from .dynamics import (
 # adjoint steps per checkpoint and linearization call; a call's fixed cost
 # is that of linearizing about 20 steps (surrogate) to 60 (drag model)
 ADJOINT_SEG_LEN = 30
+# config and CLI names of the gradient engines; each is grad_<name> below
+GRAD_ENGINES = ("bptt", "adjoint")
 
 LOSS_TERM_NAMES = ("terminal_position", "terminal_velocity", "terminal_pitch",
                    "terminal_omega", "smoothness", "mass_floor", "flip_deadline")
@@ -135,7 +137,7 @@ class GradientReport:
 
     grad_u_T: np.ndarray
     grad_u_delta: np.ndarray
-    engine: str               # "bptt" | "adjoint" | "finite_diff"
+    engine: str               # a GRAD_ENGINES name or "finite_diff"
     peak_aux_floats: int = 0  # engines' peak auxiliary storage, in floats
     n_rollouts: int = 0       # forward rollouts consumed (finite differences)
     loss: LossBreakdown | None = None  # None from the finite-difference oracle

@@ -10,6 +10,8 @@ field, its JSON type, its unit conversion and the values the field
 admits.  That table reads a scenario, writes it back and validates it.
 ``ScenarioConfig`` validates itself on construction, so every config that
 exists is valid, and every error names the JSON key the user wrote.
+``read_json`` and ``write_json`` are the package's one JSON reader and
+writer; a file that cannot be read or parsed is a ScenarioError naming it.
 
 Scaling conventions:
     length  -> L_ref          velocity -> v_ref        mass   -> m_ref
@@ -29,7 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .optimizer import OptimizerConfig
-from .rollout import LossWeights, Trajectory
+from .rollout import GRAD_ENGINES, LossWeights, Trajectory
 
 PRESET_NAMES = ("case1", "case2")
 _PRESET_DIR = Path(__file__).with_name("presets")
@@ -328,7 +330,7 @@ _SCHEMA = (
     _Key("opt", "lr_max", "lr_max", _Number()),    # lr_max >= lr_min > 0 below
     _Key("opt", "lr_min", "lr_min", _Number()),
     _Key("opt", "n_steps", "n_steps", _Integer("[1, inf)")),
-    _Key("opt", "grad_engine", "grad_engine", _String("bptt", "adjoint")),
+    _Key("opt", "grad_engine", "grad_engine", _String(*GRAD_ENGINES)),
     _Key("opt", "log_every", "log_every", _Integer("[0, inf)")),   # 0: silent
     _Key("", "seed", "seed", _Integer("[0, inf)")),   # numpy takes seeds >= 0
 )
@@ -395,22 +397,33 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
     return doc
 
 
-def load_scenario(path_or_name: str) -> ScenarioConfig:
-    """Load a scenario from a JSON file or a preset name (case1 / case2)."""
-    path = (_PRESET_DIR / f"{path_or_name}.json" if path_or_name in PRESET_NAMES
-            else path_or_name)
+def read_json(path, what: str) -> Any:
+    """The JSON document in the UTF-8 file ``path``.  A syntax error gives
+    its line and column; a file that cannot be read, is not UTF-8, nests
+    too deep or holds too long an integer "cannot read ``what``"."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    return scenario_from_dict(data)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_json(path, doc: Any) -> None:
+    """Write ``doc`` as UTF-8 JSON: indent 1, sorted keys, final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def load_scenario(path_or_name: str) -> ScenarioConfig:
+    """Load a scenario from a JSON file or a preset name (case1 / case2)."""
+    path = (_PRESET_DIR / f"{path_or_name}.json" if path_or_name in PRESET_NAMES
+            else path_or_name)
+    return scenario_from_dict(read_json(path, "scenario file"))
 
 
 # ---------------------------------------------------------------------------

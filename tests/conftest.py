@@ -1,9 +1,9 @@
-import numpy as np
 import pytest
 from dataclasses import replace
 
 import flipopt as fo
 import flipopt.aero as am
+import flipopt.cli as cli
 
 
 def truncate(cfg: fo.ScenarioConfig, K: int) -> fo.ScenarioConfig:
@@ -43,10 +43,5 @@ def simplified():
     return am.SimplifiedAero(C_D=1.0)
 
 
-def random_raw(scn, seed, scale=0.5):
-    rng = np.random.default_rng(seed)
-    base = fo.init_raw_params(scn)
-    return fo.RawControlParams(
-        u_T=base.u_T + rng.normal(0.0, scale, scn.K),
-        u_delta=base.u_delta + rng.normal(0.0, scale, scn.K),
-    )
+# the seeded start of check-grad: the hover start plus N(0, 0.5) draws
+random_raw = cli._random_raw

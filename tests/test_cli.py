@@ -145,6 +145,38 @@ def test_scenario_that_is_not_utf8_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# written as text: json.dumps hits the same recursion limit as the parser
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("text, why", [
+    ('{"K": ' + DEEP + "}", "maximum recursion depth exceeded"),
+    ('{"K": ' + "1" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+], ids=["nested-too-deep", "integer-too-long"])
+def test_scenario_that_the_parser_cannot_read_exits_2(tmp_path, text, why):
+    """A scenario file nested deeper than the parser's recursion limit, or
+    holding an integer longer than Python converts, is a configuration
+    error: exit 2 naming the file, and no run directory."""
+    bad = tmp_path / "f.json"
+    bad.write_text(text)
+    proc = run_cli("optimize", "--scenario", str(bad), "--out",
+                   str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert f"cannot read scenario file {bad}: {why}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_weights_nested_too_deep_exit_2(tmp_path):
+    """A weights file nested deeper than the parser's recursion limit exits
+    2 naming aero.weights_path and the file once, with no run directory."""
+    stderr = _assert_weights_exit_2(tmp_path, "optimize", DEEP)
+    weights = tmp_path / "weights.json"
+    assert (f"cannot read surrogate weights file {weights}: maximum recursion "
+            f"depth exceeded") in stderr
+    assert stderr.count(str(weights)) == 1
+
+
 @pytest.mark.parametrize("command", ["check-grad", "optimize", "simulate"])
 @pytest.mark.parametrize("layers", [
     [],
@@ -167,13 +199,15 @@ def test_weights_that_do_not_chain_exit_2(tmp_path, layers, command):
     lambda doc: doc.update(bias=[0.0, 0.0, 0.0]),
     lambda doc: doc["layers"][0].update(scale=1.0),
     lambda doc: doc["layers"][0].update(rows=-1),
+    lambda doc: doc["layers"][0]["w"].__setitem__(0, 10**400),
 ], ids=["w-strings", "b-true", "unknown-top-key", "unknown-layer-key",
-        "rows-negative"])
+        "rows-negative", "w-past-float-range"])
 def test_lax_weights_exit_2(tmp_path, small_weights, edit, command):
     """A saved surrogate's weights file with string weights, a boolean
-    bias, an unknown key at either level or a row count that reshape would
-    infer exits 2 naming aero.weights_path, from every command that loads
-    it, and makes no run directory."""
+    bias, an unknown key at either level, a row count that reshape would
+    infer or an integer weight too large for a float exits 2 naming
+    aero.weights_path, from every command that loads it, and makes no run
+    directory."""
     doc = json.loads(small_weights.read_text())
     edit(doc)
     _assert_weights_exit_2(tmp_path, command, doc)
@@ -181,10 +215,11 @@ def test_lax_weights_exit_2(tmp_path, small_weights, edit, command):
 
 def _assert_weights_exit_2(tmp_path, command, doc):
     """``command`` on a surrogate scenario whose weights file holds ``doc``
-    exits 2 naming aero.weights_path, with no traceback and no run
-    directory."""
+    (JSON text as it is, or an object to encode) exits 2 naming
+    aero.weights_path, with no traceback and no run directory; returns
+    the command's stderr."""
     weights = tmp_path / "weights.json"
-    weights.write_text(json.dumps(doc))
+    weights.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(
         {"aero": {**SURROGATE, "weights_path": str(weights)}}))
@@ -197,6 +232,7 @@ def _assert_weights_exit_2(tmp_path, command, doc):
     assert "aero.weights_path" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+    return proc.stderr
 
 
 @pytest.mark.parametrize("value", [-1.0, None], ids=["negative", "null"])
@@ -679,8 +715,8 @@ def test_plot_missing_trajectory_exits_2(tmp_path):
 
 def test_plot_empty_trajectory_exits_2(tmp_path, case1_cfg, caplog):
     (tmp_path / "trajectory.csv").write_text(cli.TRAJECTORY_HEADER + "\n")
-    cli._write_json(tmp_path / "manifest.json",
-                    {"scenario_snapshot": sc.scenario_to_dict(case1_cfg)})
+    sc.write_json(tmp_path / "manifest.json",
+                  {"scenario_snapshot": sc.scenario_to_dict(case1_cfg)})
     assert cli.main(["plot", str(tmp_path)]) == 2
     assert "no data rows" in caplog.text
 
@@ -724,7 +760,7 @@ def test_plot_takes_the_runs_scenario(opt_run, tmp_path, caplog):
     snap = manifest["scenario_snapshot"]
     snap["refs"]["L_ref_m"] = 40.0
     snap["vehicle"]["l_cg_frac"] = 0.5
-    cli._write_json(run / "manifest.json", manifest)
+    sc.write_json(run / "manifest.json", manifest)
     assert cli.main(["plot", str(run)]) == 0
     tab = cli._read_csv(run / "trajectory.csv", ("x_m", "y_m", "theta_deg"),
                         "trajectory file")
@@ -753,7 +789,7 @@ def test_manifest_records_the_parsed_command(tmp_path, monkeypatch):
     assert manifest["command"] == argv
     # manifests written while check-grad took --steps carry it as null
     manifest["resolved_args"]["steps"] = None
-    cli._write_json(path, manifest)
+    sc.write_json(path, manifest)
     assert cli.replay_manifest(path, tmp_path / "replay") == 0
     replayed = json.loads((tmp_path / "replay" / "manifest.json").read_text())
     assert replayed["command"] == argv
@@ -858,12 +894,12 @@ def test_manifest_from_before_the_grad_clip_removal_replays(tmp_path):
     manifest["scenario_snapshot"]["opt"]["grad_clip"] = None
     manifest["resolved_args"].update(steps=None, engine="bptt", k=4)
     old = tmp_path / "old.json"
-    cli._write_json(old, manifest)
+    sc.write_json(old, manifest)
     assert cli.replay_manifest(old, tmp_path / "replay") == 0
     assert ((tmp_path / "replay" / "check_grad.json").read_bytes()
             == (run / "check_grad.json").read_bytes())
     manifest["scenario_snapshot"]["opt"]["grad_clip"] = 0.5
-    cli._write_json(old, manifest)
+    sc.write_json(old, manifest)
     with pytest.raises(sc.ScenarioError, match=r"'opt\.grad_clip'"):
         cli.replay_manifest(old, tmp_path / "replay-clipped")
     assert not (tmp_path / "replay-clipped").exists()
@@ -881,11 +917,32 @@ def test_plot_of_a_run_from_before_the_grad_clip_removal(opt_run, tmp_path):
         (run / "trajectory.csv").write_bytes(
             (opt_run / "trajectory.csv").read_bytes())
         manifest["scenario_snapshot"]["opt"].update(clip)
-        cli._write_json(run / "manifest.json", manifest)
+        sc.write_json(run / "manifest.json", manifest)
         assert cli.main(["plot", str(run)]) == 0
         svgs[name] = [p.read_bytes() for p in sorted(run.glob("*.svg"))]
     assert len(svgs["old"]) == 3
     assert svgs["old"] == svgs["now"]
+
+
+def test_manifest_nested_too_deep_exits_2(opt_run, tmp_path):
+    """plot of a run whose manifest.json is nested deeper than the parser's
+    recursion limit exits 2 naming the file, and writes no SVG; replay of
+    it raises the same ScenarioError before its directory exists."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "trajectory.csv").write_bytes(
+        (opt_run / "trajectory.csv").read_bytes())
+    manifest = run / "manifest.json"
+    manifest.write_text(DEEP)
+    proc = run_cli("plot", str(run))
+    assert proc.returncode == 2
+    assert (f"cannot read run manifest {manifest}: maximum recursion depth "
+            f"exceeded") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(run.glob("*.svg"))
+    with pytest.raises(sc.ScenarioError, match="cannot read run manifest"):
+        cli.replay_manifest(manifest, tmp_path / "replay")
+    assert not (tmp_path / "replay").exists()
 
 
 def test_replay_of_a_manifest_without_out_leaves_no_directory(tmp_path):

@@ -54,28 +54,20 @@ DRY_KS = (7, 16, 90)
 DRY_MARGIN_KG = 500.0
 
 
-def _random_raw(fo, scn, seed, scale=0.5):
-    """The test suite's random controls: the hover start plus N(0, scale)."""
-    rng = np.random.default_rng(seed)
-    base = fo.init_raw_params(scn)
-    return fo.RawControlParams(
-        u_T=base.u_T + rng.normal(0.0, scale, scn.K),
-        u_delta=base.u_delta + rng.normal(0.0, scale, scn.K))
-
-
 def _loss_arrays(prefix, breakdown, out):
     out[f"{prefix}/total"] = np.float64(breakdown.total)
     for name, value in breakdown.terms.items():
         out[f"{prefix}/{name}"] = np.float64(value)
 
 
-def _rollout_arrays(fo, ro, cfg, aero, K, at, out) -> None:
-    """Record the rollouts of ``cfg`` cut to K steps at dt, under ``at``."""
+def _rollout_arrays(fo, cli, ro, cfg, aero, K, at, out) -> None:
+    """Record the rollouts of ``cfg`` cut to K steps at dt, under ``at``,
+    from the seeded starts of ``cli._random_raw``, as the tests draw them."""
     dt = cfg.t_f / cfg.K
     scn = fo.nondimensionalize(replace(cfg, K=K, t_f=dt * K))
     for seed in SEEDS:
         s = f"{at}/seed{seed}"
-        raw = _random_raw(fo, scn, seed)
+        raw = cli._random_raw(scn, seed)
         traj = ro.rollout(raw, scn, aero)
         out[f"{s}/states"] = traj.states
         _loss_arrays(f"{s}/loss", ro.loss(traj, scn.weights, scn), out)
@@ -150,11 +142,12 @@ def dump(src: str, path: str) -> None:
         cfg = fo.load_scenario(case)
         aero = cli.build_aero_model(cfg)
         for K in KS:
-            _rollout_arrays(fo, ro, cfg, aero, K, f"{case}/K{K}", out)
+            _rollout_arrays(fo, cli, ro, cfg, aero, K, f"{case}/K{K}", out)
         v = cfg.vehicle
         dry = replace(cfg, vehicle=replace(v, m_dry=v.m_wet - DRY_MARGIN_KG))
         for K in DRY_KS:
-            _rollout_arrays(fo, ro, dry, aero, K, f"{case}/dry/K{K}", out)
+            _rollout_arrays(fo, cli, ro, dry, aero, K, f"{case}/dry/K{K}",
+                            out)
     _cli_outputs(cli, out)
     np.savez(path, **out)
     print(f"{path}: {len(out)} arrays")
