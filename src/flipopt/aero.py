@@ -20,8 +20,8 @@ a batch of lanes in the state layout of :mod:`flipopt.dynamics`; the
 input chooses only how the law is evaluated.  A float64 state reads its
 fields as Python floats, takes ``math`` trigonometry, returns zero force
 at once below ``SPEED_FLOOR`` and returns Python floats; the surrogate's
-network then costs one BLAS product and one tanh per layer, its biases
-folded into the weights.  Otherwise each field is one numpy value or lane
+network then costs one BLAS product, one bias add and one tanh per layer.
+Otherwise each field is one numpy value or lane
 vector, with numpy trigonometry, the fixed-order einsum network and
 exactly zero force in every lane whose speed is below the floor.
 ``forces_jac`` has only the vector form, with the same floor.
@@ -199,16 +199,13 @@ class MlpSurrogate:
     ``layers`` holds (W, b) pairs ordered input to output: W of shape
     (rows, cols), where cols is the previous layer's rows (2 for the first
     layer) and the last layer has 3 rows, and b of shape (rows,).  Hidden
-    activations are tanh, the output layer is affine.  ``folded`` holds
-    each layer as one matrix ``[W | b]`` for the single-encoding forward
-    pass, which allocates its activation buffers per call.  All arrays
-    are read-only, so instances are immutable and evaluation is pure and
+    activations are tanh, the output layer is affine.  All arrays are
+    read-only, so instances are immutable and evaluation is pure and
     thread-safe.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     meta: dict = field(default_factory=dict)
-    folded: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -224,25 +221,20 @@ class MlpSurrogate:
         if cols != 3:
             raise ValueError(f"layer {len(self.layers) - 1} must emit 3 "
                              f"coefficients, not {cols}")
-        folded = tuple(np.column_stack(layer) for layer in self.layers)
-        for a in (*folded, *(x for layer in self.layers for x in layer)):
-            a.setflags(write=False)
-        object.__setattr__(self, "folded", folded)
+        for W, b in self.layers:
+            W.setflags(write=False)
+            b.setflags(write=False)
 
     # -- coefficient evaluation ---------------------------------------------
 
     def coeffs_from_encoding(self, z) -> np.ndarray:
-        """Forward pass from the (sin a, cos a) encoding ``z``.  Each layer
-        is one product of its folded ``[W | b]`` with a buffer that ends in
-        1.0, and a hidden layer's tanh fills the head of the next buffer."""
-        h = np.array((z[0], z[1], 1.0))
-        *hidden, out = self.folded
-        for Wb in hidden:
-            h_next = np.empty(len(Wb) + 1)
-            h_next[-1] = 1.0
-            np.tanh(np.dot(Wb, h), out=h_next[:-1])
-            h = h_next
-        return np.dot(out, h)
+        """Forward pass from the (sin a, cos a) encoding ``z``: per layer one
+        BLAS product W @ h, then the bias, then tanh on a hidden layer."""
+        h = z
+        *hidden, (W_out, b_out) = self.layers
+        for W, b in hidden:
+            h = np.tanh(np.dot(W, h) + b)
+        return np.dot(W_out, h) + b_out
 
     def _network(self, z, dz=None):
         """Coefficients (..., 3) at encodings z (..., 2); with a tangent

@@ -184,33 +184,37 @@ def _read_manifest(path) -> tuple[dict, sc.ScenarioConfig | None]:
 def replay_manifest(manifest_path, out_dir) -> int:
     """Re-run a recorded command from its manifest into a new directory:
     2 for a subcommand this version lacks, else the command's exit code.
-    A bad manifest raises before the directory exists; a failure of the
-    command propagates as its exception, which ``main`` maps to a code."""
+    A bad manifest raises a ScenarioError naming it before the directory
+    exists; a failure of the command propagates as its exception, which
+    ``main`` maps to a code."""
     doc, _ = _read_manifest(manifest_path)
+    name, recorded = doc.get("subcommand"), doc.get("resolved_args")
+    if (type(name) is not str or type(recorded) is not dict
+            or "out" not in recorded):
+        raise sc.ScenarioError(
+            f"{manifest_path} does not describe a replayable command: it "
+            f"needs a subcommand string and a resolved_args object with out")
     commands = {"optimize": cmd_optimize, "simulate": cmd_simulate,
                 "train-aero": cmd_train_aero, "check-grad": cmd_check_grad}
-    if doc["subcommand"] not in commands:
+    if name not in commands:
         log.error("cannot replay a %r manifest: this version has no such "
-                  "subcommand", doc["subcommand"])
+                  "subcommand", name)
         return 2
-    ns_args = {k: v for k, v in doc["resolved_args"].items()
-               if k not in NOT_REPLAYED}
-    ns_args.update(cmd=doc["subcommand"], command=doc.get("command"))
-    if "out" not in ns_args:
-        raise ValueError("manifest does not describe a replayable command")
+    ns_args = {k: v for k, v in recorded.items() if k not in NOT_REPLAYED}
+    ns_args.update(cmd=name, command=doc.get("command"))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if doc["scenario_snapshot"] is not None:
         snap = out_dir / "_scenario_replay.json"
         sc.write_json(snap, doc["scenario_snapshot"])
         ns_args["scenario"] = str(snap)
-    if doc["subcommand"] == "train-aero":
+    if name == "train-aero":
         # train-aero --out names the weights file, not a directory:
         # keep the recorded file name inside the replay directory
         ns_args["out"] = str(out_dir / Path(ns_args["out"]).name)
     else:
         ns_args["out"] = str(out_dir)
-    return commands[doc["subcommand"]](argparse.Namespace(**ns_args))
+    return commands[name](argparse.Namespace(**ns_args))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +305,9 @@ def cmd_optimize(args) -> int:
         raise
 
     hist_rows = [
-        (i, lr, b.total, *(b.terms[name] for name in ro.LOSS_TERM_NAMES))
-        for i, (lr, b) in enumerate(zip(result.lr_history, result.loss_history))
+        (i, opt_mod.cosine_lr(i, cfg.opt), b.total,
+         *(b.terms[name] for name in ro.LOSS_TERM_NAMES))
+        for i, b in enumerate(result.loss_history)
     ]
     _write_csv(out / "loss_history.csv", LOSS_HISTORY_HEADER, hist_rows)
     # controls.csv is the canonical record; the persisted trajectory and
@@ -313,7 +318,7 @@ def cmd_optimize(args) -> int:
                _controls_rows(result.trajectory, cfg.refs))
     summary = _write_rollout(
         out, _read_controls_csv(out / "controls.csv", cfg.refs), scn, aero,
-        {"engine": result.engine, "wall_time_s": result.wall_time_s,
+        {"engine": cfg.opt.grad_engine, "wall_time_s": result.wall_time_s,
          "best_step": result.best_step, "n_steps": cfg.opt.n_steps})
     _write_manifest(out, args, cfg, cfg.seed, outputs)
     print(f"terminal position error {summary['terminal']['position_error_norm_m']:.3f} m, "
@@ -528,7 +533,7 @@ def cmd_plot(args) -> int:
          [plots.Series(t, tab["alpha_deg"], "alpha")]),
         ("Reduced frequency", "t [s]", "omega L / (2 |v|)",
          [plots.Series(t, k_red, "k")]),
-    ], ncols=2)
+    ])
     flip_y = plots.flip_altitude_over_L(
         tab["y_m"] / L_ref, tab["theta_deg"],
         math.degrees(cfg.bc.theta0), math.degrees(cfg.bc.theta_f))

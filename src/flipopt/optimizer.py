@@ -61,15 +61,15 @@ class NumericalAbort(FloatingPointError):
 
 @dataclass
 class OptimizationResult:
-    """Outcome of one optimization run."""
+    """Outcome of one optimization run.  Step i's learning rate is
+    ``cosine_lr(i, cfg)`` and the engine ``cfg.grad_engine``, of the config
+    the run was given."""
 
     best_raw: RawControlParams
     best_step: int
     loss_history: list[ro.LossBreakdown]
-    lr_history: np.ndarray
     trajectory: ro.Trajectory
     wall_time_s: float
-    engine: str
     max_update_ratio: float = 0.0   # max |dp| / lr observed across the run
 
 
@@ -123,7 +123,6 @@ def optimize(scn, aero: AeroModel, raw0: RawControlParams | None = None,
 
     t0 = time.perf_counter()
     history: list[ro.LossBreakdown] = []
-    lr_history = np.empty(cfg.n_steps)
     best_total = math.inf
     best_params = params.copy()
     best_step = 0
@@ -152,7 +151,6 @@ def optimize(scn, aero: AeroModel, raw0: RawControlParams | None = None,
             best_params = params.copy()
             best_step = i
 
-        lr_history[i] = lr
         max_ratio = max(max_ratio, float(np.abs(new_params - params).max()) / lr)
         params = new_params
 
@@ -166,6 +164,5 @@ def optimize(scn, aero: AeroModel, raw0: RawControlParams | None = None,
     best_raw = RawControlParams(best_params[0], best_params[1])
     return OptimizationResult(
         best_raw=best_raw, best_step=best_step, loss_history=history,
-        lr_history=lr_history, trajectory=ro.rollout(best_raw, scn, aero),
-        wall_time_s=time.perf_counter() - t0, engine=cfg.grad_engine,
-        max_update_ratio=max_ratio)
+        trajectory=ro.rollout(best_raw, scn, aero),
+        wall_time_s=time.perf_counter() - t0, max_update_ratio=max_ratio)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 PALETTE = ("#1f6fb4", "#d0341b", "#2a8f3c", "#8a4fb0", "#c78a00", "#3aa6a6")
+# a panel grid's column count, and each panel's width and height in px
+PANEL_COLS, PANEL_W, PANEL_H = 2, 360, 240
 
 
 class PlotError(RuntimeError):
@@ -131,14 +133,13 @@ def _write_svg(path, W: int, H: int, parts: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_panel_grid(path, panels: list[tuple[str, str, str, list[Series]]],
-                     ncols: int = 2, panel_w: int = 360,
-                     panel_h: int = 240) -> None:
+def write_panel_grid(path,
+                     panels: list[tuple[str, str, str, list[Series]]]) -> None:
     """Write a grid of line panels; each entry is (title, xlabel, ylabel, series)."""
-    nrows = -(-len(panels) // ncols)
-    _write_svg(path, ncols * panel_w, nrows * panel_h, [
-        _panel_svg((i % ncols) * panel_w, (i // ncols) * panel_h, panel_w,
-                   panel_h, series, title, xlabel, ylabel)
+    nrows = -(-len(panels) // PANEL_COLS)
+    _write_svg(path, PANEL_COLS * PANEL_W, nrows * PANEL_H, [
+        _panel_svg((i % PANEL_COLS) * PANEL_W, (i // PANEL_COLS) * PANEL_H,
+                   PANEL_W, PANEL_H, series, title, xlabel, ylabel)
         for i, (title, xlabel, ylabel, series) in enumerate(panels)])
 
 

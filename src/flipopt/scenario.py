@@ -316,7 +316,8 @@ _SCHEMA = (
     _Key("bc", "theta_f_deg", "theta_f", _Number(), _DEGREES),
     _Key("bc", "omega_f_radps", "omega_f", _Number()),
     _Key("bc", "t_flip_max_s", "t_flip_max", _Number()),
-    _Key("", "K", "K", _Integer("[1, inf)")),
+    # K and n_steps end where a run can still allocate and finish
+    _Key("", "K", "K", _Integer("[1, 100000]")),
     _Key("", "t_f_s", "t_f", _Number("(0, inf)")),
     _Key("aero", "kind", "kind", _String("simplified", "surrogate")),
     _Key("aero", "C_D", "C_D", _Number("[0, inf)")),
@@ -329,7 +330,7 @@ _SCHEMA = (
     _Key("opt", "eps", "eps", _Number("(0, inf)")),
     _Key("opt", "lr_max", "lr_max", _Number()),    # lr_max >= lr_min > 0 below
     _Key("opt", "lr_min", "lr_min", _Number()),
-    _Key("opt", "n_steps", "n_steps", _Integer("[1, inf)")),
+    _Key("opt", "n_steps", "n_steps", _Integer("[1, 10000000]")),
     _Key("opt", "grad_engine", "grad_engine", _String(*GRAD_ENGINES)),
     _Key("opt", "log_every", "log_every", _Integer("[0, inf)")),   # 0: silent
     _Key("", "seed", "seed", _Integer("[0, inf)")),   # numpy takes seeds >= 0

@@ -4,6 +4,7 @@ from dataclasses import replace
 import flipopt as fo
 import flipopt.aero as am
 import flipopt.cli as cli
+import flipopt.rollout as ro
 
 
 def truncate(cfg: fo.ScenarioConfig, K: int) -> fo.ScenarioConfig:
@@ -45,3 +46,16 @@ def simplified():
 
 # the seeded start of check-grad: the hover start plus N(0, 0.5) draws
 random_raw = cli._random_raw
+
+
+def spy_engines(monkeypatch) -> list[str]:
+    """Wrap each ``rollout.grad_<name>`` so that every call appends its
+    name to the returned list; ``optimizer._engine_fn`` looks the engine
+    up at call time, so the optimizer's calls count."""
+    calls: list[str] = []
+    for name in ro.GRAD_ENGINES:
+        def spy(*args, _name=name, _engine=getattr(ro, f"grad_{name}")):
+            calls.append(_name)
+            return _engine(*args)
+        monkeypatch.setattr(ro, f"grad_{name}", spy)
+    return calls

@@ -11,6 +11,7 @@ import pytest
 
 import flipopt.cli as cli
 import flipopt.dynamics as dyn
+import flipopt.optimizer as om
 import flipopt.plots as plots
 import flipopt.rollout as ro
 import flipopt.scenario as sc
@@ -51,6 +52,17 @@ def test_optimize_writes_all_artifacts(opt_run):
     hist = (opt_run / "loss_history.csv").read_text().splitlines()
     assert hist[0] == cli.LOSS_HISTORY_HEADER
     assert len(hist) == 1 + 40
+
+
+def test_loss_history_lr_is_the_cosine_schedule(opt_run):
+    """Row i of loss_history.csv holds step i and the schedule's rate at
+    it, under the run's recorded opt settings, written with repr."""
+    opt = cli._read_manifest(opt_run / "manifest.json")[1].opt
+    rows = [line.split(",") for line in
+            (opt_run / "loss_history.csv").read_text().splitlines()[1:]]
+    assert len(rows) == opt.n_steps
+    for i, row in enumerate(rows):
+        assert row[:2] == [str(i), repr(om.cosine_lr(i, opt))]
 
 
 def test_summary_residuals_are_the_last_trajectory_row_minus_the_target(
@@ -129,6 +141,23 @@ def test_malformed_scenario_value_exits_2(tmp_path, data, field):
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, key", [
+    ("optimize", "--k", "'K'"),
+    ("optimize", "--steps", "'opt.n_steps'"),
+    ("check-grad", "--k", "'K'"),
+], ids=["optimize-k", "optimize-steps", "check-grad-k"])
+def test_a_count_past_its_bound_exits_2(tmp_path, command, flag, key):
+    """An override of K or opt.n_steps too large for numpy to allocate
+    exits 2 naming the key, before the run directory exists."""
+    out = tmp_path / "out"
+    proc = run_cli(command, "--scenario", "case1", flag, str(10**30),
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_scenario_that_is_not_utf8_exits_2(tmp_path):
@@ -952,6 +981,21 @@ def test_replay_of_a_manifest_without_out_leaves_no_directory(tmp_path):
         "resolved_args": {"scenario": "case1"}}))
     with pytest.raises(ValueError, match="replayable"):
         cli.replay_manifest(manifest, tmp_path / "replay")
+    assert not (tmp_path / "replay").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"scenario_snapshot": None},
+    {"subcommand": "optimize", "scenario_snapshot": None},
+    {"subcommand": "optimize", "scenario_snapshot": None,
+     "resolved_args": ["out", "run"]},
+], ids=["no-subcommand", "no-resolved-args", "resolved-args-not-object"])
+def test_replay_of_a_malformed_manifest_leaves_no_directory(tmp_path, doc):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(sc.ScenarioError) as err:
+        cli.replay_manifest(manifest, tmp_path / "replay")
+    assert str(manifest) in str(err.value)
     assert not (tmp_path / "replay").exists()
 
 

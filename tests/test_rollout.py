@@ -8,7 +8,7 @@ import pytest
 import flipopt as fo
 import flipopt.aero as am
 import flipopt.rollout as ro
-from conftest import random_raw, truncate
+from conftest import random_raw, spy_engines, truncate
 from flipopt import dynamics as dyn
 
 
@@ -477,7 +477,8 @@ def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
     (1, None), (7, None), (30, None), (31, None), (90, None), (97, None),
     (16, 500.0), (90, 500.0)],
     ids=["1", "7", "30", "31", "90", "97", "16-dry-floor", "90-dry-floor"])
-def test_adjoint_equals_bptt_exactly(K, dry_margin_kg, case2_cfg, surrogate):
+def test_adjoint_equals_bptt_exactly(K, dry_margin_kg, case2_cfg, surrogate,
+                                     monkeypatch):
     """Both storage policies give the same bits, below the checkpoint
     budget, with a one-step final segment (K = 31), at the presets' three
     segments (K = 90), when K is not a multiple of the segment length and
@@ -496,10 +497,11 @@ def test_adjoint_equals_bptt_exactly(K, dry_margin_kg, case2_cfg, surrogate):
     assert gb.engine == "bptt" and ga.engine == "adjoint"
     if K <= ro.ADJOINT_SEG_LEN:  # one segment of K steps under both policies
         assert ga.peak_aux_floats == gb.peak_aux_floats
+    calls = spy_engines(monkeypatch)
     runs = [fo.optimize(replace(scn, opt=replace(scn.opt, grad_engine=e)),
                         surrogate, raw0=raw, n_steps=5)
             for e in ("bptt", "adjoint")]
-    assert [r.engine for r in runs] == ["bptt", "adjoint"]
+    assert calls == ["bptt"] * 5 + ["adjoint"] * 5
     assert np.array_equal(runs[0].trajectory.states, runs[1].trajectory.states)
 
 

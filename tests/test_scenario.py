@@ -108,6 +108,8 @@ def test_parse_failure_reports_line(tmp_path):
     ({"opt": {"lr_min": 0.0}}, "opt.lr_max"),
     ({"opt": {"beta1": 1.0}}, "opt.beta1"),
     ({"opt": {"eps": 0.0}}, "opt.eps"),
+    ({"K": 100_001}, "K"),
+    ({"opt": {"n_steps": 10_000_001}}, "opt.n_steps"),
 ])
 def test_invariant_violations_are_named(patch, field):
     with pytest.raises(fo.ScenarioError, match=field.replace(".", r"\.")):

@@ -18,7 +18,10 @@ sums.  The same arrays are recorded with the dry mass ``DRY_MARGIN_KG``
 = 500 kg below the wet mass at K in {7, 16, 90}, which puts the dry-mass
 floor inside the horizon of every rollout but case2's at K = 7.
 It also records the layers of
-``train_surrogate(generate_dataset(36), seed=0)``, and the exit code and
+``train_surrogate(generate_dataset(36), seed=0)``, the case2 surrogate's
+``coeffs_from_encoding`` at ``ENCODINGS`` = 4096 angles evenly spaced over
+[0, 2 pi), so that a change of that forward pass's summation order shows
+directly, and the exit code and
 output bytes of five commands run through the tree's ``cli.main`` on
 case1 in a temporary directory: ``optimize --k 6 --steps 5``,
 ``simulate`` of its controls.csv with and without ``--no-aero``,
@@ -52,6 +55,7 @@ SEEDS = (0, 1)
 ORACLE_MAX_K = 16
 DRY_KS = (7, 16, 90)
 DRY_MARGIN_KG = 500.0
+ENCODINGS = 4096
 
 
 def _loss_arrays(prefix, breakdown, out):
@@ -148,6 +152,11 @@ def dump(src: str, path: str) -> None:
         for K in DRY_KS:
             _rollout_arrays(fo, cli, ro, dry, aero, K, f"{case}/dry/K{K}",
                             out)
+        if case == "case2":   # the fitted surrogate
+            a = 2.0 * np.pi * np.arange(ENCODINGS) / ENCODINGS
+            out["case2/coeffs_from_encoding"] = np.array([
+                aero.coeffs_from_encoding(z)
+                for z in zip(np.sin(a).tolist(), np.cos(a).tolist())])
     _cli_outputs(cli, out)
     np.savez(path, **out)
     print(f"{path}: {len(out)} arrays")
