@@ -29,7 +29,6 @@ from .controls import (
     smoothness_penalty,
 )
 from .dynamics import (
-    AeroForces,
     angle_of_attack,
     rhs,
     rk4_step,

@@ -41,7 +41,6 @@ from .dynamics import (
     IX_U,
     IX_V,
     SPEED_FLOOR,
-    AeroForces,
     field_values,
     wind_axes,
 )
@@ -73,8 +72,8 @@ class TrainingError(FloatingPointError):
 class NoAero:
     """Aero model that contributes nothing; used by oracles and --no-aero."""
 
-    def forces(self, state, scn) -> AeroForces:
-        return AeroForces(0.0, 0.0, 0.0)
+    def forces(self, state, scn) -> tuple:
+        return 0.0, 0.0, 0.0
 
     def forces_jac(self, states, scn):
         zero = np.zeros((3, states.shape[1]))
@@ -103,18 +102,18 @@ class SimplifiedAero:
         if not 0.0 < self.l_cp_frac < 1.0:
             raise ValueError("l_cp_frac must be in (0, 1)")
 
-    def forces(self, state, scn) -> AeroForces:
+    def forces(self, state, scn) -> tuple:
         x, ops = field_values(state)
         u, v, th = x[IX_U], x[IX_V], x[IX_TH]
         speed = ops.hypot(u, v)
         if ops is math and speed < SPEED_FLOOR:
-            return AeroForces(0.0, 0.0, 0.0)
+            return 0.0, 0.0, 0.0
         c = scn.q_coef * self.C_D
         lever = self.l_cp_frac - scn.l_cg_frac
         F = (-c * speed * u,
              -c * speed * v,
              lever * c * speed * (v * ops.cos(th) - u * ops.sin(th)))
-        return AeroForces(*(F if ops is math else _floored(speed, F)))
+        return F if ops is math else _floored(speed, F)
 
     def forces_jac(self, states, scn):
         u, v, th = states[IX_U], states[IX_V], states[IX_TH]
@@ -179,8 +178,8 @@ class CoeffSample:
 
 def generate_dataset(n_samples: int) -> list[CoeffSample]:
     """Uniform alpha grid over [0, 2*pi); 36 samples matches a 10-deg sweep."""
-    if n_samples < 4:
-        raise ValueError("need at least 4 samples")
+    if not 4 <= n_samples <= 100_000:
+        raise ValueError(f"need 4 to 100000 samples (got {n_samples})")
     samples = []
     for i in range(n_samples):
         alpha = 2.0 * math.pi * i / n_samples
@@ -253,13 +252,13 @@ class MlpSurrogate:
 
     # -- force assembly -------------------------------------------------------
 
-    def forces(self, state, scn) -> AeroForces:
+    def forces(self, state, scn) -> tuple:
         x, ops = field_values(state)
         u, v, th = x[IX_U], x[IX_V], x[IX_TH]
         speed = ops.hypot(u, v)
         if ops is math:
             if speed < SPEED_FLOOR:
-                return AeroForces(0.0, 0.0, 0.0)
+                return 0.0, 0.0, 0.0
             C_L, C_D, C_M = self.coeffs_from_encoding(
                 wind_axes(u, v, th, speed, math)).tolist()
         else:
@@ -272,7 +271,7 @@ class MlpSurrogate:
         F = (s * speed * (-C_D * u - C_L * v),
              s * speed * (-C_D * v + C_L * u),
              s * speed * speed * C_M)
-        return AeroForces(*(F if ops is math else _floored(speed, F)))
+        return F if ops is math else _floored(speed, F)
 
     def forces_jac(self, states, scn):
         # alpha depends on the state through the encoding only: its tangent

@@ -396,8 +396,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train_aero(args) -> int:
-    if args.samples < 4:
-        raise sc.ScenarioError(f"--samples must be >= 4 (got {args.samples})")
+    try:
+        dataset = aero_mod.generate_dataset(args.samples)
+    except ValueError as exc:
+        raise sc.ScenarioError(f"--samples: {exc}") from exc
     seed = _resolve_seed(args, 0)
     if seed < 0:
         raise sc.ScenarioError(f"the seed must be >= 0 (got {seed})")
@@ -406,7 +408,6 @@ def cmd_train_aero(args) -> int:
     outputs = [out_path.name, "dataset.csv", "fit_report.json",
                "manifest.json"]
     _refuse_directories(out_dir, outputs)
-    dataset = aero_mod.generate_dataset(args.samples)
     model = aero_mod.train_surrogate(dataset, seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     aero_mod.save_weights(model, out_path)
@@ -467,7 +468,7 @@ def cmd_check_grad(args) -> int:
     fd = ro.finite_diff_grad(raw, scn, aero, scn.weights, h=1e-6,
                              dtype=np.longdouble)
     ok, worst_rel, worst_abs, i = grad_check(report, fd)
-    doc = {"engine": report.engine, "K": cfg.K, "seed": cfg.seed,
+    doc = {"engine": cfg.opt.grad_engine, "K": cfg.K, "seed": cfg.seed,
            "worst_rel": worst_rel, "worst_abs": worst_abs,
            "worst_index": i, "n_rollouts_fd": fd.n_rollouts,
            "pass": ok}

@@ -19,8 +19,9 @@ The derivative of the state is
     m'       = -T / c_ex
     delta_d' = (delta - delta_d) / T_d
 
-with thrust applied at the vehicle base, deflected by delta_d from the
-body axis:  F_T = T (cos(theta + delta_d), sin(theta + delta_d)) and
+with F_A and M_A the aero model's ``forces``, a plain tuple, and thrust
+applied at the vehicle base, deflected by delta_d from the body axis:
+F_T = T (cos(theta + delta_d), sin(theta + delta_d)) and
 M_T = -T sin(delta_d) l_arm.  Positive gimbal therefore pitches the nose
 down, which is the sense needed to flip from 170 deg toward 90 deg.
 
@@ -37,7 +38,7 @@ a ``FloatingPointError``, as is every numerical failure in this package.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -68,21 +69,13 @@ def check_state(x: np.ndarray, step: int) -> None:
         raise RolloutError(step, bad)
 
 
-class AeroForces(NamedTuple):
-    """Aerodynamic force components and moment about the cg (nondim)."""
-
-    F_Ax: float
-    F_Ay: float
-    M_A: float
-
-
 class AeroModel(Protocol):
     """Anything that can produce aero forces and their state Jacobian."""
 
-    def forces(self, state: np.ndarray, scn: "NondimScenario") -> AeroForces:
-        """(F_Ax, F_Ay, M_A) at one state or a batch of lanes, in the state
-        layout of this module; a float64 state may give Python floats or
-        numpy scalars, the RK4 kernel takes both."""
+    def forces(self, state: np.ndarray, scn: "NondimScenario") -> tuple:
+        """The tuple (F_Ax, F_Ay, M_A) of aero forces and moment about the cg
+        (nondim) at one state or a batch of lanes in this module's layout; a
+        float64 state may give floats or numpy scalars, and RK4 takes both."""
 
     def forces_jac(
         self, states: np.ndarray, scn: "NondimScenario"
@@ -145,7 +138,7 @@ def _derivative(s, F, T, delta, mdot, cos, sin, scn) -> tuple:
     )
 
 
-def rhs(state: np.ndarray, ctrl: tuple, aero: AeroForces, scn) -> np.ndarray:
+def rhs(state: np.ndarray, ctrl: tuple, aero: Sequence, scn) -> np.ndarray:
     """State derivative given control (T, delta) and aero forces."""
     T, delta = ctrl
     f = _derivative(state, aero, T, delta, -T / scn.c_ex, np.cos, np.sin, scn)

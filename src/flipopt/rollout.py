@@ -137,7 +137,6 @@ class GradientReport:
 
     grad_u_T: np.ndarray
     grad_u_delta: np.ndarray
-    engine: str               # a GRAD_ENGINES name or "finite_diff"
     peak_aux_floats: int = 0  # engines' peak auxiliary storage, in floats
     n_rollouts: int = 0       # forward rollouts consumed (finite differences)
     loss: LossBreakdown | None = None  # None from the finite-difference oracle
@@ -347,7 +346,7 @@ def _step_jacobians(lanes: np.ndarray, T: np.ndarray, scn,
 # ---------------------------------------------------------------------------
 
 def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
-          seg_len: int, engine: str) -> GradientReport:
+          seg_len: int) -> GradientReport:
     """Exact gradient by one reverse sweep over checkpoint segments.
 
     The forward pass keeps the start state of every ``seg_len``-step
@@ -427,7 +426,7 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
             raise FloatingPointError(
                 f"non-finite gradient component {name}[{bad[0]}]")
     return GradientReport(
-        grad_u_T=gu[0], grad_u_delta=gu[1], engine=engine,
+        grad_u_T=gu[0], grad_u_delta=gu[1],
         peak_aux_floats=(ckpt.size + rec.size + 2 * STATE_DIM + 7 * STATE_DIM
                          * (STATE_DIM + 2) * seg_len),
         loss=breakdown)
@@ -436,7 +435,7 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
 def grad_bptt(raw: RawControlParams, scn, aero: AeroModel,
               w: LossWeights | None = None) -> GradientReport:
     """Exact gradient recording every step's stages (memory linear in K)."""
-    return _grad(raw, scn, aero, w, scn.K, "bptt")
+    return _grad(raw, scn, aero, w, scn.K)
 
 
 def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
@@ -444,7 +443,7 @@ def grad_adjoint(raw: RawControlParams, scn, aero: AeroModel,
     """Exact gradient from a checkpoint every ``ADJOINT_SEG_LEN`` steps
     (memory grows with K only through the 8-float checkpoints); the same
     bits as :func:`grad_bptt`."""
-    return _grad(raw, scn, aero, w, ADJOINT_SEG_LEN, "adjoint")
+    return _grad(raw, scn, aero, w, ADJOINT_SEG_LEN)
 
 
 # ---------------------------------------------------------------------------
@@ -515,5 +514,4 @@ def finite_diff_grad(raw: RawControlParams, scn, aero: AeroModel,
     # rows: u_T + h, u_T - h, u_delta + h, u_delta - h
     lp_lm = total[1:].reshape(K, 4).T
     g = ((lp_lm[0::2] - lp_lm[1::2]) / (2.0 * dtype(h))).astype(np.float64)
-    return GradientReport(grad_u_T=g[0], grad_u_delta=g[1],
-                          engine="finite_diff", n_rollouts=n)
+    return GradientReport(grad_u_T=g[0], grad_u_delta=g[1], n_rollouts=n)

@@ -398,13 +398,22 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
     return doc
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; a repeated key raises ValueError, not the last wins."""
+    if len(doc := dict(pairs)) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {max(keys, key=keys.count)!r}")
+    return doc
+
+
 def read_json(path, what: str) -> Any:
     """The JSON document in the UTF-8 file ``path``.  A syntax error gives
     its line and column; a file that cannot be read, is not UTF-8, nests
-    too deep or holds too long an integer "cannot read ``what``"."""
+    too deep, holds too long an integer or repeats a key in an object
+    "cannot read ``what``"."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: "

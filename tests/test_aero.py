@@ -40,7 +40,7 @@ def test_standin_moment_sign_matches_simplified(case1_scn, simplified):
     st_ = state(u=-0.056, v=-0.318, theta=math.radians(170.0))
     alpha = dyn.angle_of_attack(st_)
     _, _, C_M = am.standin_coeffs(alpha)
-    M_simplified = simplified.forces(st_, case1_scn).M_A
+    _, _, M_simplified = simplified.forces(st_, case1_scn)
     assert C_M < 0.0 and M_simplified < 0.0
 
 
@@ -72,6 +72,11 @@ def test_dataset_minimum_size():
         am.generate_dataset(3)
 
 
+def test_dataset_maximum_size():
+    with pytest.raises(ValueError, match="need 4 to 100000 samples"):
+        am.generate_dataset(100_001)
+
+
 def test_dataset_csv_round_trip(tmp_path):
     """train-aero writes its samples to dataset.csv with the CLI's one CSV
     writer, and they parse back exactly."""
@@ -101,15 +106,16 @@ def test_simplified_drag_opposes_velocity(case1_scn, simplified):
         u, v = rng.uniform(-1, 1, 2)
         if math.hypot(u, v) < 1e-6:
             continue
-        F = simplified.forces(state(u=u, v=v, theta=rng.uniform(0, 6)),
-                              case1_scn)
-        assert F.F_Ax * u + F.F_Ay * v < 0.0
+        st_ = state(u=u, v=v, theta=rng.uniform(0, 6))
+        Fx, Fy, _ = simplified.forces(st_, case1_scn)
+        assert Fx * u + Fy * v < 0.0
 
 
 def test_simplified_moment_sign_regression(case1_scn, simplified):
     # descending at 170 deg pitch: cp ahead of cg gives a pitch-down moment
-    F = simplified.forces(state(v=-0.3, theta=math.radians(170.0)), case1_scn)
-    assert F.M_A < 0.0
+    _, _, M = simplified.forces(state(v=-0.3, theta=math.radians(170.0)),
+                                case1_scn)
+    assert M < 0.0
 
 
 def test_simplified_quadratic_speed_scaling(case1_scn, simplified):
@@ -117,9 +123,8 @@ def test_simplified_quadratic_speed_scaling(case1_scn, simplified):
     s2 = state(u=0.2, v=-0.4, theta=1.0)
     F1 = simplified.forces(s1, case1_scn)
     F2 = simplified.forces(s2, case1_scn)
-    assert F2.F_Ax == pytest.approx(4.0 * F1.F_Ax, rel=1e-12)
-    assert F2.F_Ay == pytest.approx(4.0 * F1.F_Ay, rel=1e-12)
-    assert F2.M_A == pytest.approx(4.0 * F1.M_A, rel=1e-12)
+    for f1, f2 in zip(F1, F2):   # F_Ax, F_Ay, M_A
+        assert f2 == pytest.approx(4.0 * f1, rel=1e-12)
 
 
 def test_simplified_validation():
@@ -218,12 +223,13 @@ def test_single_state_forces_are_floats_matching_one_lane(model_name, case2_scn,
     X = case2_scn.x0 + rng.normal(0.0, 0.05, (40, 8))
     for x in X:
         F = model.forces(x, case2_scn)
-        assert all(type(f) is float for f in F)
+        assert type(F) is tuple and all(type(f) is float for f in F)
         lane = np.array(model.forces(x[:, None], case2_scn))[:, 0]
         np.testing.assert_allclose(F, lane, rtol=1e-13)
     still = state(u=0.5 * dyn.SPEED_FLOOR, v=-0.5 * dyn.SPEED_FLOOR)
     F = model.forces(still, case2_scn)
-    assert F == (0.0, 0.0, 0.0) and all(type(f) is float for f in F)
+    assert type(F) is tuple and F == (0.0, 0.0, 0.0)
+    assert all(type(f) is float for f in F)
     assert np.all(np.array(model.forces(still[:, None], case2_scn)) == 0.0)
 
 
@@ -383,11 +389,11 @@ def test_surrogate_lift_is_perpendicular(case2_scn, surrogate):
             continue
         th = rng.uniform(0, 2 * math.pi)
         st_ = state(u=u, v=v, theta=th)
-        F = surrogate.forces(st_, case2_scn)
+        Fx, Fy, _ = surrogate.forces(st_, case2_scn)
         sin_a, cos_a = dyn.wind_axes(u, v, th, speed)
         _, C_D, _ = surrogate.coeffs_from_encoding(np.array([sin_a, cos_a]))
         drag_projection = -s_coef * speed * C_D * speed * speed
-        assert F.F_Ax * u + F.F_Ay * v == pytest.approx(
+        assert Fx * u + Fy * v == pytest.approx(
             drag_projection, rel=1e-12, abs=1e-16)
 
 
@@ -398,9 +404,9 @@ def test_surrogate_pure_drag_at_90deg_standin(case2_scn, surrogate):
     alpha = dyn.angle_of_attack(st_)
     assert math.degrees(alpha) == pytest.approx(100.0, abs=1e-9)
     st90 = state(u=0.0, v=-0.3, theta=math.radians(180.0))
-    F = surrogate.forces(st90, case2_scn)
+    Fx, Fy, _ = surrogate.forces(st90, case2_scn)
     speed_dir = np.array([0.0, -1.0])
-    F_vec = np.array([F.F_Ax, F.F_Ay])
+    F_vec = np.array([Fx, Fy])
     cross = F_vec[0] * speed_dir[1] - F_vec[1] * speed_dir[0]
     assert abs(cross) / np.linalg.norm(F_vec) < 0.01
 
@@ -413,8 +419,8 @@ def test_drag_never_thrust_like_both_models(case1_scn, case2_scn, simplified,
                     theta=rng.uniform(0, 2 * math.pi))
         if math.hypot(st_[2], st_[3]) < 1e-6:
             continue
-        Fs = simplified.forces(st_, case1_scn)
-        assert Fs.F_Ax * st_[2] + Fs.F_Ay * st_[3] <= 0.0
-        Fn = surrogate.forces(st_, case2_scn)
+        Fx, Fy, _ = simplified.forces(st_, case1_scn)
+        assert Fx * st_[2] + Fy * st_[3] <= 0.0
+        Fx, Fy, _ = surrogate.forces(st_, case2_scn)
         # trained C_D stays positive over the sweep
-        assert Fn.F_Ax * st_[2] + Fn.F_Ay * st_[3] <= 0.0
+        assert Fx * st_[2] + Fy * st_[3] <= 0.0

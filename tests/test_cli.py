@@ -196,6 +196,34 @@ def test_scenario_that_the_parser_cannot_read_exits_2(tmp_path, text, why):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"K": 90, "K": 7}', "K"),
+    ('{"opt": {"n_steps": 5000, "n_steps": 2}}', "n_steps"),
+], ids=["top-level", "nested"])
+def test_scenario_with_a_repeated_key_exits_2(tmp_path, text, key):
+    """A scenario that names a key twice in one object is refused, not read
+    with its last value: exit 2 naming the key and the file, and no run
+    directory."""
+    bad = tmp_path / "f.json"
+    bad.write_text(text)
+    proc = run_cli("optimize", "--scenario", str(bad), "--out",
+                   str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert (f"cannot read scenario file {bad}: duplicate key {key!r}"
+            in proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_weights_with_a_repeated_key_exit_2(tmp_path, small_weights):
+    """A weights file that names a key twice exits 2 naming
+    aero.weights_path and the key, with no run directory."""
+    text = small_weights.read_text()
+    stderr = _assert_weights_exit_2(
+        tmp_path, "optimize", '{"activation": "tanh", ' + text[1:])
+    assert "duplicate key 'activation'" in stderr
+
+
 def test_weights_nested_too_deep_exit_2(tmp_path):
     """A weights file nested deeper than the parser's recursion limit exits
     2 naming aero.weights_path and the file once, with no run directory."""
@@ -485,6 +513,17 @@ def test_train_aero_rejects_tiny_dataset(tmp_path):
     assert rc == 2
 
 
+def test_train_aero_rejects_a_huge_dataset(tmp_path):
+    """A sample count past generate_dataset's upper end exits 2 naming
+    --samples before any memory is spent on it or any file is written."""
+    out = tmp_path / "out" / "w.json"
+    proc = run_cli("train-aero", "--samples", str(10**12), "--out", str(out))
+    assert proc.returncode == 2
+    assert "--samples" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.parent.exists()
+
+
 def test_seed_env_var_override(tmp_path):
     out1 = tmp_path / "env" / "weights.json"
     out2 = tmp_path / "cli" / "weights.json"
@@ -683,8 +722,7 @@ def test_check_grad_failure_names_the_entry_outside_its_tolerance(
 def _report(g):
     g = np.asarray(g, dtype=float)
     half = len(g) // 2
-    return ro.GradientReport(grad_u_T=g[:half], grad_u_delta=g[half:],
-                             engine="test")
+    return ro.GradientReport(grad_u_T=g[:half], grad_u_delta=g[half:])
 
 
 def _grad_check_loop(g, r):
@@ -970,6 +1008,28 @@ def test_manifest_nested_too_deep_exits_2(opt_run, tmp_path):
     assert "Traceback" not in proc.stderr
     assert not list(run.glob("*.svg"))
     with pytest.raises(sc.ScenarioError, match="cannot read run manifest"):
+        cli.replay_manifest(manifest, tmp_path / "replay")
+    assert not (tmp_path / "replay").exists()
+
+
+def test_manifest_with_a_repeated_key_exits_2(opt_run, tmp_path):
+    """plot of a run whose manifest.json names a key twice exits 2 naming
+    the file and the key, and writes no SVG; replay of it raises the same
+    ScenarioError before its directory exists."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "trajectory.csv").write_bytes(
+        (opt_run / "trajectory.csv").read_bytes())
+    manifest = run / "manifest.json"
+    text = (opt_run / "manifest.json").read_text()
+    manifest.write_text('{"seed": 1, ' + text[1:])
+    proc = run_cli("plot", str(run))
+    assert proc.returncode == 2
+    assert (f"cannot read run manifest {manifest}: duplicate key 'seed'"
+            in proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert not list(run.glob("*.svg"))
+    with pytest.raises(sc.ScenarioError, match="duplicate key 'seed'"):
         cli.replay_manifest(manifest, tmp_path / "replay")
     assert not (tmp_path / "replay").exists()
 

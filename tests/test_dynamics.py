@@ -21,7 +21,7 @@ def state(x=0.0, y=0.0, u=0.0, v=0.0, theta=0.0, omega=0.0, m=5.0, delta_d=0.0):
 def thrust_from_rhs(s, T, scn):
     """Thrust force and moment about the cg, read back from the RHS with
     zero aero forces."""
-    d = dyn.rhs(s, (T, 0.0), fo.AeroForces(0.0, 0.0, 0.0), scn)
+    d = dyn.rhs(s, (T, 0.0), (0.0, 0.0, 0.0), scn)
     m = s[dyn.IX_M]
     return (m * d[dyn.IX_U], m * (d[dyn.IX_V] + scn.g)), d[dyn.IX_OM] * scn.J_z
 
@@ -96,7 +96,7 @@ def test_alpha_wrap_and_scale_invariance(u, v, theta, c):
 
 def test_free_fall_rhs(case1_scn):
     s = state(u=0.3, v=-0.1, theta=1.0, omega=0.2, m=5.0, delta_d=0.0)
-    out = fo.rhs(s, (0.0, 0.0), fo.AeroForces(0.0, 0.0, 0.0), case1_scn)
+    out = fo.rhs(s, (0.0, 0.0), (0.0, 0.0, 0.0), case1_scn)
     assert out[dyn.IX_U] == 0.0
     assert out[dyn.IX_V] == -case1_scn.g
     assert out[dyn.IX_OM] == 0.0
@@ -108,7 +108,7 @@ def test_free_fall_rhs(case1_scn):
 def test_mass_flow_matches_dimensional_rate(case1_scn):
     refs = case1_scn.refs
     T_nd = 2.3e6 / refs.force_scale
-    out = fo.rhs(state(m=5.625), (T_nd, 0.0), fo.AeroForces(0, 0, 0), case1_scn)
+    out = fo.rhs(state(m=5.625), (T_nd, 0.0), (0, 0, 0), case1_scn)
     mdot_si = out[dyn.IX_M] * refs.m_ref / refs.t_ref
     assert mdot_si == pytest.approx(-2.3e6 / (350.0 * 9.80665), rel=1e-12)
     # 15 t of propellant lasts about 22 s at full throttle
@@ -117,15 +117,14 @@ def test_mass_flow_matches_dimensional_rate(case1_scn):
 
 def test_lag_equilibrium(case1_scn):
     s = state(delta_d=0.05)
-    out = fo.rhs(s, (0.01, 0.05), fo.AeroForces(0, 0, 0), case1_scn)
+    out = fo.rhs(s, (0.01, 0.05), (0, 0, 0), case1_scn)
     assert out[dyn.IX_DD] == 0.0
 
 
 def test_rhs_is_deterministic(case1_scn):
     s = state(u=0.1, v=-0.2, theta=2.0, omega=0.1, m=5.2, delta_d=0.03)
-    a = fo.rhs(s, (0.02, 0.1), fo.AeroForces(0.001, -0.002, 0.0003), case1_scn)
-    b = fo.rhs(s.copy(), (0.02, 0.1), fo.AeroForces(0.001, -0.002, 0.0003),
-               case1_scn)
+    a = fo.rhs(s, (0.02, 0.1), (0.001, -0.002, 0.0003), case1_scn)
+    b = fo.rhs(s.copy(), (0.02, 0.1), (0.001, -0.002, 0.0003), case1_scn)
     assert np.array_equal(a, b)
 
 
@@ -322,7 +321,7 @@ def test_rk4_advance_keeps_extended_precision(case1_scn, simplified):
 def test_non_finite_stage_raises():
     class ExplodingAero:
         def forces(self, s, scn):
-            return fo.AeroForces(np.inf, 0.0, 0.0)
+            return np.inf, 0.0, 0.0
 
         def forces_jac(self, states, scn):
             raise NotImplementedError

@@ -115,8 +115,8 @@ def test_nonfinite_state_reports_step(entry, K, step, case1_cfg):
         def forces(self, s, scn):
             self.calls += 1
             if self.calls > 4 * (step - 1):  # poison the step's first stage
-                return fo.AeroForces(float("nan"), 0.0, 0.0)
-            return fo.AeroForces(0.0, 0.0, 0.0)
+                return float("nan"), 0.0, 0.0
+            return 0.0, 0.0, 0.0
 
         def forces_jac(self, states, scn):
             raise NotImplementedError
@@ -494,7 +494,6 @@ def test_adjoint_equals_bptt_exactly(K, dry_margin_kg, case2_cfg, surrogate,
     assert np.array_equal(gb.grad_u_delta, ga.grad_u_delta)
     assert gb.loss == ga.loss
     assert gb.loss == ro.loss(ro.rollout(raw, scn, surrogate), scn.weights, scn)
-    assert gb.engine == "bptt" and ga.engine == "adjoint"
     if K <= ro.ADJOINT_SEG_LEN:  # one segment of K steps under both policies
         assert ga.peak_aux_floats == gb.peak_aux_floats
     calls = spy_engines(monkeypatch)

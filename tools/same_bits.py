@@ -75,9 +75,9 @@ def _rollout_arrays(fo, cli, ro, cfg, aero, K, at, out) -> None:
         traj = ro.rollout(raw, scn, aero)
         out[f"{s}/states"] = traj.states
         _loss_arrays(f"{s}/loss", ro.loss(traj, scn.weights, scn), out)
-        for engine in (ro.grad_bptt, ro.grad_adjoint):
-            rep = engine(raw, scn, aero)
-            e = f"{s}/{rep.engine}"
+        for name in ("bptt", "adjoint"):
+            rep = getattr(ro, f"grad_{name}")(raw, scn, aero)
+            e = f"{s}/{name}"
             out[f"{e}/grad"] = rep.stacked()
             out[f"{e}/peak_aux_floats"] = np.int64(rep.peak_aux_floats)
             _loss_arrays(f"{e}/loss", rep.loss, out)
