@@ -17,13 +17,13 @@ batch of states at once, to the gradient engine.
 
 Each model's ``forces`` states its force law once, for one state and for
 a batch of lanes in the state layout of :mod:`flipopt.dynamics`; the
-input chooses only how the law is evaluated.  A float64 state reads its
-fields as Python floats, takes ``math`` trigonometry, returns zero force
-at once below ``SPEED_FLOOR`` and returns Python floats; the surrogate's
-network then costs one BLAS product, one bias add and one tanh per layer.
-Otherwise each field is one numpy value or lane
-vector, with numpy trigonometry, the fixed-order einsum network and
-exactly zero force in every lane whose speed is below the floor.
+input chooses only how the law is evaluated.  A float64 state, (8,) or a
+list of 8 Python floats, reads its fields as Python floats, takes
+``math`` trigonometry, returns zero force at once below ``SPEED_FLOOR``
+and returns Python floats; the surrogate's network then costs one BLAS
+product, one bias add and one tanh per layer.  Otherwise each field is a
+numpy value or lane vector, with numpy trigonometry, the fixed-order
+einsum network and exactly zero force in each lane slower than the floor.
 ``forces_jac`` has only the vector form, with the same floor.
 """
 

@@ -26,7 +26,9 @@ M_T = -T sin(delta_d) l_arm.  Positive gimbal therefore pitches the nose
 down, which is the sense needed to flip from 170 deg toward 90 deg.
 
 A state's fields are its first axis: one state is (8,) and B lanes are
-(8, B), so ``x[IX_M]`` reads a scalar or a lane vector the same way.
+(8, B), so ``x[IX_M]`` reads a scalar or a lane vector the same way.  A
+list of 8 Python floats is one state too, and :func:`rk4_advance` returns
+the kind of state it was given.
 
 All functions are pure and dtype-generic: feeding long-double states
 through produces long-double results, which the finite-difference
@@ -74,8 +76,9 @@ class AeroModel(Protocol):
 
     def forces(self, state: np.ndarray, scn: "NondimScenario") -> tuple:
         """The tuple (F_Ax, F_Ay, M_A) of aero forces and moment about the cg
-        (nondim) at one state or a batch of lanes in this module's layout; a
-        float64 state may give floats or numpy scalars, and RK4 takes both."""
+        (nondim) at one state, (8,) or a list of 8 Python floats, or a batch
+        of lanes in this module's layout; a float64 state may give floats or
+        numpy scalars, and RK4 takes both."""
 
     def forces_jac(
         self, states: np.ndarray, scn: "NondimScenario"
@@ -87,10 +90,13 @@ class AeroModel(Protocol):
         ...
 
 
-def field_values(state: np.ndarray):
+def field_values(state):
     """A state's fields and the module whose trigonometry they take: Python
-    floats and ``math`` for one float64 state, far cheaper than numpy
-    scalars; otherwise the array, whose rows are the fields, and ``np``."""
+    floats and ``math`` for one float64 state or a list of them, far
+    cheaper than numpy scalars; otherwise the array, whose rows are the
+    fields, and ``np``."""
+    if isinstance(state, list):
+        return state, math
     if state.dtype == np.float64 and state.ndim == 1:
         return state.tolist(), math
     return state, np
@@ -199,61 +205,65 @@ def rk4_generic(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_advance(state: np.ndarray, T, delta, dt, scn, aero_model: AeroModel):
+def rk4_advance(state, T, delta, dt, scn, aero_model: AeroModel):
     """One RK4 step of the vehicle dynamics, returning the stage states.
 
-    ``state`` is one state of shape (8,) or a batch of B lanes of shape
-    (8, B), with ``T`` and ``delta`` scalars or one value per lane.
-    Control is held constant over the step (zero-order hold); the aero
-    model is re-evaluated at each stage state.  Returns
+    ``state`` is one state, (8,) or a list of 8 Python floats, or a batch
+    of B lanes of shape (8, B), with ``T`` and ``delta`` scalars or one
+    value per lane.  Control is held constant over the step (zero-order
+    hold); the aero model is re-evaluated at each stage state.  Returns
     (next_state, (a2, a3, a4)) where a2..a4 are the interior stage states
-    (the first stage state is ``state`` itself).  Bit-identical across
-    repeated calls with the same inputs.
+    (the first stage state is ``state`` itself), of the kind ``state`` is.
+    Bit-identical across repeated calls with the same inputs.
 
     The step runs on :func:`field_values`: Python floats for one float64
-    state.  Lanes never mix, and in extended precision each lane is
-    bit-identical to a single-state call on it.  Python floats raise where
-    numpy returns inf or nan (the cosine of an infinite angle, a zero
-    mass); such a step is taken again as a one-lane batch, so a diverging
-    state still yields the non-finite result that the callers detect.
+    state, made arrays once at the end for an array.  Lanes never mix, and
+    in extended precision each lane is bit-identical to a single-state
+    call on it.  Python floats raise where numpy returns inf or nan (the
+    cosine of an infinite angle, a zero mass); such a step is taken again
+    as a one-lane batch, so a diverging state still yields the non-finite
+    result that the callers detect.
     """
     x, ops = field_values(state)
     try:
-        return _rk4_kernel(state, x, ops, T, delta, dt, scn, aero_model)
+        nxt, stages = _rk4_kernel(x, ops, T, delta, dt, scn, aero_model)
     except (ValueError, ZeroDivisionError):
         if ops is np:
             raise
-        nxt, stages = rk4_advance(state[:, None], T, delta, dt, scn,
+        nxt, stages = rk4_advance(np.array(x)[:, None], T, delta, dt, scn,
                                   aero_model)
-        return nxt[:, 0], tuple(a[:, 0] for a in stages)
+        nxt, stages = nxt[:, 0].tolist(), [a[:, 0].tolist() for a in stages]
+    if ops is np or isinstance(state, list):
+        return nxt, tuple(stages)
+    return np.array(nxt), tuple(np.array(a) for a in stages)
 
 
-def _rk4_kernel(state, x, ops, T, delta, dt, scn, aero_model):
-    """RK4 on the fields ``x`` of ``state`` with the trigonometry of module
-    ``ops``.  The operation order is the vector form's, k1 + 2 k2 + 2 k3
-    + k4, so every result is bit-identical to it.  Stage arrays are built
-    only for the aero model."""
+def _rk4_kernel(x, ops, T, delta, dt, scn, aero_model):
+    """RK4 on the fields ``x`` of a state with the trigonometry of module
+    ``ops``: lists of Python floats in and out for ``math``, arrays for
+    ``np``.  The operation order is the vector form's, k1 + 2 k2 + 2 k3
+    + k4, so every result is bit-identical to it."""
     cos, sin = ops.cos, ops.sin
-    num = float if ops is math else state.dtype.type
+    num = float if ops is math else x.dtype.type
     mdot = num(-T / scn.c_ex)
     T = num(T)
     delta = num(delta)
     h2 = 0.5 * dt
 
-    k = _derivative(x, aero_model.forces(state, scn), T, delta, mdot, cos,
-                    sin, scn)
+    k = _derivative(x, aero_model.forces(x, scn), T, delta, mdot, cos, sin,
+                    scn)
     ks = [k]
     stages = []
     for h in (h2, h2, dt):
         a = [xi + h * ki for xi, ki in zip(x, k)]
-        A = np.array(a)
+        A = a if ops is math else np.array(a)
         k = _derivative(a, aero_model.forces(A, scn), T, delta, mdot, cos, sin, scn)
         ks.append(k)
         stages.append(A)
     h6 = dt / 6.0
     nxt = [xi + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
            for xi, k1, k2, k3, k4 in zip(x, *ks)]
-    return np.array(nxt), tuple(stages)
+    return (nxt if ops is math else np.array(nxt)), stages
 
 
 def rk4_step(state: np.ndarray, ctrl: tuple, aero_model: AeroModel, dt,

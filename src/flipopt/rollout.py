@@ -252,19 +252,25 @@ def _advance(x: np.ndarray, steps: range, rec: np.ndarray,
              seq: ControlSequence, scn, aero: AeroModel) -> np.ndarray:
     """Take ``steps`` from state ``x`` and return the state after the last.
 
-    Step k writes its start state and three stage states, as
-    :func:`rk4_advance` returns them, to ``rec[:, k % rec.shape[1]]``.  A
-    non-finite field stays so through every later step, so only a
-    non-finite returned state has :func:`check_state` scan the steps for
-    the first that ended so.  Every forward pass of this module but the
-    oracle's lanes runs this loop; it computes no loss term.
+    Step k's start state and three stage states, as :func:`rk4_advance`
+    returns them, go to ``rec[:, k % rec.shape[1]]`` in one write after
+    the steps, which run on lists of Python floats.  A non-finite field
+    stays so through every later step, so only a non-finite returned state
+    has :func:`check_state` scan the steps for the first that ended so.
+    Every forward pass of this module but the oracle's lanes runs this
+    loop; it computes no loss term.
     """
+    x = x.tolist()
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in steps:
-            nxt, stages = rk4_advance(x, seq.thrust[k], seq.delta[k], scn.dt,
-                                      scn, aero)
-            rec[:, k % rec.shape[1]] = (x, *stages)
+        for T, delta in zip(seq.thrust[steps].tolist(),
+                            seq.delta[steps].tolist()):
+            nxt, stages = rk4_advance(x, T, delta, scn.dt, scn, aero)
+            out.append((x, *stages))
             x = nxt
+    i = steps.start % rec.shape[1]
+    rec.swapaxes(0, 1)[i:i + len(out)] = out
+    x = np.array(x)
     if not np.isfinite(x).all():
         for k in steps:
             end = x if k == steps[-1] else rec[0, (k + 1) % rec.shape[1]]
@@ -289,10 +295,14 @@ def rollout(raw: RawControlParams, scn, aero: AeroModel) -> Trajectory:
 
 
 def rollout_controls(seq: ControlSequence, scn, aero: AeroModel) -> Trajectory:
-    """Roll out an explicit control sequence (used by forward-only replay)."""
+    """Roll out an explicit control sequence (used by forward-only replay),
+    one ``ADJOINT_SEG_LEN`` segment of Python floats at a time."""
     _check_length(seq.K, scn)
     rec = np.empty((4, scn.K, STATE_DIM))
-    x = _advance(scn.x0, range(scn.K), rec, seq, scn, aero)
+    x = scn.x0
+    for s in range(0, scn.K, ADJOINT_SEG_LEN):
+        steps = range(s, min(s + ADJOINT_SEG_LEN, scn.K))
+        x = _advance(x, steps, rec, seq, scn, aero)
     return Trajectory(states=np.concatenate([rec[0], x[None]]),
                       thrust=seq.thrust.copy(), delta_cmd=seq.delta.copy(),
                       dt=float(scn.dt))

@@ -233,6 +233,22 @@ def test_single_state_forces_are_floats_matching_one_lane(model_name, case2_scn,
     assert np.all(np.array(model.forces(still[:, None], case2_scn)) == 0.0)
 
 
+@pytest.mark.parametrize("model_name", ["none", "simplified", "surrogate"])
+def test_forces_on_a_list_state_equal_the_array_call(model_name, case2_scn,
+                                                     simplified, surrogate):
+    # a list of 8 Python floats is one state, read as it stands
+    model = {"none": am.NoAero(), "simplified": simplified,
+             "surrogate": surrogate}[model_name]
+    rng = np.random.default_rng(31)
+    X = case2_scn.x0 + rng.normal(0.0, 0.05, (40, 8))
+    X[0, dyn.IX_U] = X[0, dyn.IX_V] = 0.0  # a state at rest
+    for x in X:
+        F = model.forces(x.tolist(), case2_scn)
+        assert type(F) is tuple and all(type(f) is float for f in F)
+        assert np.array(F).tobytes() == np.array(
+            model.forces(x, case2_scn)).tobytes()
+
+
 def test_trained_fit_quality(surrogate):
     ds = am.generate_dataset(36)
     worst = 0.0

@@ -348,6 +348,46 @@ def test_degenerate_state_raises_integration_error(field, value, case1_scn):
                                 *(["theta"] if field == dyn.IX_TH else [])]
 
 
+@pytest.mark.parametrize("model_name", ["none", "simplified", "surrogate"])
+def test_rk4_advance_on_a_list_returns_lists_of_the_array_bits(
+        model_name, case1_scn, surrogate):
+    scn = case1_scn
+    model = {"none": am.NoAero(), "simplified": am.SimplifiedAero(C_D=1.0),
+             "surrogate": surrogate}[model_name]
+    rng = np.random.default_rng(29)
+    x = scn.x0.tolist()
+    for _ in range(6):
+        T = float(rng.uniform(scn.T_min, scn.T_max))
+        delta = float(rng.uniform(-scn.delta_max, scn.delta_max))
+        nxt, stages = dyn.rk4_advance(x, T, delta, scn.dt, scn, model)
+        ref, ref_stages = dyn.rk4_advance(np.array(x), T, delta, scn.dt, scn,
+                                          model)
+        assert type(stages) is tuple and len(stages) == 3
+        for a, b in zip((nxt, *stages), (ref, *ref_stages)):
+            assert type(a) is list and all(type(f) is float for f in a)
+            assert np.array(a).tobytes() == b.tobytes()
+        x = nxt
+
+
+@pytest.mark.parametrize("field, value", [(dyn.IX_M, 0.0), (dyn.IX_TH, np.inf)])
+def test_degenerate_list_state_takes_the_one_lane_retry(field, value,
+                                                        case1_scn):
+    # the list form raises inside the kernel as the array form does, and
+    # its retry returns lists with the array call's non-finite fields
+    scn = case1_scn
+    x = scn.x0.copy()
+    x[field] = value
+    with np.errstate(all="ignore"):
+        nxt, stages = dyn.rk4_advance(x.tolist(), 0.02, 0.0, scn.dt, scn,
+                                      am.NoAero())
+        ref, ref_stages = dyn.rk4_advance(x, 0.02, 0.0, scn.dt, scn,
+                                          am.NoAero())
+    assert not np.isfinite(ref).all()
+    for a, b in zip((nxt, *stages), (ref, *ref_stages)):
+        assert type(a) is list and all(type(f) is float for f in a)
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("model_name", ["none", "simplified", "surrogate"])
 def test_rk4_advance_batch_matches_single_states(model_name, dtype, case1_scn,

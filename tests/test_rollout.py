@@ -456,7 +456,8 @@ def test_engine_linearizes_the_forward_stages_in_blocks(engine, K, case2_cfg,
 
     def recording_advance(x, *args):
         out = dyn.rk4_advance(x, *args)
-        produced.update(a.tobytes() for a in (x, *out[1]))
+        produced.update(np.asarray(a, np.float64).tobytes()
+                        for a in (x, *out[1]))
         return out
 
     with monkeypatch.context() as m:
@@ -577,6 +578,24 @@ def test_finite_diff_memory_bound(case1_scn, simplified):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_rollout_memory_is_its_record(case1_cfg, simplified):
+    """A long rollout holds its (4, K, 8) record and its (K + 1, 8) states,
+    and the Python floats of one segment at a time: at case1's hover start
+    with K = 1500 (it diverges at step 1556) the traced peak stays under
+    1.25 times their bytes, about 586 KiB."""
+    K = 1500
+    scn = fo.nondimensionalize(truncate(case1_cfg, K))
+    raw = fo.init_raw_params(scn)
+    ro.rollout(raw, scn, simplified)  # warm up
+    tracemalloc.start()
+    try:
+        ro.rollout(raw, scn, simplified)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * (4 * K * 8 + (K + 1) * 8)
 
 
 def test_memory_meter_contract(case2_cfg, surrogate):
