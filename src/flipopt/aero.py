@@ -228,12 +228,17 @@ class MlpSurrogate:
 
     def coeffs_from_encoding(self, z) -> np.ndarray:
         """Forward pass from the (sin a, cos a) encoding ``z``: per layer one
-        BLAS product W @ h, then the bias, then tanh on a hidden layer."""
+        BLAS product W @ h, then the bias, then tanh on a hidden layer, both
+        in place on the product's fresh array."""
         h = z
         *hidden, (W_out, b_out) = self.layers
         for W, b in hidden:
-            h = np.tanh(np.dot(W, h) + b)
-        return np.dot(W_out, h) + b_out
+            h = np.dot(W, h)
+            h += b
+            np.tanh(h, out=h)
+        h = np.dot(W_out, h)
+        h += b_out
+        return h
 
     def _network(self, z, dz=None):
         """Coefficients (..., 3) at encodings z (..., 2); with a tangent
@@ -360,27 +365,41 @@ def train_surrogate(dataset: Sequence[CoeffSample],
         grads.append((grad[at:mid].reshape(n_out, n_in), grad[mid:end]))
     state, adam = AdamState.zeros_like(flat), OptimizerConfig()
     final_mse = math.inf
+    # each epoch's activations, residual and squared residual, filled in place
+    hs = [X, *(np.empty((len(X), n)) for n in hyper.hidden)]
+    err = np.empty_like(Yn)
+    sq = np.empty_like(Yn)
 
     # a diverging fit raises below at its first non-finite loss or update
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, hyper.epochs + 1):
-            hs = [X]
-            for W, b in layers[:-1]:
-                hs.append(np.tanh(hs[-1] @ W.T + b))
+            for (W, b), h_in, h in zip(layers, hs, hs[1:]):   # hidden
+                np.matmul(h_in, W.T, out=h)
+                h += b
+                np.tanh(h, out=h)
             W, b = layers[-1]
-            err = hs[-1] @ W.T + b - Yn
-            final_mse = float(np.mean(err * err))
+            np.matmul(hs[-1], W.T, out=err)
+            err += b
+            err -= Yn
+            np.multiply(err, err, out=sq)
+            # np.add.reduce is np.mean's and np.sum's sum, without wrappers
+            final_mse = float(np.add.reduce(sq, axis=None) / Yn.size)
             if not math.isfinite(final_mse):
                 raise TrainingError("non-finite training loss", epoch)
 
-            # backward from the output; g passes W while a layer is below
-            g = (2.0 / err.size) * err
+            # backward from the output; g passes W while a layer is below,
+            # and each activation becomes its tanh derivative once gW has
+            # read it
+            g = np.multiply(err, 2.0 / err.size, out=err)
             for (W, _), (gW, gb), h in zip(layers[::-1], grads[::-1],
                                            hs[::-1]):
                 np.matmul(g.T, h, out=gW)
-                np.sum(g, axis=0, out=gb)
+                np.add.reduce(g, axis=0, out=gb)
                 if h is not X:
-                    g = (g @ W) * (1.0 - h ** 2)
+                    np.multiply(h, h, out=h)
+                    np.subtract(1.0, h, out=h)
+                    g = g @ W
+                    g *= h
 
             try:
                 new_flat, state = adam_step(flat, grad, state, hyper.lr, adam)

@@ -83,20 +83,32 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float, cfg: OptimizerConfig):
     """One bias-corrected Adam update; pure in (params, state).  A
     non-finite result raises FloatingPointError, so the callers evaluate
-    it with numpy's overflow and invalid warnings off."""
-    if params.shape != grads.shape or params.shape != state.m.shape:
+    it with numpy's overflow and invalid warnings off.
+
+    m, v and the new parameters are fresh arrays, built in place in the
+    order of m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
+    p - (lr m_hat) / (sqrt(v_hat) + eps), so each keeps those bits."""
+    if not params.shape == grads.shape == state.m.shape == state.v.shape:
         raise ValueError("parameter/gradient/state shapes disagree")
     t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grads
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grads * grads
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    update = lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-    new_params = params - update
-    bad = np.flatnonzero(~np.isfinite(new_params))
-    if bad.size:
+    m = np.multiply(state.m, cfg.beta1)
+    tmp = np.multiply(grads, 1.0 - cfg.beta1)
+    m += tmp
+    v = np.multiply(state.v, cfg.beta2)
+    np.multiply(grads, 1.0 - cfg.beta2, out=tmp)
+    tmp *= grads
+    v += tmp
+    new = np.divide(m, 1.0 - cfg.beta1 ** t)   # m_hat, then the update
+    new *= lr
+    np.divide(v, 1.0 - cfg.beta2 ** t, out=tmp)   # v_hat, then the divisor
+    np.sqrt(tmp, out=tmp)
+    tmp += cfg.eps
+    new /= tmp
+    np.subtract(params, new, out=new)
+    if not np.isfinite(new).all():
+        bad = np.flatnonzero(~np.isfinite(new))
         raise FloatingPointError(f"non-finite Adam update at index {bad[0]}")
-    return new_params, AdamState(m=m, v=v, t=t)
+    return new, AdamState(m=m, v=v, t=t)
 
 
 def _engine_fn(name: str):

@@ -235,7 +235,10 @@ def _add_path_cotangent(lam: np.ndarray, x: np.ndarray, k: int,
 
 def _check_loss(total, terms) -> None:
     """Raise FloatingPointError naming the first term that is non-finite
-    in any lane, or the total if only the sum overflows."""
+    in any lane, or the total if only the sum overflows.  Any non-finite
+    term makes the total non-finite, so a finite total passes at once."""
+    if np.isfinite(total).all():
+        return
     for name, t in zip((*LOSS_TERM_NAMES, "total"), (*terms, total)):
         bad = np.asarray(t)[~np.isfinite(t)]
         if bad.size:
@@ -430,11 +433,12 @@ def _grad(raw: RawControlParams, scn, aero: AeroModel, w: LossWeights | None,
     # the smoothness term, then the chain rule through the squash mapping
     gu = ((g + w.w_smooth * np.array(smoothness_grads(seq, scn)))
           * reparameterize_grads(raw, scn))
-    for name, gi in zip(("u_T", "u_delta"), gu):
-        bad = np.flatnonzero(~np.isfinite(gi))
-        if bad.size:
-            raise FloatingPointError(
-                f"non-finite gradient component {name}[{bad[0]}]")
+    if not np.isfinite(gu).all():
+        for name, gi in zip(("u_T", "u_delta"), gu):
+            bad = np.flatnonzero(~np.isfinite(gi))
+            if bad.size:
+                raise FloatingPointError(
+                    f"non-finite gradient component {name}[{bad[0]}]")
     return GradientReport(
         grad_u_T=gu[0], grad_u_delta=gu[1],
         peak_aux_floats=(ckpt.size + rec.size + 2 * STATE_DIM + 7 * STATE_DIM

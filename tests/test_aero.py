@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import flipopt.aero as am
 import flipopt.cli as cli
 from flipopt import dynamics as dyn
+from flipopt.optimizer import OptimizerConfig
 
 
 def state(u=0.0, v=0.0, theta=0.0, m=5.0):
@@ -269,6 +270,76 @@ def test_training_determinism(case2_cfg):
         assert np.array_equal(ba, bb)
     c = am.train_surrogate(ds, hyper, seed=4)
     assert not np.array_equal(a.layers[0][0], c.layers[0][0])
+
+
+def _reference_fit(dataset, hyper, seed):
+    """The surrogate fit and its ``meta`` written plainly: a fresh array per
+    operation, np.mean and np.sum, and Adam's update as one expression per
+    parameter array (Adam is elementwise, so the flat layout of
+    ``train_surrogate`` does not change a bit)."""
+    adam = OptimizerConfig()
+    rng = np.random.default_rng(seed)
+    X = np.array([[math.sin(s.alpha), math.cos(s.alpha)] for s in dataset])
+    Y = np.array([[s.C_L, s.C_D, s.C_M] for s in dataset])
+    mu = Y.mean(axis=0)
+    sig = np.maximum(Y.std(axis=0), 1e-8)
+    Yn = (Y - mu) / sig
+    sizes = (2, *hyper.hidden, 3)
+    layers = []
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        limit = math.sqrt(6.0 / (n_in + n_out))
+        layers.append((rng.uniform(-limit, limit, size=(n_out, n_in)),
+                       np.zeros(n_out)))
+    params = [p for layer in layers for p in layer]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t in range(1, hyper.epochs + 1):
+        hs = [X]
+        for W, b in layers[:-1]:
+            hs.append(np.tanh(hs[-1] @ W.T + b))
+        W, b = layers[-1]
+        err = hs[-1] @ W.T + b - Yn
+        final_mse = float(np.mean(err * err))
+        g = (2.0 / err.size) * err
+        grads = []
+        for (W, _), h in zip(layers[::-1], hs[::-1]):
+            grads[:0] = [g.T @ h, np.sum(g, axis=0)]
+            if h is not X:
+                g = (g @ W) * (1.0 - h ** 2)
+        for i, (p, gp) in enumerate(zip(params, grads)):
+            m[i] = adam.beta1 * m[i] + (1.0 - adam.beta1) * gp
+            v[i] = adam.beta2 * v[i] + (1.0 - adam.beta2) * gp * gp
+            m_hat = m[i] / (1.0 - adam.beta1 ** t)
+            v_hat = v[i] / (1.0 - adam.beta2 ** t)
+            p[:] = p - hyper.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
+    W, b = layers[-1]
+    layers[-1] = (sig[:, None] * W, sig * b + mu)
+    model = am.MlpSurrogate(layers=tuple(layers))
+    preds = np.array([_layerwise(model, (np.sin(s.alpha), np.cos(s.alpha)))
+                      for s in dataset])
+    max_abs = np.abs(preds - Y).max(axis=0)
+    return layers, {
+        "train_mse_normalized": final_mse,
+        "train_mse": float(np.mean((preds - Y) ** 2)),
+        "max_abs_err": {"C_L": float(max_abs[0]), "C_D": float(max_abs[1]),
+                        "C_M": float(max_abs[2])},
+        "n_samples": len(dataset), "seed": seed, "epochs": hyper.epochs,
+        "lr": hyper.lr, "hidden": list(hyper.hidden),
+    }
+
+
+@pytest.mark.parametrize("hidden", [(16,), (32, 32), (8, 8, 8)])
+def test_fit_matches_the_reference_loop(hidden):
+    # the fit's in-place buffers keep every operation and its order
+    ds = am.generate_dataset(12)
+    hyper = am.TrainerConfig(hidden=hidden, epochs=300)
+    model = am.train_surrogate(ds, hyper, seed=3)
+    layers, meta = _reference_fit(ds, hyper, seed=3)
+    assert len(model.layers) == len(layers) == len(hidden) + 1
+    for (W, b), (W_ref, b_ref) in zip(model.layers, layers):
+        assert np.array_equal(W, W_ref)
+        assert np.array_equal(b, b_ref)
+    assert model.meta == meta
 
 
 def test_training_on_repeated_sample_fits_constant():

@@ -75,10 +75,34 @@ def test_adam_deterministic(cfg):
     assert np.array_equal(s1.v, s2.v)
 
 
+def test_adam_leaves_its_inputs_unchanged(cfg):
+    p = np.array([1.0, -2.0, 3.0, 0.5])
+    g = np.array([0.1, -0.2, 0.3, -4.0])
+    s = om.AdamState(m=np.full(4, 0.01), v=np.full(4, 0.04), t=7)
+    before = [a.tobytes() for a in (p, g, s.m, s.v)]
+    newp, news = fo.adam_step(p, g, s, 2e-3, cfg)
+    assert [a.tobytes() for a in (p, g, s.m, s.v)] == before
+    for out in (newp, news.m, news.v):
+        assert not any(np.shares_memory(out, a) for a in (p, g, s.m, s.v))
+
+
+def test_adam_names_the_first_non_finite_update(cfg):
+    p = np.zeros(6)
+    g = np.array([0.1, -0.2, np.inf, 0.3, np.nan, 0.4])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError,
+                          match=r"^non-finite Adam update at index 2$"):
+        fo.adam_step(p, g, om.AdamState.zeros_like(p), 1e-3, cfg)
+
+
 def test_adam_shape_mismatch(cfg):
     with pytest.raises(ValueError):
         fo.adam_step(np.zeros(3), np.zeros(2), om.AdamState.zeros_like(np.zeros(3)),
                      1e-3, cfg)
+    # a second moment that would broadcast is refused too
+    with pytest.raises(ValueError, match="shapes disagree"):
+        fo.adam_step(np.zeros(3), np.zeros(3),
+                     om.AdamState(m=np.zeros(3), v=np.zeros(1)), 1e-3, cfg)
 
 
 def test_adam_worst_case_update_bound(cfg):

@@ -17,8 +17,12 @@ first flip index (11 and 15), so its oracle lanes carry non-zero flip
 sums.  The same arrays are recorded with the dry mass ``DRY_MARGIN_KG``
 = 500 kg below the wet mass at K in {7, 16, 90}, which puts the dry-mass
 floor inside the horizon of every rollout but case2's at K = 7.
-It also records the layers of
-``train_surrogate(generate_dataset(36), seed=0)``, the case2 surrogate's
+It also records the layers and ``meta`` (as JSON bytes) of
+``train_surrogate(generate_dataset(36), seed=0)`` and of three
+``FIT_EPOCHS`` = 300-epoch fits to ``generate_dataset(12)`` with seed 3,
+at hidden sizes ``FIT_HIDDEN`` = (16,), (32, 32) and (8, 8, 8), so that
+the fit's buffers for one, two and three hidden layers are compared bit
+for bit; then the case2 surrogate's
 ``coeffs_from_encoding`` at ``ENCODINGS`` = 4096 angles evenly spaced over
 [0, 2 pi), so that a change of that forward pass's summation order shows
 directly, and the exit code and
@@ -34,7 +38,8 @@ trajectory.csv, controls.csv and loss_history.csv, each with its exit
 code.
 ``compare`` checks that both files hold the same arrays with the same
 dtype, shape and bytes; it names the first mismatch and exits 1, or
-exits 0.  A run of ``dump`` takes about ten seconds on one core.
+exits 0.  A record holds 1118 arrays, and a run of ``dump`` takes about
+ten seconds on one core.
 """
 
 from __future__ import annotations
@@ -56,12 +61,22 @@ ORACLE_MAX_K = 16
 DRY_KS = (7, 16, 90)
 DRY_MARGIN_KG = 500.0
 ENCODINGS = 4096
+FIT_HIDDEN = ((16,), (32, 32), (8, 8, 8))
+FIT_EPOCHS = 300
 
 
 def _loss_arrays(prefix, breakdown, out):
     out[f"{prefix}/total"] = np.float64(breakdown.total)
     for name, value in breakdown.terms.items():
         out[f"{prefix}/{name}"] = np.float64(value)
+
+
+def _fit_arrays(model, prefix, out) -> None:
+    for i, (W, b) in enumerate(model.layers):
+        out[f"{prefix}/layer{i}/W"] = W
+        out[f"{prefix}/layer{i}/b"] = b
+    out[f"{prefix}/meta"] = np.frombuffer(
+        json.dumps(model.meta, sort_keys=True).encode(), np.uint8)
 
 
 def _rollout_arrays(fo, cli, ro, cfg, aero, K, at, out) -> None:
@@ -135,12 +150,15 @@ def dump(src: str, path: str) -> None:
     import flipopt as fo
     from flipopt import cli
     from flipopt import rollout as ro
+    from flipopt.aero import TrainerConfig
 
     out: dict[str, np.ndarray] = {}
-    model = fo.train_surrogate(fo.generate_dataset(36), seed=0)
-    for i, (W, b) in enumerate(model.layers):
-        out[f"train/layer{i}/W"] = W
-        out[f"train/layer{i}/b"] = b
+    _fit_arrays(fo.train_surrogate(fo.generate_dataset(36), seed=0),
+                "train", out)
+    for hidden in FIT_HIDDEN:
+        hyper = TrainerConfig(hidden=hidden, epochs=FIT_EPOCHS)
+        _fit_arrays(fo.train_surrogate(fo.generate_dataset(12), hyper, seed=3),
+                    f"train/hidden{'x'.join(map(str, hidden))}", out)
 
     for case in ("case1", "case2"):
         cfg = fo.load_scenario(case)
